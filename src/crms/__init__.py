@@ -42,7 +42,6 @@ from .fields import (
     bridges_residual,
     ddw_residual,
     diff,
-    diff_state,
     l2_gradient,
     make_hamiltonian,
     momenta_from_positions,

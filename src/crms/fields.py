@@ -44,8 +44,8 @@ class TorusGrid:
     def __post_init__(self):
         if self.n1 < 4 or self.n2 < 4:
             raise ValueError("grid resolution must be at least 4 in each direction")
-        if self.l1 <= 0.0 or self.l2 <= 0.0:
-            raise ValueError("periods must be positive")
+        if not (0.0 < self.l1 < np.inf and 0.0 < self.l2 < np.inf):
+            raise ValueError("periods must be positive and finite")
 
     @property
     def h1(self) -> float:
@@ -116,10 +116,6 @@ def diff(values: np.ndarray, grid: TorusGrid, direction: int) -> np.ndarray:
     if v.shape[:2] != (grid.n1, grid.n2):
         raise DimensionMismatchError("values do not match the grid")
     return (np.roll(v, -1, axis=axis) - np.roll(v, 1, axis=axis)) / (2.0 * h)
-
-
-def diff_state(state: FieldState, direction: int) -> np.ndarray:
-    return diff(state.values, state.grid, direction)
 
 
 # ---------------------------------------------------------------------------
@@ -408,16 +404,34 @@ def write_state_csv(state: FieldState, target) -> None:
 
 
 def read_state_csv(source, grid: TorusGrid) -> FieldState:
-    """Parse the CSV export back into a state on the given grid."""
+    """Parse the CSV export back into a state on the given grid.
+
+    Raises ValueError unless the file has the export's header and exactly one
+    row per grid point.
+    """
     if hasattr(source, "read"):
         text = source.read()
     else:
         with open(source, "r", newline="") as fh:
             text = fh.read()
     rows = list(csv.reader(io.StringIO(text)))
-    dim = len(rows[0]) - 4
-    values = np.zeros((grid.n1, grid.n2, dim))
-    for row in rows[1:]:
+    header = rows[0] if rows else []
+    dim = len(header) - 4
+    if dim < 4 or dim % 4 != 0 or header != ["i", "j", "t1", "t2"] + [f"z{c}" for c in range(dim)]:
+        raise ValueError("CSV header is not i, j, t1, t2, z0 .. z{4n-1}")
+    values = np.empty((grid.n1, grid.n2, dim))
+    seen = np.zeros((grid.n1, grid.n2), dtype=bool)
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise ValueError(f"CSV line {line} has {len(row)} fields, expected {len(header)}")
         i, j = int(row[0]), int(row[1])
+        if not (0 <= i < grid.n1 and 0 <= j < grid.n2):
+            raise ValueError(f"CSV line {line}: grid point ({i}, {j}) is outside {grid.n1} x {grid.n2}")
+        if seen[i, j]:
+            raise ValueError(f"CSV line {line}: grid point ({i}, {j}) appears twice")
+        seen[i, j] = True
         values[i, j] = [float(x) for x in row[4:]]
+    if not seen.all():
+        i, j = np.argwhere(~seen)[0]
+        raise ValueError(f"CSV has no row for grid point ({i}, {j})")
     return FieldState(grid, values)

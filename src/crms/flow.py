@@ -46,12 +46,12 @@ class FlowConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if self.ds <= 0.0:
-            raise ConfigError("ds must be positive")
+        if not 0.0 < self.ds < np.inf:
+            raise ConfigError("ds must be positive and finite")
         if self.max_steps < 0:
             raise ConfigError("max_steps must be non-negative")
-        if self.grad_tolerance <= 0.0:
-            raise ConfigError("grad_tolerance must be positive")
+        if not 0.0 < self.grad_tolerance < np.inf:
+            raise ConfigError("grad_tolerance must be positive and finite")
         if self.integrator not in INTEGRATORS:
             raise ConfigError(f"integrator must be one of {INTEGRATORS}, got '{self.integrator}'")
         if self.record_every < 1:

@@ -13,7 +13,6 @@ coordinates a quadruple reads (q1, q2, P1, P2).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,18 +96,27 @@ def antisymmetrize(coeffs: np.ndarray) -> np.ndarray:
     return t + correction / 6.0
 
 
+def _put_alternating(c: np.ndarray, i, j, k, v) -> None:
+    """Write v at the even permutations of (i, j, k) and -v at the odd ones.
+
+    The indices and values may be arrays of one common shape; index triples
+    must be pairwise distinct as sets, or later writes overwrite earlier ones.
+    """
+    v = np.asarray(v, dtype=float)
+    c[i, j, k] = v
+    c[j, k, i] = v
+    c[k, i, j] = v
+    c[i, k, j] = -v
+    c[j, i, k] = -v
+    c[k, j, i] = -v
+
+
 def _alternation_from_canonical(raw: np.ndarray) -> np.ndarray:
     """Rebuild a tensor from its i<j<k entries so antisymmetry is bitwise."""
-    d = raw.shape[0]
+    r = np.arange(raw.shape[0])
+    i, j, k = np.nonzero((r[:, None, None] < r[None, :, None]) & (r[None, :, None] < r[None, None, :]))
     out = np.zeros_like(raw)
-    for i, j, k in itertools.combinations(range(d), 3):
-        v = raw[i, j, k]
-        out[i, j, k] = v
-        out[j, k, i] = v
-        out[k, i, j] = v
-        out[i, k, j] = -v
-        out[j, i, k] = -v
-        out[k, j, i] = -v
+    _put_alternating(out, i, j, k, raw[i, j, k])
     return out
 
 
@@ -314,22 +322,23 @@ def standard_crms_form(n: int, nu: np.ndarray | None = None) -> AlternatingThree
         Coefficients of the residual vertical 1-form in the dual coframe.
     """
     space = SplitSpace.for_pairs(n)
-    d = space.dim
-    eye = np.eye(d)
-    eps1, eps2 = eye[0], eye[1]
-    coeffs = np.zeros((d, d, d))
-    for k in range(n):
-        a1, a2, b1, b2 = (eye[2 + 4 * k + i] for i in range(4))
-        # omega1 ∧ eps2 with omega1 = beta1∧alpha1 + beta2∧alpha2
-        coeffs += wedge3(b1, a1, eps2) + wedge3(b2, a2, eps2)
-        # -omega2 ∧ eps1 with omega2 = beta1∧alpha2 - beta2∧alpha1
-        coeffs -= wedge3(b1, a2, eps1) - wedge3(b2, a1, eps1)
+    coeffs = np.zeros((space.dim,) * 3)
+    a1 = 2 + 4 * np.arange(n)
+    a2, b1, b2 = a1 + 1, a1 + 2, a1 + 3
+    # omega1 ∧ eps2 with omega1 = beta1∧alpha1 + beta2∧alpha2, and
+    # -omega2 ∧ eps1 with omega2 = beta1∧alpha2 - beta2∧alpha1.
+    _put_alternating(
+        coeffs,
+        np.concatenate([b1, b2, b1, b2]),
+        np.concatenate([a1, a2, a2, a1]),
+        np.repeat([1, 1, 0, 0], n),
+        np.repeat([1.0, 1.0, -1.0, 1.0], n),
+    )
     if nu is not None:
         nu = np.asarray(nu, dtype=float)
         if nu.shape != (space.dim_fiber,):
             raise DimensionMismatchError(f"nu must have shape ({space.dim_fiber},), got {nu.shape}")
-        for j, c in enumerate(nu):
-            coeffs += c * wedge3(eye[2 + j], eps1, eps2)
+        _put_alternating(coeffs, 2 + np.arange(space.dim_fiber), 0, 1, nu)
     return AlternatingThreeForm(space, coeffs)
 
 

@@ -20,7 +20,7 @@ from .linalg import (
     standard_crms_form,
     standard_fiber_forms,
     fiber_complex_matrix,
-    wedge3,
+    _put_alternating,
 )
 
 _COND_CAP = 200.0
@@ -151,13 +151,8 @@ def random_smooth_state(
 def inject_vertical_triple(form: AlternatingThreeForm, value: float = 1.0) -> tuple[AlternatingThreeForm, tuple[int, int, int]]:
     """Break 1-horizontality by planting one vertical-triple coefficient."""
     c = form.coeffs.copy()
-    triple = (2, 3, 4)
-    i, j, k = triple
-    for (p, q, r), sign in (
-        ((i, j, k), 1.0), ((j, k, i), 1.0), ((k, i, j), 1.0),
-        ((i, k, j), -1.0), ((j, i, k), -1.0), ((k, j, i), -1.0),
-    ):
-        c[p, q, r] += sign * value
+    triple = i, j, k = (2, 3, 4)
+    _put_alternating(c, i, j, k, c[i, j, k] + value)
     return AlternatingThreeForm(form.space, c), triple
 
 
@@ -180,7 +175,8 @@ def drop_quadruple_block(n: int) -> AlternatingThreeForm:
 
 def break_i_compatibility(n: int, value: float = 0.5) -> AlternatingThreeForm:
     """Standard form plus a term that desynchronizes the two contractions."""
-    space = SplitSpace.for_pairs(n)
-    eye = np.eye(space.dim)
-    coeffs = standard_crms_form(n).coeffs + value * wedge3(eye[4], eye[2], eye[0])
-    return AlternatingThreeForm(space, coeffs)
+    form = standard_crms_form(n)
+    c = form.coeffs.copy()
+    # Adds value * beta1 ∧ alpha1 ∧ eps1 of the first quadruple.
+    _put_alternating(c, 4, 2, 0, c[4, 2, 0] + value)
+    return AlternatingThreeForm(form.space, c)

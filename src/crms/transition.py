@@ -28,8 +28,8 @@ from .errors import DimensionMismatchError
 class PatchSamples:
     """Function samples on a uniform rectangular patch in the complex plane.
 
-    ``points[i, j] = origin + h * (i + 1j * j)``; spacing is the same in the
-    real and imaginary directions.
+    ``values[i, j]`` is the sample at ``origin + h * (i + 1j * j)``; spacing
+    is the same in the real and imaginary directions.
     """
 
     origin: complex
@@ -48,11 +48,6 @@ class PatchSamples:
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
-
-    def points(self) -> np.ndarray:
-        m1, m2 = self.shape
-        i, j = np.meshgrid(np.arange(m1), np.arange(m2), indexing="ij")
-        return self.origin + self.h * (i + 1j * j)
 
     def interior(self, values: np.ndarray) -> "PatchSamples":
         """Wrap derived interior values as a patch one ring smaller."""

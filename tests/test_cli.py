@@ -63,6 +63,24 @@ def test_kind_mismatch_is_a_usage_error(tmp_path):
     assert run_cli(tmp_path, "validate", {"kind": "flow"})[0] == 2
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"n": True},
+        {"flow": {"ds": float("nan")}},
+        {"grid": {"l1": float("inf")}},
+        {"flow": {"ds": 10**400}},
+        {"hamiltonian": {"parameters": {"lambda": float("nan")}}},
+        {"gradcheck": {"directions": 0}},
+    ],
+)
+def test_bad_config_values_are_usage_errors(tmp_path, config):
+    # json.dumps writes bool, nan and inf as true, NaN and Infinity, which
+    # json.loads reads back; 10**400 is an int no float can hold.
+    assert run_cli(tmp_path, "flow", {"output_dir": str(tmp_path / "out"), **config})[0] == 2
+    assert not (tmp_path / "out" / "flow_summary.json").exists()
+
+
 # --- darboux -----------------------------------------------------------------
 
 
@@ -243,7 +261,21 @@ def test_gradcheck_corrupted_gradient_fails(tmp_path):
     }
     code, _ = run_cli(tmp_path, "gradcheck", cfg)
     assert code == 1
-    assert read_json(out / "gradcheck.json")["max_relative_error"] > 1e-6
+    report = read_json(out / "gradcheck.json")
+    assert report["max_relative_error"] > 1e-6
+    assert report["max_error_to_bound"] > 1.0
+
+
+def test_gradcheck_bound_absorbs_oracle_roundoff(tmp_path):
+    # A direction with pairing -1.5e-6 gives relative error 6.4e-5 from the
+    # oracle's roundoff alone; the error stays within 0.3 of the bound.
+    out = tmp_path / "out"
+    cfg = {"n": 2, "output_dir": str(out), "hamiltonian": {"name": "cosine"}}
+    code, _ = run_cli(tmp_path, "gradcheck", cfg, "--grid", "128x128", "--seed", "100")
+    assert code == 0
+    report = read_json(out / "gradcheck.json")
+    assert report["max_relative_error"] > 1e-6
+    assert report["max_error_to_bound"] < 1.0
 
 
 # --- overrides and determinism -------------------------------------------------

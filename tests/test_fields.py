@@ -328,6 +328,42 @@ def test_csv_round_trip():
     assert first_line.split(",")[:4] == ["i", "j", "t1", "t2"]
 
 
+def _without_last_row(lines):
+    return lines[:-1]
+
+
+def _with_repeated_row(lines):
+    return lines + lines[-1:]
+
+
+def _with_short_header(lines):
+    return [",".join(line.split(",")[:-2]) for line in lines]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_without_last_row, "no row for grid point"),
+        (_with_repeated_row, "appears twice"),
+        (_with_short_header, "header"),
+    ],
+)
+def test_csv_rejects_incomplete_files(edit, message):
+    grid = TorusGrid(5, 4)
+    buf = io.StringIO()
+    write_state_csv(random_state(grid, 1, seed=132), buf)
+    text = "\n".join(edit(buf.getvalue().splitlines())) + "\n"
+    with pytest.raises(ValueError, match=message):
+        read_state_csv(io.StringIO(text), grid)
+
+
+def test_csv_rejects_points_outside_the_grid():
+    buf = io.StringIO()
+    write_state_csv(random_state(TorusGrid(5, 4), 1, seed=133), buf)
+    with pytest.raises(ValueError, match="outside"):
+        read_state_csv(io.StringIO(buf.getvalue()), TorusGrid(4, 4))
+
+
 def test_state_validation():
     grid = TorusGrid(8, 8)
     with pytest.raises(DimensionMismatchError):

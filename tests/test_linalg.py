@@ -1,5 +1,7 @@
 """Single-point linear algebra: tensors, square roots, CRMS validation."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from crms.linalg import (
     LinearComplexStructure,
     SpdMatrix,
     SplitSpace,
+    _alternation_from_canonical,
     antisymmetrize,
     evaluate_form,
     matrix_sqrt_spd,
@@ -103,6 +106,70 @@ def test_wedge3_matches_determinant():
     det = np.linalg.det(np.array([[f @ x for x in (u, v, w)] for f in (a, b, c)]))
     got = float(np.einsum("ijk,i,j,k->", tensor, u, v, w))
     assert got == pytest.approx(det, rel=1e-12, abs=1e-12)
+
+
+# --- the alternating scatter against the wedge3 construction ------------------
+# The constructors scatter their few nonzero coefficients directly; these
+# oracles build the same tensors with a per-triple loop, as sums of
+# wedge3 terms, and by adding the vertical triple's six signed permutations.
+
+
+@pytest.mark.parametrize("d", [3, 6, 10])
+def test_alternation_equals_triple_loop(d):
+    raw = np.random.default_rng(d).normal(size=(d, d, d))
+    expected = np.zeros_like(raw)
+    for i, j, k in itertools.combinations(range(d), 3):
+        v = raw[i, j, k]
+        expected[i, j, k] = expected[j, k, i] = expected[k, i, j] = v
+        expected[i, k, j] = expected[j, i, k] = expected[k, j, i] = -v
+    assert _alternation_from_canonical(raw).tobytes() == expected.tobytes()
+
+
+def _wedge_standard_form(n: int, nu=None) -> np.ndarray:
+    d = 2 + 4 * n
+    eye = np.eye(d)
+    eps1, eps2 = eye[0], eye[1]
+    coeffs = np.zeros((d, d, d))
+    for k in range(n):
+        a1, a2, b1, b2 = (eye[2 + 4 * k + i] for i in range(4))
+        coeffs += wedge3(b1, a1, eps2) + wedge3(b2, a2, eps2)
+        coeffs -= wedge3(b1, a2, eps1) - wedge3(b2, a1, eps1)
+    if nu is not None:
+        for j, c in enumerate(nu):
+            coeffs += c * wedge3(eye[2 + j], eps1, eps2)
+    return coeffs
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("with_nu", [False, True])
+def test_standard_form_equals_wedge_sum(n, with_nu):
+    nu = np.random.default_rng(n).normal(size=4 * n) if with_nu else None
+    assert np.array_equal(standard_crms_form(n, nu=nu).coeffs, _wedge_standard_form(n, nu))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_vertical_triple_equals_permutation_add(n):
+    rng = np.random.default_rng(40 + n)
+    crms, _ = random_crms_form(n, rng)
+    # A vertical term makes the planted coefficient land on a nonzero entry.
+    form = AlternatingThreeForm(crms.space, crms.coeffs + wedge3(*rng.normal(size=(3, crms.dim))))
+    expected = form.coeffs.copy()
+    i, j, k = 2, 3, 4
+    for (p, q, r), sign in (
+        ((i, j, k), 1.0), ((j, k, i), 1.0), ((k, i, j), 1.0),
+        ((i, k, j), -1.0), ((j, i, k), -1.0), ((k, j, i), -1.0),
+    ):
+        expected[p, q, r] += sign * 0.7
+    broken, triple = inject_vertical_triple(form, 0.7)
+    assert triple == (i, j, k)
+    assert np.array_equal(broken.coeffs, expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_broken_compatibility_equals_wedge_sum(n):
+    eye = np.eye(2 + 4 * n)
+    expected = _wedge_standard_form(n) + 0.5 * wedge3(eye[4], eye[2], eye[0])
+    assert np.array_equal(break_i_compatibility(n).coeffs, expected)
 
 
 # --- matrix_sqrt_spd ---------------------------------------------------------
