@@ -53,6 +53,10 @@ FORM_SOURCES = ("standard", "standard_plus_nu", "seeded_random_conjugate")
 FORM_INJECTIONS = ("vertical_triple", "drop_block", "break_compatibility")
 INITIAL_MODES = ("random_smooth", "constant", "file")
 
+# Entries of the largest float array a run may allocate (2 GiB).  Larger n or
+# grids are config errors, reported before anything is allocated.
+MAX_ARRAY_ENTRIES = 2**28
+
 
 def _finite_float(value) -> float | None:
     """The value of a finite JSON number as a float, else None.
@@ -205,6 +209,27 @@ def parse_config(raw: dict, command: str) -> ExperimentConfig:
     if cfg.gradcheck_directions < 1:
         raise ConfigError("gradcheck.directions must be positive")
     return cfg
+
+
+def _check_size(cfg: ExperimentConfig, command: str) -> None:
+    """Reject an n or grid whose largest array exceeds MAX_ARRAY_ENTRIES.
+
+    That array depends on the verb: the d^3 3-form (d = 4n + 2) of validate
+    and darboux, the (4n)^2 symbol matrix, and for flow and gradcheck the
+    (4n)^2 compatible triple or one n1 x n2 x 4n field.
+    """
+    d = 4 * cfg.n
+    if command in ("validate", "darboux"):
+        largest = (d + 2) ** 3
+    elif command == "symbol":
+        largest = d * d
+    else:
+        largest = max(d * d, cfg.grid.n1 * cfg.grid.n2 * d)
+    if largest > MAX_ARRAY_ENTRIES:
+        raise ConfigError(
+            f"{command} with n = {cfg.n} and grid {cfg.grid.n1}x{cfg.grid.n2} needs an array of"
+            f" {largest} entries; at most {MAX_ARRAY_ENTRIES} are allowed"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +523,7 @@ def main(argv: list[str] | None = None) -> int:
                 cfg.grid = TorusGrid(int(n1_str), int(n2_str), cfg.grid.l1, cfg.grid.l2)
             except ValueError as err:
                 raise ConfigError(f"bad --grid value '{args.grid}': {err}") from None
+        _check_size(cfg, args.command)
         out = Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](cfg, out, args.quiet)

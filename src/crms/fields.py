@@ -24,6 +24,7 @@ import numpy as np
 
 from .compatible import CompatibleTriple
 from .errors import DimensionMismatchError
+from .linalg import TAU_ALG, standard_fiber_forms
 
 GRADIENT_CHECK_TOL = 1e-5  # relative, enforced when a Hamiltonian is built
 
@@ -242,32 +243,50 @@ def _require_fiber_match(state_dim: int, ham: HamiltonianSpec) -> None:
 # ---------------------------------------------------------------------------
 
 
-def action(state: FieldState, ham: HamiltonianSpec) -> float:
-    """Discrete multisymplectic action h1 h2 sum[theta1(∂1 Z) + theta2(∂2 Z) - H].
+def _bridges_operator(values: np.ndarray, grid: TorusGrid, j1: np.ndarray, j2: np.ndarray) -> np.ndarray:
+    """J1 ∂1 Z + J2 ∂2 Z (Bridges' principal part): the action, gradient and flow use it."""
+    return diff(values, grid, 1) @ j1.T + diff(values, grid, 2) @ j2.T
 
-    With theta1 = sum_a P1 dq1 + P2 dq2 and theta2 = sum_a P1 dq2 - P2 dq1.
+
+def _action_value(grid: TorusGrid, values: np.ndarray, bridges: np.ndarray, density: np.ndarray) -> float:
+    """h1 h2 sum[1/2 Z·bridges - H] for bridges = _bridges_operator(Z) and H = density."""
+    return float(grid.cell_area * np.sum(0.5 * np.sum(values * bridges, axis=-1) - density))
+
+
+def _standard_pair(
+    fiber_dim: int, ham: HamiltonianSpec, triple: CompatibleTriple
+) -> tuple[np.ndarray, np.ndarray]:
+    """The triple's (J1, J2), once they are checked to be the action's standard pair."""
+    _require_fiber_match(fiber_dim, ham)
+    if triple.dim != fiber_dim:
+        raise DimensionMismatchError("compatible triple does not match the state's fiber")
+    w1, w2 = standard_fiber_forms(fiber_dim // 4)
+    if max(np.max(np.abs(triple.j1 - w1)), np.max(np.abs(triple.j2 - w2))) > TAU_ALG:
+        raise ValueError("the action is built from the standard pair; the triple's (J1, J2) differ from it")
+    return triple.j1, triple.j2
+
+
+def action(state: FieldState, ham: HamiltonianSpec) -> float:
+    """Discrete multisymplectic action h1 h2 sum[1/2 Z·(J1 ∂1 Z + J2 ∂2 Z) - H(Z)].
+
+    (J1, J2) = standard_fiber_forms(n).  Centered differences are skew-adjoint
+    and the J_i antisymmetric, so each J_i ∂_i is self-adjoint and the exact
+    gradient is J1 ∂1 Z + J2 ∂2 Z - ∇H (l2_gradient).  Summed over the grid,
+    the quadratic term is the theta-form sum P1 ∂1 q1 + P2 ∂1 q2 + P1 ∂2 q2 - P2 ∂2 q1.
     """
     _require_fiber_match(state.fiber_dim, ham)
     v = state.values
-    d1 = diff(v, state.grid, 1)
-    d2 = diff(v, state.grid, 2)
-    p1, p2 = v[..., 2::4], v[..., 3::4]
-    theta = (
-        p1 * d1[..., 0::4]
-        + p2 * d1[..., 1::4]
-        + p1 * d2[..., 1::4]
-        - p2 * d2[..., 0::4]
-    )
     t1, t2 = state.grid.coordinates()
-    density = np.sum(theta, axis=-1) - ham.value(t1, t2, v)
-    return float(state.grid.cell_area * np.sum(density))
+    bridges = _bridges_operator(v, state.grid, *standard_fiber_forms(state.n))
+    return _action_value(state.grid, v, bridges, ham.value(t1, t2, v))
 
 
 def bridges_residual(state: FieldState, ham: HamiltonianSpec) -> np.ndarray:
     """Pointwise residual of the first-order elliptic field equations.
 
     Zero exactly at critical points of the discrete action; equal to minus
-    the discrete gradient for the standard compatible triple.
+    the discrete gradient for the standard compatible triple.  Written out by
+    components, apart from _bridges_operator, as the reference for the gradient.
     """
     _require_fiber_match(state.fiber_dim, ham)
     v = state.values
@@ -308,18 +327,14 @@ def ddw_residual(grid: TorusGrid, values: np.ndarray, ham: HamiltonianSpec) -> n
 def l2_gradient(state: FieldState, ham: HamiltonianSpec, triple: CompatibleTriple) -> np.ndarray:
     """Exact gradient of the discrete action: J1 ∂1 Z + J2 ∂2 Z - ∇H(Z).
 
-    Exactness relies on the skew-adjointness of the centered differences and
-    on the triple satisfying omega_i = g(·, J_i ·) for the pair generating
-    the action's theta-forms.
+    Raises ValueError unless the triple's (J1, J2) is the standard pair the
+    action is built from (within TAU_ALG): for any other triple the formula
+    is not the gradient of the action.
     """
-    _require_fiber_match(state.fiber_dim, ham)
-    if triple.dim != state.fiber_dim:
-        raise DimensionMismatchError("compatible triple does not match the state's fiber")
+    j1, j2 = _standard_pair(state.fiber_dim, ham, triple)
     v = state.values
-    d1 = diff(v, state.grid, 1)
-    d2 = diff(v, state.grid, 2)
     t1, t2 = state.grid.coordinates()
-    return d1 @ triple.j1.T + d2 @ triple.j2.T - ham.gradient(t1, t2, v)
+    return _bridges_operator(v, state.grid, j1, j2) - ham.gradient(t1, t2, v)
 
 
 def momenta_from_positions(state: FieldState) -> FieldState:

@@ -26,7 +26,8 @@ import numpy as np
 
 from .compatible import CompatibleTriple
 from .errors import ConfigError, DimensionMismatchError, FlowDivergenceError
-from .fields import FieldState, HamiltonianSpec, TorusGrid, action, l2_gradient
+from .fields import FieldState, HamiltonianSpec, TorusGrid, l2_gradient
+from .fields import _action_value, _bridges_operator, _standard_pair
 
 INTEGRATORS = ("explicit_euler", "rk4")
 
@@ -81,7 +82,6 @@ class FlowTrace:
     converged: bool
     states: tuple[FieldState, ...] = ()
     record_stride: int = 1
-    ds: float = 0.0
 
     def __post_init__(self):
         s = np.array(self.steps, dtype=float)
@@ -120,9 +120,13 @@ def flow_step(
     """
     if integrator not in INTEGRATORS:
         raise ConfigError(f"unknown integrator '{integrator}'")
+    grid = state.grid
+    j1, j2 = _standard_pair(state.fiber_dim, ham, triple)
+    t1, t2 = grid.coordinates()
 
     def rhs(values: np.ndarray) -> np.ndarray:
-        return -l2_gradient(FieldState(state.grid, values), ham, triple)
+        # Stages stay raw arrays: an overflowing stage reaches _check_finite.
+        return -(_bridges_operator(values, grid, j1, j2) - ham.gradient(t1, t2, values))
 
     v = state.values
     with np.errstate(over="ignore", invalid="ignore"):
@@ -153,55 +157,46 @@ def run_flow(
     generic data the unstable modes grow until a FlowDivergenceError is
     raised carrying the partial trace.
     """
-    config.check_stability(initial.grid)
+    grid = initial.grid
+    config.check_stability(grid)
+    j1, j2 = _standard_pair(initial.fiber_dim, ham, triple)
+    t1, t2 = grid.coordinates()
     state = initial
     rows: list[tuple[float, float, float]] = []
     recorded: list[FieldState] = []
-    converged = False
 
     def observe(k: int, st: FieldState) -> float:
+        v = st.values
         with np.errstate(over="ignore", invalid="ignore"):
-            grad = l2_gradient(st, ham, triple)
-            gnorm = float(np.max(np.abs(grad)))
-            act = action(st, ham)
+            bridges = _bridges_operator(v, grid, j1, j2)
+            gnorm = float(np.max(np.abs(bridges - ham.gradient(t1, t2, v))))
+            act = _action_value(grid, v, bridges, ham.value(t1, t2, v))
         if not (np.isfinite(gnorm) and np.isfinite(act)):
-            raise FlowDivergenceError(
-                f"flow diagnostics became non-finite at step {k}", step=k
-            )
+            raise FlowDivergenceError(f"flow diagnostics became non-finite at step {k}", step=k)
         rows.append((k * config.ds, act, gnorm))
         if k % config.record_every == 0:
             recorded.append(st)
         return gnorm
 
+    def trace(converged: bool) -> FlowTrace:
+        return FlowTrace(
+            steps=np.array(rows, dtype=float).reshape(-1, 3),
+            final_state=state,
+            converged=converged,
+            states=tuple(recorded),
+            record_stride=config.record_every,
+        )
+
     try:
         gnorm = observe(0, state)
         for k in range(config.max_steps):
             if gnorm < config.grad_tolerance:
-                converged = True
                 break
             state = flow_step(state, ham, triple, config.ds, config.integrator, step=k)
             gnorm = observe(k + 1, state)
-        else:
-            converged = gnorm < config.grad_tolerance
     except FlowDivergenceError as err:
-        partial = FlowTrace(
-            steps=np.array(rows, dtype=float).reshape(-1, 3),
-            final_state=state,
-            converged=False,
-            states=tuple(recorded),
-            record_stride=config.record_every,
-            ds=config.ds,
-        )
-        raise FlowDivergenceError(str(err), step=err.step, trace=partial) from None
-
-    return FlowTrace(
-        steps=np.array(rows, dtype=float).reshape(-1, 3),
-        final_state=state,
-        converged=converged,
-        states=tuple(recorded),
-        record_stride=config.record_every,
-        ds=config.ds,
-    )
+        raise FlowDivergenceError(str(err), step=err.step, trace=trace(False)) from None
+    return trace(gnorm < config.grad_tolerance)
 
 
 def fueter_residual(

@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from crms.cli import main
+from crms.cli import _check_size, main, parse_config
+from crms.errors import ConfigError
 from crms.fields import FieldState, TorusGrid, read_state, write_state
 
 
@@ -79,6 +80,31 @@ def test_bad_config_values_are_usage_errors(tmp_path, config):
     # json.loads reads back; 10**400 is an int no float can hold.
     assert run_cli(tmp_path, "flow", {"output_dir": str(tmp_path / "out"), **config})[0] == 2
     assert not (tmp_path / "out" / "flow_summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, extra",
+    [
+        ("symbol", {"n": 100_000_000_000}, ()),
+        ("flow", {}, ("--grid", "100000000x100000000")),
+    ],
+)
+def test_sizes_too_large_to_allocate_are_usage_errors(tmp_path, capsys, command, config, extra):
+    out = tmp_path / "out"
+    assert run_cli(tmp_path, command, {"output_dir": str(out), **config}, *extra)[0] == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_size_bound_depends_on_the_verb(tmp_path):
+    # n = 200 needs an 802^3 3-form (4 GiB) for validate, but only 800^2
+    # matrices for symbol.  The check is called directly so that a missing
+    # bound fails here instead of allocating the 3-form.
+    with pytest.raises(ConfigError, match="validate"):
+        _check_size(parse_config({"n": 200}, "validate"), "validate")
+    cfg = {"n": 200, "output_dir": str(tmp_path / "out"), "symbol": {"xi": [1.0, 0.0]}}
+    assert run_cli(tmp_path, "symbol", cfg)[0] == 0
 
 
 # --- darboux -----------------------------------------------------------------
@@ -184,6 +210,22 @@ def test_flow_indefinite_quadratic_diverges(tmp_path):
     assert code == 3
     summary = read_json(out / "flow_summary.json")
     assert summary["diverged_at_step"] is not None
+
+
+def test_flow_rk4_stage_overflow_exits_as_divergence(tmp_path):
+    out = tmp_path / "out"
+    cfg = {
+        "n": 1,
+        "output_dir": str(out),
+        "grid": {"n1": 16, "n2": 20, "l1": 3.0, "l2": 5.0},
+        "hamiltonian": {"name": "quartic", "parameters": {"lambda": 0.6}},
+        "flow": {"integrator": "rk4", "max_steps": 40},
+    }
+    code, _ = run_cli(tmp_path, "flow", cfg, "--seed", "5")
+    assert code == 3
+    assert read_json(out / "flow_summary.json")["diverged_at_step"] == 17
+    with open(out / "flow_trace.csv", newline="") as fh:
+        assert len(list(csv.reader(fh))) == 1 + 18
 
 
 def test_flow_step_size_over_bound_is_config_error(tmp_path):

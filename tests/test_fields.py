@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from crms.compatible import standard_triple
+from crms.compatible import build_compatible, standard_triple
 from crms.errors import DimensionMismatchError
 from crms.fields import (
     BUILTIN_HAMILTONIANS,
@@ -25,7 +25,7 @@ from crms.fields import (
     write_state,
     write_state_csv,
 )
-from crms.sampling import random_smooth_state
+from crms.sampling import random_crps_pair, random_smooth_state
 
 
 def random_state(grid: TorusGrid, n: int, seed: int, scale: float = 1.0) -> FieldState:
@@ -237,6 +237,17 @@ def test_gradient_is_minus_bridges_residual():
     g = l2_gradient(state, ham, standard_triple(2))
     r = bridges_residual(state, ham)
     assert np.max(np.abs(g + r)) < 1e-13
+
+
+def test_gradient_rejects_a_triple_the_action_is_not_built_from():
+    # The action uses the standard pair; a compatible triple of another CRPS
+    # pair gives a J1 ∂1 Z + J2 ∂2 Z - ∇H that is not its gradient.
+    grid = TorusGrid(8, 8)
+    state = random_state(grid, 2, seed=131)
+    pair = random_crps_pair(2, np.random.default_rng(137))
+    triple = build_compatible(pair.omega1, pair.omega2, pair.i_fiber)
+    with pytest.raises(ValueError, match="standard pair"):
+        l2_gradient(state, make_hamiltonian("quadratic", 2), triple)
 
 
 def richardson_directional(state: FieldState, ham, delta: np.ndarray) -> float:

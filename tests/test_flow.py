@@ -8,7 +8,7 @@ import pytest
 from crms.compatible import standard_triple
 from crms.errors import ConfigError, FlowDivergenceError
 from crms.fields import FieldState, TorusGrid, action, l2_gradient, make_hamiltonian
-from crms.flow import FlowConfig, flow_step, fueter_residual, run_flow, write_trace_csv
+from crms.flow import STABILITY_KAPPA, FlowConfig, flow_step, fueter_residual, run_flow, write_trace_csv
 from crms.sampling import random_smooth_state
 
 
@@ -76,12 +76,13 @@ def test_rk4_step_differs_from_euler_at_higher_order():
     assert 0.0 < gap < ds * ds
 
 
-def test_divergent_values_raise():
+@pytest.mark.parametrize("integrator", ["explicit_euler", "rk4"])
+def test_divergent_values_raise(integrator):
     # The cubic gradient of the quartic term overflows at this magnitude.
     ham = make_hamiltonian("quartic", 1)
     huge = FieldState(GRID, np.full((16, 16, 4), 1e200))
     with pytest.raises(FlowDivergenceError):
-        flow_step(huge, ham, TRIPLE, ds=0.01, step=7)
+        flow_step(huge, ham, TRIPLE, ds=0.01, integrator=integrator, step=7)
 
 
 # --- run_flow ----------------------------------------------------------------
@@ -140,6 +141,45 @@ def test_indefinite_action_makes_long_runs_diverge():
     # Descent still holds along the recorded prefix.
     a = err.trace.actions
     assert np.all(np.diff(a) <= 1e-10 * (1.0 + np.abs(a[:-1])))
+
+
+def test_rk4_stage_overflow_is_a_divergence():
+    # An RK4 stage overflows from a finite state; the run must still end in
+    # FlowDivergenceError with a finite prefix, not a ValueError.
+    grid = TorusGrid(16, 20, l1=3.0, l2=5.0)
+    ham = make_hamiltonian("quartic", 1, {"lambda": 0.6})
+    cfg = FlowConfig(ds=0.25 * min(grid.h1, grid.h2), max_steps=40, integrator="rk4")
+    with pytest.raises(FlowDivergenceError) as excinfo:
+        run_flow(smooth(5, grid=grid), ham, TRIPLE, cfg)
+    err = excinfo.value
+    assert err.step == 17
+    assert len(err.trace.steps) == 18
+    assert np.all(np.isfinite(err.trace.steps))
+    assert np.all(np.isfinite(err.trace.final_state.values))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("integrator", ["explicit_euler", "rk4"])
+@pytest.mark.parametrize("record_every", [1, 3])
+def test_run_flow_matches_a_loop_over_flow_step(n, integrator, record_every):
+    # run_flow's rows, recorded states and final state are exactly those of
+    # a plain loop over the public flow_step, l2_gradient and action.
+    ham = make_hamiltonian("cosine", n, {"lambda": 0.5})
+    triple = standard_triple(n)
+    ds = 0.5 * STABILITY_KAPPA[integrator] * GRID.h1
+    cfg = FlowConfig(ds=ds, max_steps=10, grad_tolerance=1e-30, integrator=integrator,
+                     record_every=record_every)
+    states = [smooth(13, n=n)]
+    trace = run_flow(states[0], ham, triple, cfg)
+    for k in range(cfg.max_steps):
+        states.append(flow_step(states[-1], ham, triple, ds, integrator, step=k))
+    rows = [(k * ds, action(st, ham), float(np.max(np.abs(l2_gradient(st, ham, triple)))))
+            for k, st in enumerate(states)]
+    assert np.array_equal(trace.steps, np.array(rows))
+    recorded = states[::record_every]
+    assert len(trace.states) == len(recorded)
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(trace.states, recorded))
+    assert np.array_equal(trace.final_state.values, states[-1].values)
 
 
 def test_fixed_point_soundness_of_converged_traces():
