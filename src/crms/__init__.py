@@ -11,7 +11,6 @@ from .linalg import (
     ConditionCheck,
     LinearComplexStructure,
     SpdMatrix,
-    SplitSpace,
     ValidationReport,
     antisymmetrize,
     evaluate_form,

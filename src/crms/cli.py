@@ -10,6 +10,7 @@ entries.  Exit codes: 0 success, 1 check failure, 2 config/usage error,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -33,7 +34,7 @@ from .fields import (
     read_state,
     write_state,
 )
-from .flow import FlowConfig, fueter_residual, run_flow, write_trace_csv
+from .flow import STABILITY_KAPPA, FlowConfig, fueter_residual, run_flow, write_trace_csv
 from .linalg import standard_complex_structure, standard_crms_form, validate_crms
 from .sampling import (
     break_i_compatibility,
@@ -87,6 +88,20 @@ def _expect(mapping: dict, key: str, kind, default):
     return value
 
 
+def _section(mapping: dict, path: str, keys: tuple[str, ...]) -> dict:
+    """The object under the last name of ``path`` in mapping, {} when absent.
+
+    Raises ConfigError unless it is an object with no keys outside ``keys``.
+    """
+    section = mapping.get(path.rpartition(".")[2], {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"'{path}' must be an object")
+    unknown = set(section) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown keys in '{path}': {sorted(unknown)}")
+    return section
+
+
 @dataclass
 class ExperimentConfig:
     n: int = 1
@@ -133,9 +148,7 @@ def parse_config(raw: dict, command: str) -> ExperimentConfig:
         raise ConfigError("seed must be a non-negative integer")
     cfg.output_dir = _expect(raw, "output_dir", str, "crms_out")
 
-    grid = raw.get("grid", {})
-    if not isinstance(grid, dict):
-        raise ConfigError("'grid' must be an object")
+    grid = _section(raw, "grid", ("n1", "n2", "l1", "l2"))
     try:
         cfg.grid = TorusGrid(
             n1=_expect(grid, "n1", int, 32),
@@ -146,31 +159,23 @@ def parse_config(raw: dict, command: str) -> ExperimentConfig:
     except ValueError as err:
         raise ConfigError(str(err)) from None
 
-    ham = raw.get("hamiltonian", {})
-    if not isinstance(ham, dict):
-        raise ConfigError("'hamiltonian' must be an object")
+    ham = _section(raw, "hamiltonian", ("name", "parameters", "gradient_scale"))
     cfg.ham_name = _expect(ham, "name", str, "quadratic")
     if cfg.ham_name not in BUILTIN_HAMILTONIANS:
         raise ConfigError(f"unknown Hamiltonian '{cfg.ham_name}'; built-ins: {BUILTIN_HAMILTONIANS}")
-    params = ham.get("parameters", {})
-    if not isinstance(params, dict):
-        raise ConfigError("'hamiltonian.parameters' must be an object")
+    params = _section(ham, "hamiltonian.parameters", ("lambda",))
     cfg.ham_parameters = {k: _finite_float(v) for k, v in params.items()}
     if None in cfg.ham_parameters.values():
         raise ConfigError("'hamiltonian.parameters' must map names to finite numbers")
     cfg.gradient_scale = _expect(ham, "gradient_scale", float, 1.0)
 
-    flow = raw.get("flow", {})
-    if not isinstance(flow, dict):
-        raise ConfigError("'flow' must be an object")
+    flow = _section(raw, "flow", ("ds", "max_steps", "tolerance", "integrator", "record_every", "initial"))
     cfg.flow_ds = _expect(flow, "ds", float, None)
     cfg.flow_max_steps = _expect(flow, "max_steps", int, 10000)
     cfg.flow_tolerance = _expect(flow, "tolerance", float, 1e-8)
     cfg.flow_integrator = _expect(flow, "integrator", str, "explicit_euler")
     cfg.flow_record_every = _expect(flow, "record_every", int, max(1, cfg.flow_max_steps // 100))
-    initial = flow.get("initial", {})
-    if not isinstance(initial, dict):
-        raise ConfigError("'flow.initial' must be an object")
+    initial = _section(flow, "flow.initial", ("mode", "amplitude", "value", "path"))
     cfg.initial_mode = _expect(initial, "mode", str, "random_smooth")
     if cfg.initial_mode not in INITIAL_MODES:
         raise ConfigError(f"initial mode must be one of {INITIAL_MODES}")
@@ -178,9 +183,7 @@ def parse_config(raw: dict, command: str) -> ExperimentConfig:
     cfg.initial_value = _expect(initial, "value", float, 0.0)
     cfg.initial_path = _expect(initial, "path", str, None)
 
-    form = raw.get("form", {})
-    if not isinstance(form, dict):
-        raise ConfigError("'form' must be an object")
+    form = _section(raw, "form", ("source", "inject", "nu_scale"))
     cfg.form_source = _expect(form, "source", str, "standard")
     if cfg.form_source not in FORM_SOURCES:
         raise ConfigError(f"form source must be one of {FORM_SOURCES}")
@@ -189,9 +192,7 @@ def parse_config(raw: dict, command: str) -> ExperimentConfig:
         raise ConfigError(f"form injection must be one of {FORM_INJECTIONS}")
     cfg.form_nu_scale = _expect(form, "nu_scale", float, 0.5)
 
-    symbol = raw.get("symbol", {})
-    if not isinstance(symbol, dict):
-        raise ConfigError("'symbol' must be an object")
+    symbol = _section(raw, "symbol", ("angles", "xi"))
     cfg.symbol_angles = _expect(symbol, "angles", int, 64)
     if cfg.symbol_angles < 1:
         raise ConfigError("symbol.angles must be positive")
@@ -202,9 +203,7 @@ def parse_config(raw: dict, command: str) -> ExperimentConfig:
             raise ConfigError("symbol.xi must be a 2-element list of finite numbers")
         cfg.symbol_xi = xi
 
-    gradcheck = raw.get("gradcheck", {})
-    if not isinstance(gradcheck, dict):
-        raise ConfigError("'gradcheck' must be an object")
+    gradcheck = _section(raw, "gradcheck", ("directions",))
     cfg.gradcheck_directions = _expect(gradcheck, "directions", int, 20)
     if cfg.gradcheck_directions < 1:
         raise ConfigError("gradcheck.directions must be positive")
@@ -338,9 +337,7 @@ def cmd_symbol(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
         rows.append((angle, ddw.kernel_dim, bridges.kernel_dim, bridges.determinant))
     path = out / "symbol.csv"
     with open(path, "w", newline="") as fh:
-        import csv as _csv
-
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["angle", "ddw_kernel_dim", "bridges_kernel_dim", "bridges_det"])
         for angle, dk, bk, det in rows:
             writer.writerow([repr(angle), dk, bk, repr(det)])
@@ -357,7 +354,10 @@ def _initial_state(cfg: ExperimentConfig) -> FieldState:
         return FieldState(cfg.grid, values)
     if cfg.initial_path is None:
         raise ConfigError("initial mode 'file' requires flow.initial.path")
-    state = read_state(cfg.initial_path)
+    try:
+        state = read_state(cfg.initial_path)
+    except (OSError, ValueError) as err:
+        raise ConfigError(f"cannot read initial state: {err}") from None
     if state.grid != cfg.grid or state.n != cfg.n:
         raise ConfigError("initial state file does not match the configured grid and n")
     return state
@@ -368,8 +368,6 @@ def cmd_flow(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     triple = standard_triple(cfg.n)
     ds = cfg.flow_ds
     if ds is None:
-        from .flow import STABILITY_KAPPA
-
         ds = 0.5 * STABILITY_KAPPA[cfg.flow_integrator] * min(cfg.grid.h1, cfg.grid.h2)
     flow_cfg = FlowConfig(
         ds=ds,
@@ -378,7 +376,6 @@ def cmd_flow(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
         integrator=cfg.flow_integrator,
         record_every=cfg.flow_record_every,
     )
-    flow_cfg.check_stability(cfg.grid)
     initial = _initial_state(cfg)
 
     diverged_step = None

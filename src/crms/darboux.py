@@ -220,7 +220,6 @@ def crms_darboux(form: AlternatingThreeForm, structure: LinearComplexStructure) 
 
 def darboux_reconstruction_error(form: AlternatingThreeForm, frame: DarbouxFrame) -> float:
     """Max-norm gap between the pulled-back form and its claimed normal form."""
-    n = form.space.n
     pulled = pull_back(form, frame.basis)
-    target = standard_crms_form(n, nu=frame.nu)
+    target = standard_crms_form((form.dim - 2) // 4, nu=frame.nu)
     return float(np.max(np.abs(pulled.coeffs - target.coeffs)))

@@ -123,18 +123,18 @@ def diff(values: np.ndarray, grid: TorusGrid, direction: int) -> np.ndarray:
 # Hamiltonians
 # ---------------------------------------------------------------------------
 
-FiberFunction = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+FiberFunction = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """A Hamiltonian density as a value/gradient pair of grid functions.
+    """A Hamiltonian density H(Z) as a value/gradient pair of fiber functions.
 
-    ``value(t1, t2, z)`` maps coordinate arrays of shape (...,) and fiber
-    values of shape (..., dim) to densities of shape (...,); ``gradient``
-    returns the fiber gradient with shape (..., dim).  Consistency of the
-    pair is asserted at construction against central finite differences at
-    seeded sample points, so user extensions cannot silently decouple the
+    ``value(z)`` maps fiber values of shape (..., dim) to densities of shape
+    (...,); ``gradient(z)`` returns the fiber gradient with shape (..., dim).
+    H depends on the fiber value only, not on the base point.  Consistency of
+    the pair is asserted at construction against central finite differences
+    at seeded sample points, so user extensions cannot silently decouple the
     two.
     """
 
@@ -147,10 +147,8 @@ class HamiltonianSpec:
     def __post_init__(self):
         object.__setattr__(self, "parameters", dict(self.parameters))
         rng = np.random.default_rng(20240901)
-        t1 = rng.uniform(0.0, 2.0 * np.pi, size=6)
-        t2 = rng.uniform(0.0, 2.0 * np.pi, size=6)
         z = rng.normal(size=(6, self.fiber_dim))
-        grad = np.asarray(self.gradient(t1, t2, z), dtype=float)
+        grad = np.asarray(self.gradient(z), dtype=float)
         if grad.shape != z.shape:
             raise ValueError(f"gradient returned shape {grad.shape}, expected {z.shape}")
         eps = 1e-6
@@ -159,7 +157,7 @@ class HamiltonianSpec:
             zp, zm = z.copy(), z.copy()
             zp[:, c] += eps
             zm[:, c] -= eps
-            fd[:, c] = (np.asarray(self.value(t1, t2, zp)) - np.asarray(self.value(t1, t2, zm))) / (2 * eps)
+            fd[:, c] = (np.asarray(self.value(zp)) - np.asarray(self.value(zm))) / (2 * eps)
         scale = np.maximum(np.abs(fd), 1.0)
         rel = float(np.max(np.abs(grad - fd) / scale))
         if rel > GRADIENT_CHECK_TOL:
@@ -199,32 +197,26 @@ def make_hamiltonian(
     pm = ~qm
 
     if name == "zero":
-        value = lambda t1, t2, z: np.zeros(np.shape(z)[:-1])
-        grad = lambda t1, t2, z: np.zeros_like(z)
+        value = lambda z: np.zeros(np.shape(z)[:-1])
+        grad = lambda z: np.zeros_like(z)
     elif name == "quadratic_p":
-        value = lambda t1, t2, z: 0.5 * np.sum(z[..., pm] ** 2, axis=-1)
-        grad = lambda t1, t2, z: np.where(pm, z, 0.0)
+        value = lambda z: 0.5 * np.sum(z[..., pm] ** 2, axis=-1)
+        grad = lambda z: np.where(pm, z, 0.0)
     elif name == "quadratic":
-        value = lambda t1, t2, z: 0.5 * np.sum(z[..., pm] ** 2, axis=-1) + 0.5 * lam * np.sum(
-            z[..., qm] ** 2, axis=-1
-        )
-        grad = lambda t1, t2, z: np.where(pm, z, lam * z)
+        value = lambda z: 0.5 * np.sum(z[..., pm] ** 2, axis=-1) + 0.5 * lam * np.sum(z[..., qm] ** 2, axis=-1)
+        grad = lambda z: np.where(pm, z, lam * z)
     elif name == "quartic":
-        value = lambda t1, t2, z: 0.5 * np.sum(z[..., pm] ** 2, axis=-1) + lam * np.sum(
-            z[..., qm] ** 4, axis=-1
-        )
-        grad = lambda t1, t2, z: np.where(pm, z, 4.0 * lam * z**3)
+        value = lambda z: 0.5 * np.sum(z[..., pm] ** 2, axis=-1) + lam * np.sum(z[..., qm] ** 4, axis=-1)
+        grad = lambda z: np.where(pm, z, 4.0 * lam * z**3)
     elif name == "cosine":
-        value = lambda t1, t2, z: 0.5 * np.sum(z[..., pm] ** 2, axis=-1) + lam * np.sum(
-            np.cos(z[..., qm]), axis=-1
-        )
-        grad = lambda t1, t2, z: np.where(pm, z, -lam * np.sin(z))
+        value = lambda z: 0.5 * np.sum(z[..., pm] ** 2, axis=-1) + lam * np.sum(np.cos(z[..., qm]), axis=-1)
+        grad = lambda z: np.where(pm, z, -lam * np.sin(z))
     else:
         raise ValueError(f"unknown Hamiltonian '{name}'")
 
     if gradient_scale != 1.0:
         inner = grad
-        grad = lambda t1, t2, z: gradient_scale * inner(t1, t2, z)
+        grad = lambda z: gradient_scale * inner(z)
     return HamiltonianSpec(name=name, fiber_dim=dim, value=value, gradient=grad, parameters=params)
 
 
@@ -276,9 +268,8 @@ def action(state: FieldState, ham: HamiltonianSpec) -> float:
     """
     _require_fiber_match(state.fiber_dim, ham)
     v = state.values
-    t1, t2 = state.grid.coordinates()
     bridges = _bridges_operator(v, state.grid, *standard_fiber_forms(state.n))
-    return _action_value(state.grid, v, bridges, ham.value(t1, t2, v))
+    return _action_value(state.grid, v, bridges, ham.value(v))
 
 
 def bridges_residual(state: FieldState, ham: HamiltonianSpec) -> np.ndarray:
@@ -292,8 +283,7 @@ def bridges_residual(state: FieldState, ham: HamiltonianSpec) -> np.ndarray:
     v = state.values
     d1 = diff(v, state.grid, 1)
     d2 = diff(v, state.grid, 2)
-    t1, t2 = state.grid.coordinates()
-    gh = ham.gradient(t1, t2, v)
+    gh = ham.gradient(v)
     r = np.empty_like(v)
     r[..., 0::4] = gh[..., 0::4] + d1[..., 2::4] - d2[..., 3::4]
     r[..., 1::4] = gh[..., 1::4] + d1[..., 3::4] + d2[..., 2::4]
@@ -315,8 +305,7 @@ def ddw_residual(grid: TorusGrid, values: np.ndarray, ham: HamiltonianSpec) -> n
     _require_fiber_match(v.shape[2], ham)
     d1 = diff(v, grid, 1)
     d2 = diff(v, grid, 2)
-    t1, t2 = grid.coordinates()
-    gh = ham.gradient(t1, t2, v)
+    gh = ham.gradient(v)
     r = np.empty_like(v)
     r[..., 0::3] = gh[..., 0::3] + d1[..., 1::3] + d2[..., 2::3]
     r[..., 1::3] = gh[..., 1::3] - d1[..., 0::3]
@@ -333,8 +322,7 @@ def l2_gradient(state: FieldState, ham: HamiltonianSpec, triple: CompatibleTripl
     """
     j1, j2 = _standard_pair(state.fiber_dim, ham, triple)
     v = state.values
-    t1, t2 = state.grid.coordinates()
-    return _bridges_operator(v, state.grid, j1, j2) - ham.gradient(t1, t2, v)
+    return _bridges_operator(v, state.grid, j1, j2) - ham.gradient(v)
 
 
 def momenta_from_positions(state: FieldState) -> FieldState:

@@ -122,11 +122,10 @@ def flow_step(
         raise ConfigError(f"unknown integrator '{integrator}'")
     grid = state.grid
     j1, j2 = _standard_pair(state.fiber_dim, ham, triple)
-    t1, t2 = grid.coordinates()
 
     def rhs(values: np.ndarray) -> np.ndarray:
         # Stages stay raw arrays: an overflowing stage reaches _check_finite.
-        return -(_bridges_operator(values, grid, j1, j2) - ham.gradient(t1, t2, values))
+        return -(_bridges_operator(values, grid, j1, j2) - ham.gradient(values))
 
     v = state.values
     with np.errstate(over="ignore", invalid="ignore"):
@@ -160,7 +159,6 @@ def run_flow(
     grid = initial.grid
     config.check_stability(grid)
     j1, j2 = _standard_pair(initial.fiber_dim, ham, triple)
-    t1, t2 = grid.coordinates()
     state = initial
     rows: list[tuple[float, float, float]] = []
     recorded: list[FieldState] = []
@@ -169,8 +167,8 @@ def run_flow(
         v = st.values
         with np.errstate(over="ignore", invalid="ignore"):
             bridges = _bridges_operator(v, grid, j1, j2)
-            gnorm = float(np.max(np.abs(bridges - ham.gradient(t1, t2, v))))
-            act = _action_value(grid, v, bridges, ham.value(t1, t2, v))
+            gnorm = float(np.max(np.abs(bridges - ham.gradient(v))))
+            act = _action_value(grid, v, bridges, ham.value(v))
         if not (np.isfinite(gnorm) and np.isfinite(act)):
             raise FlowDivergenceError(f"flow diagnostics became non-finite at step {k}", step=k)
         rows.append((k * config.ds, act, gnorm))

@@ -44,40 +44,20 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# spaces and tensors
+# tensors
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SplitSpace:
-    """A split vector space T ⊕ V with dim T = 2 and dim V = 4n."""
+def _split_dim(shape: tuple[int, ...], rank: int) -> int:
+    """The common size d of an array of the given rank on T ⊕ V.
 
-    dim_fiber: int
-
-    def __post_init__(self):
-        if self.dim_fiber < 4 or self.dim_fiber % 4 != 0:
-            raise ValueError(f"dim_fiber must be a positive multiple of 4, got {self.dim_fiber}")
-
-    @property
-    def dim_base(self) -> int:
-        return 2
-
-    @property
-    def dim(self) -> int:
-        return self.dim_base + self.dim_fiber
-
-    @property
-    def n(self) -> int:
-        """Number of complex fiber dimensions (quadruples)."""
-        return self.dim_fiber // 4
-
-    @property
-    def vertical(self) -> slice:
-        return slice(2, self.dim)
-
-    @classmethod
-    def for_pairs(cls, n: int) -> "SplitSpace":
-        return cls(dim_fiber=4 * n)
+    Raises DimensionMismatchError unless every axis has size d = 2 + 4n with
+    n >= 1: dim T = 2 and V holds n quadruples.
+    """
+    d = shape[0] if shape else 0
+    if len(shape) != rank or any(s != d for s in shape) or d < 6 or (d - 2) % 4 != 0:
+        raise DimensionMismatchError(f"shape {shape} is not {rank} axes of size d = 2 + 4n with n >= 1")
+    return d
 
 
 def antisymmetrize(coeffs: np.ndarray) -> np.ndarray:
@@ -134,16 +114,13 @@ def wedge3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AlternatingThreeForm:
-    """A 3-form on T ⊕ V stored as a dense totally antisymmetric tensor."""
+    """A 3-form on T ⊕ V stored as a dense totally antisymmetric d x d x d tensor."""
 
-    space: SplitSpace
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         c = _readonly(self.coeffs)
-        d = self.space.dim
-        if c.shape != (d, d, d):
-            raise DimensionMismatchError(f"coeffs shape {c.shape} does not match dimension {d}")
+        _split_dim(c.shape, 3)
         scale = max(1.0, float(np.max(np.abs(c))))
         for axes in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):
             if np.max(np.abs(c + np.transpose(c, axes))) > TAU_ALG * scale:
@@ -152,7 +129,7 @@ class AlternatingThreeForm:
 
     @property
     def dim(self) -> int:
-        return self.space.dim
+        return self.coeffs.shape[0]
 
 
 def evaluate_form(form: AlternatingThreeForm, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
@@ -175,7 +152,7 @@ def pull_back(form: AlternatingThreeForm, basis: np.ndarray) -> AlternatingThree
     if b.shape != (d, d):
         raise DimensionMismatchError(f"basis shape {b.shape} does not match dimension {d}")
     raw = np.einsum("pqr,pa,qb,rc->abc", form.coeffs, b, b, b, optimize=True)
-    return AlternatingThreeForm(form.space, _alternation_from_canonical(raw))
+    return AlternatingThreeForm(_alternation_from_canonical(raw))
 
 
 # ---------------------------------------------------------------------------
@@ -192,24 +169,17 @@ class LinearComplexStructure:
     these force the coupling block A to intertwine as A j + I' A = 0.
     """
 
-    space: SplitSpace
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         m = _readonly(self.matrix)
-        d = self.space.dim
-        if m.shape != (d, d):
-            raise DimensionMismatchError(f"matrix shape {m.shape} does not match dimension {d}")
+        d = _split_dim(m.shape, 2)
         scale = max(1.0, float(np.max(np.abs(m))))
         if np.max(np.abs(m[:2, 2:])) > TAU_ALG * scale:
             raise ValueError("top-right block must vanish (structure must cover the base)")
         if np.max(np.abs(m @ m + np.eye(d))) > TAU_ALG * scale * scale:
             raise ValueError("matrix does not square to -Id")
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def base_part(self) -> np.ndarray:
-        return self.matrix[:2, :2]
 
     @property
     def fiber_part(self) -> np.ndarray:
@@ -304,11 +274,10 @@ def standard_fiber_forms(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def standard_complex_structure(n: int) -> LinearComplexStructure:
     """Product complex structure diag(j, I_fiber) on T ⊕ V."""
-    space = SplitSpace.for_pairs(n)
-    m = np.zeros((space.dim, space.dim))
+    m = np.zeros((2 + 4 * n, 2 + 4 * n))
     m[:2, :2] = BASE_ROTATION
     m[2:, 2:] = fiber_complex_matrix(n)
-    return LinearComplexStructure(space, m)
+    return LinearComplexStructure(m)
 
 
 def standard_crms_form(n: int, nu: np.ndarray | None = None) -> AlternatingThreeForm:
@@ -321,8 +290,7 @@ def standard_crms_form(n: int, nu: np.ndarray | None = None) -> AlternatingThree
     nu : array of shape (4n,), optional
         Coefficients of the residual vertical 1-form in the dual coframe.
     """
-    space = SplitSpace.for_pairs(n)
-    coeffs = np.zeros((space.dim,) * 3)
+    coeffs = np.zeros((2 + 4 * n,) * 3)
     a1 = 2 + 4 * np.arange(n)
     a2, b1, b2 = a1 + 1, a1 + 2, a1 + 3
     # omega1 ∧ eps2 with omega1 = beta1∧alpha1 + beta2∧alpha2, and
@@ -336,10 +304,10 @@ def standard_crms_form(n: int, nu: np.ndarray | None = None) -> AlternatingThree
     )
     if nu is not None:
         nu = np.asarray(nu, dtype=float)
-        if nu.shape != (space.dim_fiber,):
-            raise DimensionMismatchError(f"nu must have shape ({space.dim_fiber},), got {nu.shape}")
-        _put_alternating(coeffs, 2 + np.arange(space.dim_fiber), 0, 1, nu)
-    return AlternatingThreeForm(space, coeffs)
+        if nu.shape != (4 * n,):
+            raise DimensionMismatchError(f"nu must have shape ({4 * n},), got {nu.shape}")
+        _put_alternating(coeffs, 2 + np.arange(4 * n), 0, 1, nu)
+    return AlternatingThreeForm(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +379,7 @@ def validate_crms(form: AlternatingThreeForm, structure: LinearComplexStructure)
     horizontality, the singular contraction for non-degeneracy, and the basis
     combination with both sides for compatibility.
     """
-    if form.space != structure.space:
+    if form.dim != structure.matrix.shape[0]:
         raise DimensionMismatchError("form and complex structure live on different spaces")
     c = form.coeffs
     tol = TAU_ALG * max(1.0, float(np.max(np.abs(c))))

@@ -13,7 +13,6 @@ from .linalg import (
     AlternatingThreeForm,
     LinearComplexStructure,
     SpdMatrix,
-    SplitSpace,
     BASE_ROTATION,
     pull_back,
     standard_complex_structure,
@@ -63,7 +62,7 @@ def structure_with_coupling(n: int, rng: np.random.Generator, spread: float = 0.
     m[:2, :2] = BASE_ROTATION
     m[2:, :2] = a
     m[2:, 2:] = i_fib
-    return LinearComplexStructure(SplitSpace.for_pairs(n), m)
+    return LinearComplexStructure(m)
 
 
 def base_commuting_map(rng: np.random.Generator) -> np.ndarray:
@@ -153,7 +152,7 @@ def inject_vertical_triple(form: AlternatingThreeForm, value: float = 1.0) -> tu
     c = form.coeffs.copy()
     triple = i, j, k = (2, 3, 4)
     _put_alternating(c, i, j, k, c[i, j, k] + value)
-    return AlternatingThreeForm(form.space, c), triple
+    return AlternatingThreeForm(c), triple
 
 
 def drop_quadruple_block(n: int) -> AlternatingThreeForm:
@@ -170,7 +169,7 @@ def drop_quadruple_block(n: int) -> AlternatingThreeForm:
     full[sl, :, :] = 0.0
     full[:, sl, :] = 0.0
     full[:, :, sl] = 0.0
-    return AlternatingThreeForm(SplitSpace.for_pairs(n), full)
+    return AlternatingThreeForm(full)
 
 
 def break_i_compatibility(n: int, value: float = 0.5) -> AlternatingThreeForm:
@@ -179,4 +178,4 @@ def break_i_compatibility(n: int, value: float = 0.5) -> AlternatingThreeForm:
     c = form.coeffs.copy()
     # Adds value * beta1 ∧ alpha1 ∧ eps1 of the first quadruple.
     _put_alternating(c, 4, 2, 0, c[4, 2, 0] + value)
-    return AlternatingThreeForm(form.space, c)
+    return AlternatingThreeForm(c)

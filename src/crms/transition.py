@@ -29,10 +29,10 @@ class PatchSamples:
     """Function samples on a uniform rectangular patch in the complex plane.
 
     ``values[i, j]`` is the sample at ``origin + h * (i + 1j * j)``; spacing
-    is the same in the real and imaginary directions.
+    is the same in the real and imaginary directions.  Only h is stored: the
+    difference quotients do not depend on where the patch lies.
     """
 
-    origin: complex
     h: float
     values: np.ndarray = field(repr=False)
 
@@ -45,20 +45,12 @@ class PatchSamples:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
-
-    def interior(self, values: np.ndarray) -> "PatchSamples":
-        """Wrap derived interior values as a patch one ring smaller."""
-        return PatchSamples(self.origin + self.h * (1 + 1j), self.h, values)
-
 
 def sample_patch(f: Callable[[np.ndarray], np.ndarray], origin: complex, h: float, size: int) -> PatchSamples:
     """Sample a complex function on a size x size patch."""
     i, j = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
     pts = origin + h * (i + 1j * j)
-    return PatchSamples(origin, h, np.asarray(f(pts), dtype=complex))
+    return PatchSamples(h, np.asarray(f(pts), dtype=complex))
 
 
 def _centered(values: np.ndarray, axis: int, h: float) -> np.ndarray:
@@ -113,22 +105,18 @@ def transition_check(
 
     defects = [cauchy_riemann_defect(chart)]
     dpsi, _ = wirtinger(chart)
-    dpsi_patch = chart.interior(dpsi)
 
     for fib, p in zip(fiber_maps, momenta):
         defects.append(cauchy_riemann_defect(fib))
         dphi, _ = wirtinger(fib)
         if float(np.min(np.abs(dphi))) == 0.0:
             raise ValueError("fiber map has a critical point on the patch; not a chart change")
-        dphi_patch = fib.interior(dphi)
         # Transformed momentum as a function of t (q frozen at the patch center).
         m1, m2 = dphi.shape
         center = dphi[m1 // 2, m2 // 2]
-        s_of_t = dpsi_patch.values * (p / center)
-        defects.append(cauchy_riemann_defect(PatchSamples(dpsi_patch.origin, dpsi_patch.h, s_of_t)))
+        defects.append(cauchy_riemann_defect(PatchSamples(chart.h, dpsi * (p / center))))
         # Transformed momentum as a function of q (t frozen at the patch center).
         k1, k2 = dpsi.shape
         psi_center = dpsi[k1 // 2, k2 // 2]
-        s_of_q = (psi_center * p) / dphi_patch.values
-        defects.append(cauchy_riemann_defect(PatchSamples(dphi_patch.origin, dphi_patch.h, s_of_q)))
+        defects.append(cauchy_riemann_defect(PatchSamples(fib.h, (psi_center * p) / dphi)))
     return float(max(defects))

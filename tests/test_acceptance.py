@@ -27,7 +27,6 @@ from crms.fields import (
 from crms.flow import FlowConfig, fueter_residual, run_flow
 from crms.linalg import (
     AlternatingThreeForm,
-    SplitSpace,
     standard_complex_structure,
     standard_crms_form,
     validate_crms,
@@ -109,7 +108,7 @@ def test_criterion_1_crms_validation():
         c.check(rep.i_compatible.witness is not None and "xi_index" in rep.i_compatible.witness,
                 "compatibility witness missing")
 
-        zero = AlternatingThreeForm(SplitSpace.for_pairs(1), np.zeros((6, 6, 6)))
+        zero = AlternatingThreeForm(np.zeros((6, 6, 6)))
         rep = validate_crms(zero, structure1)
         c.check(not rep.nondegenerate.ok and rep.horizontal.ok and rep.i_compatible.ok,
                 "zero-form non-degeneracy break not detected as (iii)")

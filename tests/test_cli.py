@@ -83,6 +83,28 @@ def test_bad_config_values_are_usage_errors(tmp_path, config):
 
 
 @pytest.mark.parametrize(
+    "command, path, config",
+    [
+        ("flow", "grid", {"grid": {"n1": 16, "n_2": 16}}),
+        ("flow", "hamiltonian", {"hamiltonian": {"nmae": "cosine"}}),
+        ("flow", "hamiltonian.parameters", {"hamiltonian": {"parameters": {"lamda": 3}}}),
+        ("flow", "flow", {"n": 1, "grid": {"n1": 16, "n2": 16}, "flow": {"max_step": 3, "integrator": "rk4"}}),
+        ("flow", "flow.initial", {"flow": {"initial": {"mode": "constant", "vaule": 0.5}}}),
+        ("validate", "form", {"form": {"sources": "standard"}}),
+        ("symbol", "symbol", {"symbol": {"angle": 8}}),
+        ("gradcheck", "gradcheck", {"gradcheck": {"direction": 2}}),
+    ],
+)
+def test_misspelled_section_keys_are_usage_errors(tmp_path, capsys, command, path, config):
+    # Were the flow case's max_step ignored, the run would take the default
+    # 10000 steps and diverge (exit 3).
+    out = tmp_path / "out"
+    assert run_cli(tmp_path, command, {"output_dir": str(out), **config})[0] == 2
+    assert f"'{path}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "command, config, extra",
     [
         ("symbol", {"n": 100_000_000_000}, ()),
@@ -259,6 +281,16 @@ def test_flow_from_file_initial(tmp_path):
     }
     code, _ = run_cli(tmp_path, "flow", cfg)
     assert code == 0  # zero section is the critical point
+
+
+@pytest.mark.parametrize("content", [None, b"CRMS\x01"], ids=["missing", "truncated"])
+def test_flow_unreadable_initial_file_is_config_error(tmp_path, capsys, content):
+    state_path = tmp_path / "init.crms"
+    if content is not None:
+        state_path.write_bytes(content)
+    cfg = {"output_dir": str(tmp_path / "out"), "flow": {"initial": {"mode": "file", "path": str(state_path)}}}
+    assert run_cli(tmp_path, "flow", cfg)[0] == 2
+    assert capsys.readouterr().err.startswith("config error: cannot read initial state")
 
 
 # --- gradcheck ---------------------------------------------------------------

@@ -104,8 +104,8 @@ def test_custom_hamiltonian_with_wrong_gradient_rejected():
         HamiltonianSpec(
             name="broken",
             fiber_dim=4,
-            value=lambda t1, t2, z: np.sum(z**2, axis=-1),
-            gradient=lambda t1, t2, z: z,  # off by a factor 2
+            value=lambda z: np.sum(z**2, axis=-1),
+            gradient=lambda z: z,  # off by a factor 2
         )
 
 
@@ -125,8 +125,8 @@ def test_action_of_constant_hamiltonian_is_minus_volume():
     ham = HamiltonianSpec(
         name="const",
         fiber_dim=4,
-        value=lambda t1, t2, z: np.full(np.shape(z)[:-1], c),
-        gradient=lambda t1, t2, z: np.zeros_like(z),
+        value=lambda z: np.full(np.shape(z)[:-1], c),
+        gradient=lambda z: np.zeros_like(z),
     )
     assert action(state, ham) == pytest.approx(-c * 3.0 * 5.0, rel=1e-13)
 
@@ -186,8 +186,8 @@ def test_ddw_residual_trivial_cases():
     ham = HamiltonianSpec(
         name="ddw_quadratic_p",
         fiber_dim=3,
-        value=lambda t1, t2, z: 0.5 * (z[..., 1] ** 2 + z[..., 2] ** 2),
-        gradient=lambda t1, t2, z: np.stack([np.zeros_like(z[..., 0]), z[..., 1], z[..., 2]], axis=-1),
+        value=lambda z: 0.5 * (z[..., 1] ** 2 + z[..., 2] ** 2),
+        gradient=lambda z: np.stack([np.zeros_like(z[..., 0]), z[..., 1], z[..., 2]], axis=-1),
     )
     zeros = np.zeros((8, 8, 3))
     assert np.max(np.abs(ddw_residual(grid, zeros, ham))) == 0.0
@@ -198,8 +198,8 @@ def test_ddw_residual_sine_substitution():
     ham = HamiltonianSpec(
         name="ddw_quadratic_p",
         fiber_dim=3,
-        value=lambda t1, t2, z: 0.5 * (z[..., 1] ** 2 + z[..., 2] ** 2),
-        gradient=lambda t1, t2, z: np.stack([np.zeros_like(z[..., 0]), z[..., 1], z[..., 2]], axis=-1),
+        value=lambda z: 0.5 * (z[..., 1] ** 2 + z[..., 2] ** 2),
+        gradient=lambda z: np.stack([np.zeros_like(z[..., 0]), z[..., 1], z[..., 2]], axis=-1),
     )
     t1, _ = grid.coordinates()
     values = np.zeros((64, 64, 3))

@@ -12,7 +12,6 @@ from crms.linalg import (
     AlternatingThreeForm,
     LinearComplexStructure,
     SpdMatrix,
-    SplitSpace,
     _alternation_from_canonical,
     antisymmetrize,
     evaluate_form,
@@ -52,8 +51,7 @@ def test_standard_form_normal_coefficient():
 
 
 def test_zero_form_evaluates_to_zero():
-    space = SplitSpace.for_pairs(1)
-    form = AlternatingThreeForm(space, np.zeros((6, 6, 6)))
+    form = AlternatingThreeForm(np.zeros((6, 6, 6)))
     rng = np.random.default_rng(1)
     u, v, w = rng.normal(size=(3, 6))
     assert evaluate_form(form, u, v, w) == 0.0
@@ -152,7 +150,7 @@ def test_vertical_triple_equals_permutation_add(n):
     rng = np.random.default_rng(40 + n)
     crms, _ = random_crms_form(n, rng)
     # A vertical term makes the planted coefficient land on a nonzero entry.
-    form = AlternatingThreeForm(crms.space, crms.coeffs + wedge3(*rng.normal(size=(3, crms.dim))))
+    form = AlternatingThreeForm(crms.coeffs + wedge3(*rng.normal(size=(3, crms.dim))))
     expected = form.coeffs.copy()
     i, j, k = 2, 3, 4
     for (p, q, r), sign in (
@@ -215,14 +213,18 @@ def test_spd_wrapper_validates():
 
 
 def test_split_space_requires_multiple_of_four():
-    with pytest.raises(ValueError):
-        SplitSpace(dim_fiber=6)
+    # d = 2 + 4n with n >= 1: d = 8 leaves a 6-dimensional fiber, d = 2 none.
+    for d in (8, 2):
+        with pytest.raises(DimensionMismatchError):
+            AlternatingThreeForm(np.zeros((d, d, d)))
+        with pytest.raises(DimensionMismatchError):
+            LinearComplexStructure(np.zeros((d, d)))
 
 
 def test_complex_structure_invariants():
     for n in (1, 2, 3):
         structure = standard_complex_structure(n)
-        d = structure.space.dim
+        d = structure.matrix.shape[0]
         assert np.max(np.abs(structure.matrix @ structure.matrix + np.eye(d))) == 0.0
         assert np.max(np.abs(structure.coupling)) == 0.0
 
@@ -250,13 +252,13 @@ def test_standard_form_stays_crms_under_coupled_structure():
 def test_complex_structure_rejects_bad_square():
     m = np.eye(6)
     with pytest.raises(ValueError):
-        LinearComplexStructure(SplitSpace.for_pairs(1), m)
+        LinearComplexStructure(m)
 
 
 def test_alternating_form_rejects_symmetric_tensor():
     t = np.ones((6, 6, 6))
     with pytest.raises(ValueError):
-        AlternatingThreeForm(SplitSpace.for_pairs(1), t)
+        AlternatingThreeForm(t)
 
 
 # --- validate_crms -----------------------------------------------------------
@@ -270,8 +272,7 @@ def test_standard_form_passes(n):
 
 
 def test_zero_form_fails_nondegeneracy():
-    space = SplitSpace.for_pairs(1)
-    form = AlternatingThreeForm(space, np.zeros((6, 6, 6)))
+    form = AlternatingThreeForm(np.zeros((6, 6, 6)))
     report = validate_crms(form, standard_complex_structure(1))
     assert not report.nondegenerate.ok
     assert report.horizontal.ok and report.i_compatible.ok

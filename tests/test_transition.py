@@ -84,7 +84,7 @@ def test_critical_fiber_chart_rejected():
 
 def test_patch_requires_minimum_size():
     with pytest.raises(DimensionMismatchError):
-        PatchSamples(0.0 + 0.0j, 0.1, np.zeros((3, 3), dtype=complex))
+        PatchSamples(0.1, np.zeros((3, 3), dtype=complex))
 
 
 def test_cauchy_riemann_defect_detects_conjugation():
