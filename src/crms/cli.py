@@ -236,6 +236,16 @@ def _check_size(cfg: ExperimentConfig, command: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _output(out: Path, name: str) -> Path:
+    """Path of an output file, making the directory on the first write.
+
+    Verbs call it only after their own config checks, so a config error
+    leaves no output directory behind.
+    """
+    out.mkdir(parents=True, exist_ok=True)
+    return out / name
+
+
 def _write_json(path: Path, payload: dict) -> None:
     payload = dict(payload)
     payload["timestamp"] = datetime.now(timezone.utc).isoformat()
@@ -283,8 +293,9 @@ def cmd_validate(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
         "form_inject": cfg.form_inject,
         "report": report.as_dict(),
     }
-    _write_json(out / "validate.json", payload)
-    _say(quiet, f"validate: {'pass' if report.passed else 'FAIL'} -> {out / 'validate.json'}")
+    path = _output(out, "validate.json")
+    _write_json(path, payload)
+    _say(quiet, f"validate: {'pass' if report.passed else 'FAIL'} -> {path}")
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
@@ -300,7 +311,7 @@ def cmd_darboux(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
             "error": "validation failed",
             "report": err.report.as_dict() if err.report is not None else None,
         }
-        _write_json(out / "darboux.json", payload)
+        _write_json(_output(out, "darboux.json"), payload)
         _say(quiet, "darboux: FAIL (input form is not CRMS)")
         return EXIT_CHECK_FAILED
     error = darboux_reconstruction_error(form, frame)
@@ -313,7 +324,7 @@ def cmd_darboux(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
         "nu": frame.nu.tolist(),
         "reconstruction_max_error": error,
     }
-    _write_json(out / "darboux.json", payload)
+    _write_json(_output(out, "darboux.json"), payload)
     ok = error < 1e-8
     _say(quiet, f"darboux: reconstruction error {error:.3e} -> {'pass' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -335,7 +346,7 @@ def cmd_symbol(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
         bridges = principal_symbol("Bridges", xi, cfg.n)
         ok = ok and bridges.kernel_dim == 0 and ddw.kernel_dim >= 1
         rows.append((angle, ddw.kernel_dim, bridges.kernel_dim, bridges.determinant))
-    path = out / "symbol.csv"
+    path = _output(out, "symbol.csv")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["angle", "ddw_kernel_dim", "bridges_kernel_dim", "bridges_det"])
@@ -386,8 +397,8 @@ def cmd_flow(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
         diverged_step = err.step
 
     if trace is not None:
-        write_trace_csv(trace, out / "flow_trace.csv")
-        write_state(trace.final_state, out / "flow_final.crms")
+        write_trace_csv(trace, _output(out, "flow_trace.csv"))
+        write_state(trace.final_state, _output(out, "flow_final.crms"))
     residual = None
     fueter = None
     if trace is not None and diverged_step is None:
@@ -409,7 +420,7 @@ def cmd_flow(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
         "final_bridges_residual_sup_norm": residual,
         "fueter_residual": fueter,
     }
-    _write_json(out / "flow_summary.json", payload)
+    _write_json(_output(out, "flow_summary.json"), payload)
     if diverged_step is not None:
         _say(quiet, f"flow: diverged at step {diverged_step}")
         return EXIT_DIVERGED
@@ -468,7 +479,7 @@ def cmd_gradcheck(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
         "max_error_to_bound": max_ratio,
         "relative_errors": errors,
     }
-    _write_json(out / "gradcheck.json", payload)
+    _write_json(_output(out, "gradcheck.json"), payload)
     ok = max_ratio <= 1.0
     _say(
         quiet,
@@ -521,9 +532,7 @@ def main(argv: list[str] | None = None) -> int:
             except ValueError as err:
                 raise ConfigError(f"bad --grid value '{args.grid}': {err}") from None
         _check_size(cfg, args.command)
-        out = Path(cfg.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](cfg, out, args.quiet)
+        return COMMANDS[args.command](cfg, Path(cfg.output_dir), args.quiet)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -15,6 +15,7 @@ a fixed shape regardless of threading.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import struct
 from dataclasses import dataclass, field
@@ -196,6 +197,12 @@ def make_hamiltonian(
     qm = _q_mask(dim)
     pm = ~qm
 
+    def p_with_q(z: np.ndarray, q_part: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        # The P entries of z with q_part applied to the q entries only.
+        g = np.array(z, dtype=float)
+        g[..., qm] = q_part(g[..., qm])
+        return g
+
     if name == "zero":
         value = lambda z: np.zeros(np.shape(z)[:-1])
         grad = lambda z: np.zeros_like(z)
@@ -207,10 +214,10 @@ def make_hamiltonian(
         grad = lambda z: np.where(pm, z, lam * z)
     elif name == "quartic":
         value = lambda z: 0.5 * np.sum(z[..., pm] ** 2, axis=-1) + lam * np.sum(z[..., qm] ** 4, axis=-1)
-        grad = lambda z: np.where(pm, z, 4.0 * lam * z**3)
+        grad = lambda z: p_with_q(z, lambda q: 4.0 * lam * q**3)
     elif name == "cosine":
         value = lambda z: 0.5 * np.sum(z[..., pm] ** 2, axis=-1) + lam * np.sum(np.cos(z[..., qm]), axis=-1)
-        grad = lambda z: np.where(pm, z, -lam * np.sin(z))
+        grad = lambda z: p_with_q(z, lambda q: -lam * np.sin(q))
     else:
         raise ValueError(f"unknown Hamiltonian '{name}'")
 
@@ -245,6 +252,15 @@ def _action_value(grid: TorusGrid, values: np.ndarray, bridges: np.ndarray, dens
     return float(grid.cell_area * np.sum(0.5 * np.sum(values * bridges, axis=-1) - density))
 
 
+@functools.cache
+def _standard_forms(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """standard_fiber_forms(n), built once per n and read-only."""
+    forms = standard_fiber_forms(n)
+    for w in forms:
+        w.setflags(write=False)
+    return forms
+
+
 def _standard_pair(
     fiber_dim: int, ham: HamiltonianSpec, triple: CompatibleTriple
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -252,7 +268,7 @@ def _standard_pair(
     _require_fiber_match(fiber_dim, ham)
     if triple.dim != fiber_dim:
         raise DimensionMismatchError("compatible triple does not match the state's fiber")
-    w1, w2 = standard_fiber_forms(fiber_dim // 4)
+    w1, w2 = _standard_forms(fiber_dim // 4)
     if max(np.max(np.abs(triple.j1 - w1)), np.max(np.abs(triple.j2 - w2))) > TAU_ALG:
         raise ValueError("the action is built from the standard pair; the triple's (J1, J2) differ from it")
     return triple.j1, triple.j2
@@ -268,7 +284,7 @@ def action(state: FieldState, ham: HamiltonianSpec) -> float:
     """
     _require_fiber_match(state.fiber_dim, ham)
     v = state.values
-    bridges = _bridges_operator(v, state.grid, *standard_fiber_forms(state.n))
+    bridges = _bridges_operator(v, state.grid, *_standard_forms(state.n))
     return _action_value(state.grid, v, bridges, ham.value(v))
 
 

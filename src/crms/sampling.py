@@ -136,11 +136,11 @@ def random_smooth_state(
         for k1 in range(-max_mode, max_mode + 1)
         for k2 in range(-max_mode, max_mode + 1)
     ]
-    for c in range(dim):
-        for k1, k2 in modes:
-            a, b = rng.normal(size=2)
-            phase = k1 * (2.0 * np.pi / grid.l1) * t1 + k2 * (2.0 * np.pi / grid.l2) * t2
-            values[..., c] += a * np.cos(phase) + b * np.sin(phase)
+    # One (a, b) pair per component and mode, drawn component-major.
+    coef = rng.normal(size=(dim, len(modes), 2))
+    for m, (k1, k2) in enumerate(modes):
+        phase = k1 * (2.0 * np.pi / grid.l1) * t1 + k2 * (2.0 * np.pi / grid.l2) * t2
+        values += coef[:, m, 0] * np.cos(phase)[..., None] + coef[:, m, 1] * np.sin(phase)[..., None]
     peak = float(np.max(np.abs(values)))
     if peak > 0.0:
         values *= amplitude / peak

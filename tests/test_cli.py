@@ -11,6 +11,12 @@ from crms.errors import ConfigError
 from crms.fields import FieldState, TorusGrid, read_state, write_state
 
 
+@pytest.fixture(autouse=True)
+def in_tmp_path(tmp_path, monkeypatch):
+    # A config without output_dir writes to ./crms_out; keep it under tmp_path.
+    monkeypatch.chdir(tmp_path)
+
+
 def run_cli(tmp_path, command: str, config: dict, *extra: str) -> tuple[int, dict]:
     cfg_path = tmp_path / f"{command}.json"
     cfg_path.write_text(json.dumps(config))
@@ -180,8 +186,10 @@ def test_symbol_sweep(tmp_path, n):
 
 
 def test_symbol_zero_covector_rejected(tmp_path):
-    cfg = {"n": 1, "symbol": {"xi": [0.0, 0.0]}}
+    out = tmp_path / "out"
+    cfg = {"n": 1, "output_dir": str(out), "symbol": {"xi": [0.0, 0.0]}}
     assert run_cli(tmp_path, "symbol", cfg)[0] == 2
+    assert not out.exists()
 
 
 def test_symbol_explicit_covector(tmp_path):
@@ -251,14 +259,32 @@ def test_flow_rk4_stage_overflow_exits_as_divergence(tmp_path):
 
 
 def test_flow_step_size_over_bound_is_config_error(tmp_path):
+    out = tmp_path / "out"
     cfg = {
         "n": 1,
+        "output_dir": str(out),
         "grid": {"n1": 16, "n2": 16},
         "hamiltonian": {"name": "quartic"},
         "flow": {"ds": 10.0 * 0.2 * (2.0 * np.pi / 16.0), "max_steps": 10,
                  "initial": {"mode": "constant"}},
     }
     assert run_cli(tmp_path, "flow", cfg)[0] == 2
+    assert not out.exists()
+
+
+def test_flow_initial_file_of_another_grid_is_config_error(tmp_path, capsys):
+    state_path = tmp_path / "init.crms"
+    write_state(FieldState(TorusGrid(16, 16), np.zeros((16, 16, 4))), state_path)
+    out = tmp_path / "out"
+    cfg = {
+        "n": 1,
+        "output_dir": str(out),
+        "grid": {"n1": 16, "n2": 20},
+        "flow": {"initial": {"mode": "file", "path": str(state_path)}},
+    }
+    assert run_cli(tmp_path, "flow", cfg)[0] == 2
+    assert "does not match the configured grid" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_flow_unknown_hamiltonian_is_config_error(tmp_path):

@@ -109,6 +109,33 @@ def test_custom_hamiltonian_with_wrong_gradient_rejected():
         )
 
 
+def where_gradient(name: str, n: int, lam: float):
+    # Each built-in gradient written as one np.where over the whole fiber.
+    pm = np.zeros(4 * n, dtype=bool)
+    pm[2::4] = pm[3::4] = True
+    return {
+        "zero": lambda z: np.zeros_like(z),
+        "quadratic_p": lambda z: np.where(pm, z, 0.0),
+        "quadratic": lambda z: np.where(pm, z, lam * z),
+        "quartic": lambda z: np.where(pm, z, 4.0 * lam * z**3),
+        "cosine": lambda z: np.where(pm, z, -lam * np.sin(z)),
+    }[name]
+
+
+@pytest.mark.parametrize("name", BUILTIN_HAMILTONIANS)
+@pytest.mark.parametrize("scale", [1.0, 1.0 + 3e-6])
+@pytest.mark.parametrize("n", [1, 2])
+def test_builtin_gradients_equal_the_where_formula_bitwise(name, scale, n):
+    ham = make_hamiltonian(name, n, {"lambda": 0.7}, gradient_scale=scale)
+    oracle = where_gradient(name, n, 0.7)
+    rng = np.random.default_rng(31)
+    for shape in [(6, 4 * n), (7, 11, 4 * n)]:
+        # Magnitudes from 1e-3 to 1e3, so sin leaves its small-argument range.
+        z = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+        expected = oracle(z) if scale == 1.0 else scale * oracle(z)
+        assert np.array_equal(ham.gradient(z), expected)
+
+
 # --- action ------------------------------------------------------------------
 
 
@@ -292,6 +319,31 @@ def test_laplace_recovery_identity():
                 + (np.roll(q, -2, 1) - 2 * q + np.roll(q, 2, 1)) / (2 * grid.h2) ** 2
             )
             assert np.max(np.abs(r[..., c] - (lap + lam * q))) < 1e-10
+
+
+# --- sampling ----------------------------------------------------------------
+
+
+def smooth_state_by_component(grid: TorusGrid, n: int, amplitude: float, rng, max_mode: int) -> np.ndarray:
+    # One (a, b) draw and one cos/sin pass per component and mode.
+    t1, t2 = grid.coordinates()
+    values = np.zeros((grid.n1, grid.n2, 4 * n))
+    modes = [(k1, k2) for k1 in range(-max_mode, max_mode + 1) for k2 in range(-max_mode, max_mode + 1)]
+    for c in range(4 * n):
+        for k1, k2 in modes:
+            a, b = rng.normal(size=2)
+            phase = k1 * (2.0 * np.pi / grid.l1) * t1 + k2 * (2.0 * np.pi / grid.l2) * t2
+            values[..., c] += a * np.cos(phase) + b * np.sin(phase)
+    return values * (amplitude / float(np.max(np.abs(values))))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("max_mode", [1, 2])
+def test_random_smooth_state_equals_the_per_component_loop_bitwise(n, max_mode):
+    grid = TorusGrid(7, 11, 1.3, 2.9)
+    state = random_smooth_state(grid, n, 0.4, np.random.default_rng(8), max_mode=max_mode)
+    expected = smooth_state_by_component(grid, n, 0.4, np.random.default_rng(8), max_mode)
+    assert np.array_equal(state.values, expected)
 
 
 # --- serialization -----------------------------------------------------------

@@ -5,9 +5,12 @@ import io
 import numpy as np
 import pytest
 
+import crms.flow
 from crms.compatible import standard_triple
-from crms.errors import ConfigError, FlowDivergenceError
+from crms.errors import ConfigError, DimensionMismatchError, FlowDivergenceError
 from crms.fields import FieldState, TorusGrid, action, l2_gradient, make_hamiltonian
+from crms.fields import _bridges_operator, _standard_forms
+from crms.linalg import standard_fiber_forms
 from crms.flow import STABILITY_KAPPA, FlowConfig, flow_step, fueter_residual, run_flow, write_trace_csv
 from crms.sampling import random_smooth_state
 
@@ -180,6 +183,49 @@ def test_run_flow_matches_a_loop_over_flow_step(n, integrator, record_every):
     assert len(trace.states) == len(recorded)
     assert all(np.array_equal(a.values, b.values) for a, b in zip(trace.states, recorded))
     assert np.array_equal(trace.final_state.values, states[-1].values)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("integrator", ["explicit_euler", "rk4"])
+def test_flow_step_with_the_known_gradient_is_bitwise_the_same(n, integrator):
+    ham = make_hamiltonian("cosine", n, {"lambda": 0.5})
+    triple = standard_triple(n)
+    state = smooth(21, amplitude=0.3, n=n)
+    ds = 0.5 * STABILITY_KAPPA[integrator] * GRID.h1
+    gradient = l2_gradient(state, ham, triple)
+    given = flow_step(state, ham, triple, ds, integrator, gradient=gradient)
+    assert np.array_equal(given.values, flow_step(state, ham, triple, ds, integrator).values)
+    with pytest.raises(DimensionMismatchError):
+        flow_step(state, ham, triple, ds, integrator, gradient=gradient[:-1])
+
+
+@pytest.mark.parametrize("integrator, per_step", [("explicit_euler", 1), ("rk4", 4)])
+def test_run_flow_evaluates_the_operator_once_per_stage(monkeypatch, integrator, per_step):
+    # One evaluation per trace row, reused as the step's first stage.
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _bridges_operator(*args)
+
+    monkeypatch.setattr(crms.flow, "_bridges_operator", counted)
+    steps = 6
+    cfg = FlowConfig(ds=0.25 * STABILITY_KAPPA[integrator] * GRID.h1, max_steps=steps,
+                     grad_tolerance=1e-30, integrator=integrator)
+    trace = run_flow(smooth(4), make_hamiltonian("cosine", 1), TRIPLE, cfg)
+    assert len(trace.steps) == steps + 1
+    assert len(calls) == per_step * steps + 1
+
+
+def test_standard_forms_are_cached_read_only_and_the_public_forms_fresh():
+    cached = _standard_forms(2)
+    assert _standard_forms(2) is cached
+    assert not any(w.flags.writeable for w in cached)
+    fresh = standard_fiber_forms(2)
+    assert all(w.flags.writeable for w in fresh)
+    assert all(np.array_equal(a, b) for a, b in zip(cached, fresh))
+    fresh[0][0, 0] = 7.0
+    assert cached[0][0, 0] == 0.0
 
 
 def test_fixed_point_soundness_of_converged_traces():
