@@ -12,9 +12,6 @@ from .linalg import (
     LinearComplexStructure,
     SpdMatrix,
     ValidationReport,
-    antisymmetrize,
-    evaluate_form,
-    matrix_sqrt_spd,
     pull_back,
     standard_complex_structure,
     standard_crms_form,
@@ -31,7 +28,7 @@ from .darboux import (
     darboux_reconstruction_error,
     standard_crps_pair,
 )
-from .compatible import CompatibleTriple, build_compatible, j_of_direction, standard_triple
+from .compatible import CompatibleTriple, build_compatible, standard_triple
 from .fields import (
     BUILTIN_HAMILTONIANS,
     FieldState,
@@ -39,15 +36,11 @@ from .fields import (
     TorusGrid,
     action,
     bridges_residual,
-    ddw_residual,
     diff,
     l2_gradient,
     make_hamiltonian,
-    momenta_from_positions,
     read_state,
-    read_state_csv,
     write_state,
-    write_state_csv,
 )
 from .flow import (
     FlowConfig,
@@ -57,7 +50,7 @@ from .flow import (
     run_flow,
     write_trace_csv,
 )
-from .symbols import SymbolReport, principal_symbol, symbol_kernel
+from .symbols import SymbolReport, principal_symbol
 from .transition import PatchSamples, cauchy_riemann_defect, sample_patch, transition_check
 from .errors import (
     ConfigError,

@@ -24,7 +24,8 @@ class CompatibleTriple:
 
     ``b`` is the polar factor expressed in orthonormal coordinates of the
     reference inner product (for reference = Id it is the factor itself);
-    it is retained for diagnostics such as the direction-independence check.
+    acceptance criterion 3 reads it to check that the polar factor does not
+    depend on the base direction.
     """
 
     g: SpdMatrix
@@ -32,7 +33,6 @@ class CompatibleTriple:
     j2: np.ndarray = field(repr=False)
     b: SpdMatrix
     i_fiber: np.ndarray = field(repr=False)
-    reference: SpdMatrix
 
     def __post_init__(self):
         d = self.g.dim
@@ -134,29 +134,13 @@ def build_compatible(
     j2 = i_fib @ j1
     g = SpdMatrix(chol @ b_hat @ chol.T)
 
-    triple = CompatibleTriple(
-        g=g, j1=j1, j2=j2, b=SpdMatrix(b_hat), i_fiber=i_fib, reference=reference
-    )
+    triple = CompatibleTriple(g=g, j1=j1, j2=j2, b=SpdMatrix(b_hat), i_fiber=i_fib)
     # The defining reconstruction identities, checked before returning.
     if np.max(np.abs(g.matrix @ j1 - w1)) > TAU_ALG * scale:
         raise ValueError("construction failed: omega1 != g(·, J1·)")
     if np.max(np.abs(g.matrix @ j2 - w2)) > TAU_ALG * scale:
         raise ValueError("construction failed: omega2 != g(·, J2·)")
     return triple
-
-
-def j_of_direction(triple: CompatibleTriple, rho: np.ndarray) -> np.ndarray:
-    """Almost-complex structure attached to a nonzero base direction.
-
-    Linear in the direction: rho = (a, b) maps to a J1 + b J2, which squares
-    to -|rho|^2 Id by the anticommutation of the generators.
-    """
-    rho = np.asarray(rho, dtype=float)
-    if rho.shape != (2,):
-        raise DimensionMismatchError(f"rho must be a 2-vector, got shape {rho.shape}")
-    if float(np.hypot(rho[0], rho[1])) == 0.0:
-        raise ValueError("direction must be nonzero")
-    return rho[0] * triple.j1 + rho[1] * triple.j2
 
 
 def standard_triple(n: int) -> CompatibleTriple:

@@ -14,9 +14,7 @@ a fixed shape regardless of threading.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -61,15 +59,9 @@ class TorusGrid:
     def cell_area(self) -> float:
         return self.h1 * self.h2
 
-    def t1(self) -> np.ndarray:
-        return self.h1 * np.arange(self.n1)
-
-    def t2(self) -> np.ndarray:
-        return self.h2 * np.arange(self.n2)
-
     def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
         """Meshgrid coordinate arrays of shape (n1, n2)."""
-        return np.meshgrid(self.t1(), self.t2(), indexing="ij")
+        return np.meshgrid(self.h1 * np.arange(self.n1), self.h2 * np.arange(self.n2), indexing="ij")
 
 
 @dataclass(frozen=True)
@@ -308,27 +300,6 @@ def bridges_residual(state: FieldState, ham: HamiltonianSpec) -> np.ndarray:
     return r
 
 
-def ddw_residual(grid: TorusGrid, values: np.ndarray, ham: HamiltonianSpec) -> np.ndarray:
-    """Residual of the general (non-regularized) first-order field equations.
-
-    ``values`` carries 3n fiber coordinates ordered (q^a, p1^a, p2^a); the
-    principal part of this operator is degenerate, in contrast to
-    bridges_residual.
-    """
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 3 or v.shape[:2] != (grid.n1, grid.n2) or v.shape[2] % 3 != 0:
-        raise DimensionMismatchError("expected values of shape (n1, n2, 3n)")
-    _require_fiber_match(v.shape[2], ham)
-    d1 = diff(v, grid, 1)
-    d2 = diff(v, grid, 2)
-    gh = ham.gradient(v)
-    r = np.empty_like(v)
-    r[..., 0::3] = gh[..., 0::3] + d1[..., 1::3] + d2[..., 2::3]
-    r[..., 1::3] = gh[..., 1::3] - d1[..., 0::3]
-    r[..., 2::3] = gh[..., 2::3] - d2[..., 0::3]
-    return r
-
-
 def l2_gradient(state: FieldState, ham: HamiltonianSpec, triple: CompatibleTriple) -> np.ndarray:
     """Exact gradient of the discrete action: J1 ∂1 Z + J2 ∂2 Z - ∇H(Z).
 
@@ -339,23 +310,6 @@ def l2_gradient(state: FieldState, ham: HamiltonianSpec, triple: CompatibleTripl
     j1, j2 = _standard_pair(state.fiber_dim, ham, triple)
     v = state.values
     return _bridges_operator(v, state.grid, j1, j2) - ham.gradient(v)
-
-
-def momenta_from_positions(state: FieldState) -> FieldState:
-    """Replace P by the discrete derivatives that solve the momentum equations.
-
-    Sets P1 = ∂1 q1 + ∂2 q2 and P2 = ∂1 q2 - ∂2 q1, so the momentum blocks of
-    bridges_residual vanish identically for any |P|^2/2 + V(q) Hamiltonian.
-    """
-    v = state.values.copy()
-    q1, q2 = v[..., 0::4], v[..., 1::4]
-    d1q1 = diff(q1, state.grid, 1)
-    d1q2 = diff(q2, state.grid, 1)
-    d2q1 = diff(q1, state.grid, 2)
-    d2q2 = diff(q2, state.grid, 2)
-    v[..., 2::4] = d1q1 + d2q2
-    v[..., 3::4] = d1q2 - d2q1
-    return FieldState(state.grid, v)
 
 
 # ---------------------------------------------------------------------------
@@ -399,58 +353,3 @@ def read_state(source) -> FieldState:
     values = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(n1, n2, 4 * n)
     return FieldState(TorusGrid(n1, n2, l1, l2), values.astype(float))
 
-
-def write_state_csv(state: FieldState, target) -> None:
-    """CSV export: one row per grid point (i, j, t1, t2, fiber values)."""
-    dim = state.fiber_dim
-    header = ["i", "j", "t1", "t2"] + [f"z{c}" for c in range(dim)]
-    t1, t2 = state.grid.t1(), state.grid.t2()
-
-    def emit(fh) -> None:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(state.grid.n1):
-            for j in range(state.grid.n2):
-                row = [i, j, repr(float(t1[i])), repr(float(t2[j]))]
-                row += [repr(float(x)) for x in state.values[i, j]]
-                writer.writerow(row)
-
-    if hasattr(target, "write"):
-        emit(target)
-    else:
-        with open(target, "w", newline="") as fh:
-            emit(fh)
-
-
-def read_state_csv(source, grid: TorusGrid) -> FieldState:
-    """Parse the CSV export back into a state on the given grid.
-
-    Raises ValueError unless the file has the export's header and exactly one
-    row per grid point.
-    """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", newline="") as fh:
-            text = fh.read()
-    rows = list(csv.reader(io.StringIO(text)))
-    header = rows[0] if rows else []
-    dim = len(header) - 4
-    if dim < 4 or dim % 4 != 0 or header != ["i", "j", "t1", "t2"] + [f"z{c}" for c in range(dim)]:
-        raise ValueError("CSV header is not i, j, t1, t2, z0 .. z{4n-1}")
-    values = np.empty((grid.n1, grid.n2, dim))
-    seen = np.zeros((grid.n1, grid.n2), dtype=bool)
-    for line, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise ValueError(f"CSV line {line} has {len(row)} fields, expected {len(header)}")
-        i, j = int(row[0]), int(row[1])
-        if not (0 <= i < grid.n1 and 0 <= j < grid.n2):
-            raise ValueError(f"CSV line {line}: grid point ({i}, {j}) is outside {grid.n1} x {grid.n2}")
-        if seen[i, j]:
-            raise ValueError(f"CSV line {line}: grid point ({i}, {j}) appears twice")
-        seen[i, j] = True
-        values[i, j] = [float(x) for x in row[4:]]
-    if not seen.all():
-        i, j = np.argwhere(~seen)[0]
-        raise ValueError(f"CSV has no row for grid point ({i}, {j})")
-    return FieldState(grid, values)

@@ -1,8 +1,8 @@
 """Dense linear algebra on a split vector space T ⊕ V.
 
 Everything here is pointwise (single fiber) material: alternating 3-tensors,
-block complex structures, SPD square roots, and the four-condition validator
-for complex-regularized multisymplectic forms.  All types are immutable after
+block complex structures and the four-condition validator for
+complex-regularized multisymplectic forms.  All types are immutable after
 construction and all operations are pure functions.
 
 Basis convention: indices 0, 1 span the horizontal space T; indices
@@ -58,22 +58,6 @@ def _split_dim(shape: tuple[int, ...], rank: int) -> int:
     if len(shape) != rank or any(s != d for s in shape) or d < 6 or (d - 2) % 4 != 0:
         raise DimensionMismatchError(f"shape {shape} is not {rank} axes of size d = 2 + 4n with n >= 1")
     return d
-
-
-def antisymmetrize(coeffs: np.ndarray) -> np.ndarray:
-    """Project a rank-3 tensor onto its totally antisymmetric part.
-
-    Written so that an already (bitwise) antisymmetric tensor is an exact
-    fixed point: the correction is a mean of signed-permutation differences,
-    all exactly zero in that case.
-    """
-    t = np.asarray(coeffs, dtype=float)
-    if t.ndim != 3 or len(set(t.shape)) != 1:
-        raise DimensionMismatchError(f"expected a cubic rank-3 tensor, got shape {t.shape}")
-    correction = np.zeros_like(t)
-    for axes, sign in _PERM_SIGNS[1:]:
-        correction += sign * np.transpose(t, axes) - t
-    return t + correction / 6.0
 
 
 def _put_alternating(c: np.ndarray, i, j, k, v) -> None:
@@ -132,16 +116,6 @@ class AlternatingThreeForm:
         return self.coeffs.shape[0]
 
 
-def evaluate_form(form: AlternatingThreeForm, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
-    """Evaluate the trilinear form on three vectors."""
-    d = form.dim
-    u, v, w = (np.asarray(x, dtype=float) for x in (u, v, w))
-    for name, vec in (("u", u), ("v", v), ("w", w)):
-        if vec.shape != (d,):
-            raise DimensionMismatchError(f"vector {name} has shape {vec.shape}, expected ({d},)")
-    return float(np.einsum("ijk,i,j,k->", form.coeffs, u, v, w))
-
-
 def pull_back(form: AlternatingThreeForm, basis: np.ndarray) -> AlternatingThreeForm:
     """Pull the form back through a change of basis (columns = new frame).
 
@@ -185,10 +159,6 @@ class LinearComplexStructure:
     def fiber_part(self) -> np.ndarray:
         return self.matrix[2:, 2:]
 
-    @property
-    def coupling(self) -> np.ndarray:
-        return self.matrix[2:, :2]
-
 
 @dataclass(frozen=True)
 class SpdMatrix:
@@ -211,20 +181,6 @@ class SpdMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-def matrix_sqrt_spd(m: SpdMatrix | np.ndarray) -> SpdMatrix:
-    """Principal square root of an SPD matrix via symmetric eigendecomposition.
-
-    The returned s satisfies s @ s = m to TAU_ALG and is itself SPD.
-    """
-    if not isinstance(m, SpdMatrix):
-        m = SpdMatrix(np.asarray(m, dtype=float))
-    w, v = np.linalg.eigh(m.matrix)
-    if w[0] <= 0.0:
-        raise ValueError(f"eigenvalue {w[0]:.3e} <= 0; no SPD square root")
-    root = (v * np.sqrt(w)) @ v.T
-    return SpdMatrix((root + root.T) / 2.0)
 
 
 # ---------------------------------------------------------------------------

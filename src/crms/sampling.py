@@ -47,24 +47,6 @@ def intertwining_coupling(n: int, rng: np.random.Generator, spread: float = 0.5)
     return 0.5 * (x - i_fib @ x @ BASE_ROTATION)
 
 
-def structure_with_coupling(n: int, rng: np.random.Generator, spread: float = 0.5) -> LinearComplexStructure:
-    """Standard complex structure with a random admissible coupling block.
-
-    The square identity forces the coupling to satisfy A j = -I' A; the form
-    conditions are insensitive to A, so the standard form stays CRMS for the
-    returned structure.
-    """
-    i_fib = fiber_complex_matrix(n)
-    x = rng.normal(size=(4 * n, 2)) * spread
-    a = 0.5 * (x + i_fib @ x @ BASE_ROTATION)
-    d = 2 + 4 * n
-    m = np.zeros((d, d))
-    m[:2, :2] = BASE_ROTATION
-    m[2:, :2] = a
-    m[2:, 2:] = i_fib
-    return LinearComplexStructure(m)
-
-
 def base_commuting_map(rng: np.random.Generator) -> np.ndarray:
     """Random invertible 2 x 2 matrix commuting with j (a complex scalar)."""
     radius = rng.uniform(0.7, 1.4)

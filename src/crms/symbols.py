@@ -88,9 +88,3 @@ def principal_symbol(operator_tag: str, xi: np.ndarray, n: int) -> SymbolReport:
         determinant=float(np.linalg.det(matrix)),
     )
 
-
-def symbol_kernel(report: SymbolReport) -> np.ndarray:
-    """Orthonormal kernel basis (columns) of the symbol matrix."""
-    _, sv, vh = np.linalg.svd(report.symbol_matrix)
-    mask = sv < _KERNEL_REL_TOL * sv[0] if sv[0] > 0.0 else np.ones_like(sv, dtype=bool)
-    return vh[mask].T

@@ -4,7 +4,8 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and timings.  Every tolerance is pinned here; the oracles (explicit
 congruences, Richardson-extrapolated differences, brute-force determinants,
 roll-based Laplacians, per-mode Fourier symbols) are implemented in this
-module, independently of the library code paths they check.
+module, independently of the library code paths they check.  Criterion 6
+builds its states with ``momenta_from_positions`` from ``tests/oracles.py``.
 """
 
 import math
@@ -22,7 +23,6 @@ from crms.fields import (
     bridges_residual,
     l2_gradient,
     make_hamiltonian,
-    momenta_from_positions,
 )
 from crms.flow import FlowConfig, fueter_residual, run_flow
 from crms.linalg import (
@@ -41,6 +41,7 @@ from crms.sampling import (
 )
 from crms.symbols import principal_symbol
 from crms.transition import sample_patch, transition_check
+from oracles import momenta_from_positions
 
 
 class Criterion:

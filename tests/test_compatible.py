@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from crms.compatible import build_compatible, j_of_direction, standard_triple
+from crms.compatible import build_compatible, standard_triple
 from crms.darboux import standard_crps_pair
 from crms.errors import DegenerateFormError, DimensionMismatchError
 from crms.linalg import SpdMatrix, standard_fiber_forms, fiber_complex_matrix
@@ -71,22 +71,11 @@ def test_polar_factor_is_direction_independent():
             assert np.max(np.abs(t_rho.b.matrix - t_jrho.b.matrix)) < 1e-9
 
 
-def test_j_of_direction_axes():
-    triple = standard_triple(1)
-    assert np.array_equal(j_of_direction(triple, np.array([1.0, 0.0])), triple.j1)
-    assert np.array_equal(j_of_direction(triple, np.array([0.0, 1.0])), triple.j2)
-    assert np.max(np.abs(triple.j2 - triple.i_fiber @ triple.j1)) == 0.0
-
-
 def test_j_of_direction_squares_to_minus_norm():
     triple = standard_triple(1)
-    m = j_of_direction(triple, np.array([3.0, 4.0]))
+    rho = np.array([3.0, 4.0])
+    m = rho[0] * triple.j1 + rho[1] * triple.j2
     assert np.max(np.abs(m @ m + 25.0 * np.eye(4))) < 1e-9
-
-
-def test_j_of_direction_rejects_zero():
-    with pytest.raises(ValueError):
-        j_of_direction(standard_triple(1), np.zeros(2))
 
 
 def test_hundred_seeded_unit_directions():
@@ -97,7 +86,7 @@ def test_hundred_seeded_unit_directions():
     for _ in range(100):
         theta = rng.uniform(0.0, 2.0 * np.pi)
         rho = np.array([np.cos(theta), np.sin(theta)])
-        m = j_of_direction(triple, rho)
+        m = rho[0] * triple.j1 + rho[1] * triple.j2
         assert np.max(np.abs(m @ m + eye)) < 1e-8
         # The contraction pairing matched to this direction convention.
         target = rho[0] * pair.omega1 + rho[1] * pair.omega2

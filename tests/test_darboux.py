@@ -25,8 +25,8 @@ from crms.sampling import (
     commuting_fiber_map,
     inject_vertical_triple,
     random_crms_form,
-    structure_with_coupling,
 )
+from oracles import structure_with_coupling
 
 
 def normal_form_defects(pair: CrpsPair, basis: np.ndarray) -> float:

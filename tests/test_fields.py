@@ -15,17 +15,14 @@ from crms.fields import (
     TorusGrid,
     action,
     bridges_residual,
-    ddw_residual,
     diff,
     l2_gradient,
     make_hamiltonian,
-    momenta_from_positions,
     read_state,
-    read_state_csv,
     write_state,
-    write_state_csv,
 )
 from crms.sampling import random_crps_pair, random_smooth_state
+from oracles import momenta_from_positions
 
 
 def random_state(grid: TorusGrid, n: int, seed: int, scale: float = 1.0) -> FieldState:
@@ -208,38 +205,6 @@ def test_bridges_momentum_block_vanishes_after_elimination():
     assert np.max(np.abs(r[..., 0] - lap)) < 1e-12
 
 
-def test_ddw_residual_trivial_cases():
-    grid = TorusGrid(8, 8)
-    ham = HamiltonianSpec(
-        name="ddw_quadratic_p",
-        fiber_dim=3,
-        value=lambda z: 0.5 * (z[..., 1] ** 2 + z[..., 2] ** 2),
-        gradient=lambda z: np.stack([np.zeros_like(z[..., 0]), z[..., 1], z[..., 2]], axis=-1),
-    )
-    zeros = np.zeros((8, 8, 3))
-    assert np.max(np.abs(ddw_residual(grid, zeros, ham))) == 0.0
-
-
-def test_ddw_residual_sine_substitution():
-    grid = TorusGrid(64, 64)
-    ham = HamiltonianSpec(
-        name="ddw_quadratic_p",
-        fiber_dim=3,
-        value=lambda z: 0.5 * (z[..., 1] ** 2 + z[..., 2] ** 2),
-        gradient=lambda z: np.stack([np.zeros_like(z[..., 0]), z[..., 1], z[..., 2]], axis=-1),
-    )
-    t1, _ = grid.coordinates()
-    values = np.zeros((64, 64, 3))
-    values[..., 0] = np.sin(t1)
-    values[..., 1] = diff(values[..., 0], grid, 1)  # p1 from the second equation
-    r = ddw_residual(grid, values, ham)
-    # r_p vanish by construction; r_q is the discrete second derivative of q.
-    assert np.max(np.abs(r[..., 1])) == 0.0
-    assert np.max(np.abs(r[..., 2])) == 0.0
-    factor = (math.sin(grid.h1) / grid.h1) ** 2
-    assert np.max(np.abs(r[..., 0] + factor * np.sin(t1))) < 1e-13
-
-
 # --- gradient ----------------------------------------------------------------
 
 
@@ -378,53 +343,6 @@ def test_binary_rejects_bad_magic():
     corrupted = b"XXXX" + buf.getvalue()[4:]
     with pytest.raises(ValueError):
         read_state(io.BytesIO(corrupted))
-
-
-def test_csv_round_trip():
-    grid = TorusGrid(5, 4, l1=1.0, l2=2.0)
-    state = random_state(grid, 1, seed=131)
-    buf = io.StringIO()
-    write_state_csv(state, buf)
-    back = read_state_csv(io.StringIO(buf.getvalue()), grid)
-    assert np.array_equal(back.values, state.values)
-    first_line = buf.getvalue().splitlines()[0]
-    assert first_line.split(",")[:4] == ["i", "j", "t1", "t2"]
-
-
-def _without_last_row(lines):
-    return lines[:-1]
-
-
-def _with_repeated_row(lines):
-    return lines + lines[-1:]
-
-
-def _with_short_header(lines):
-    return [",".join(line.split(",")[:-2]) for line in lines]
-
-
-@pytest.mark.parametrize(
-    "edit, message",
-    [
-        (_without_last_row, "no row for grid point"),
-        (_with_repeated_row, "appears twice"),
-        (_with_short_header, "header"),
-    ],
-)
-def test_csv_rejects_incomplete_files(edit, message):
-    grid = TorusGrid(5, 4)
-    buf = io.StringIO()
-    write_state_csv(random_state(grid, 1, seed=132), buf)
-    text = "\n".join(edit(buf.getvalue().splitlines())) + "\n"
-    with pytest.raises(ValueError, match=message):
-        read_state_csv(io.StringIO(text), grid)
-
-
-def test_csv_rejects_points_outside_the_grid():
-    buf = io.StringIO()
-    write_state_csv(random_state(TorusGrid(5, 4), 1, seed=133), buf)
-    with pytest.raises(ValueError, match="outside"):
-        read_state_csv(io.StringIO(buf.getvalue()), TorusGrid(4, 4))
 
 
 def test_state_validation():

@@ -1,4 +1,4 @@
-"""Single-point linear algebra: tensors, square roots, CRMS validation."""
+"""Single-point linear algebra: tensors, complex structures, CRMS validation."""
 
 import itertools
 
@@ -13,9 +13,6 @@ from crms.linalg import (
     LinearComplexStructure,
     SpdMatrix,
     _alternation_from_canonical,
-    antisymmetrize,
-    evaluate_form,
-    matrix_sqrt_spd,
     pull_back,
     standard_complex_structure,
     standard_crms_form,
@@ -30,9 +27,14 @@ from crms.sampling import (
     inject_vertical_triple,
     random_crms_form,
 )
+from oracles import structure_with_coupling
 
 
-# --- evaluate_form -----------------------------------------------------------
+def evaluate(form: AlternatingThreeForm, u, v, w) -> float:
+    return float(np.einsum("ijk,i,j,k->", form.coeffs, u, v, w))
+
+
+# --- evaluation --------------------------------------------------------------
 
 
 def test_alternation_kills_repeated_argument():
@@ -40,60 +42,37 @@ def test_alternation_kills_repeated_argument():
     rng = np.random.default_rng(0)
     u = rng.normal(size=form.dim)
     w = rng.normal(size=form.dim)
-    assert evaluate_form(form, u, u, w) == pytest.approx(0.0, abs=1e-12)
+    assert evaluate(form, u, u, w) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_standard_form_normal_coefficient():
     # Coefficient of beta1 ∧ alpha1 ∧ eps2: slots (P1, q1, e2) for n = 1.
     form = standard_crms_form(1)
     eye = np.eye(form.dim)
-    assert evaluate_form(form, eye[4], eye[2], eye[1]) == 1.0
+    assert evaluate(form, eye[4], eye[2], eye[1]) == 1.0
 
 
 def test_zero_form_evaluates_to_zero():
     form = AlternatingThreeForm(np.zeros((6, 6, 6)))
     rng = np.random.default_rng(1)
     u, v, w = rng.normal(size=(3, 6))
-    assert evaluate_form(form, u, v, w) == 0.0
+    assert evaluate(form, u, v, w) == 0.0
 
 
-def test_evaluate_rejects_wrong_dimension():
-    form = standard_crms_form(1)
-    with pytest.raises(DimensionMismatchError):
-        evaluate_form(form, np.zeros(5), np.zeros(6), np.zeros(6))
-
-
-def test_trilinearity_on_random_inputs():
-    form = standard_crms_form(2)
-    rng = np.random.default_rng(2)
-    u, v, w, x = rng.normal(size=(4, form.dim))
-    a, b = 0.7, -1.3
-    lhs = evaluate_form(form, a * u + b * x, v, w)
-    rhs = a * evaluate_form(form, u, v, w) + b * evaluate_form(form, x, v, w)
-    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-
-
-# --- antisymmetrize ----------------------------------------------------------
-
-
-def test_antisymmetrize_is_projection():
-    rng = np.random.default_rng(3)
-    t = rng.normal(size=(6, 6, 6))
-    a = antisymmetrize(t)
-    for axes in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):
-        assert np.max(np.abs(a + np.transpose(a, axes))) < 1e-13
+# --- antisymmetry ------------------------------------------------------------
 
 
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(min_value=1, max_value=3), seed=st.integers(min_value=0, max_value=10_000))
 def test_constructor_tensors_are_exact_fixed_points(n, seed):
-    # Every constructor-built form satisfies antisymmetrize(coeffs) == coeffs
-    # bitwise, including after pull-backs.
+    # Every constructor-built form is bitwise antisymmetric under each
+    # transposition, including after pull-backs.
     rng = np.random.default_rng(seed)
     form, _ = random_crms_form(n, rng)
-    assert np.array_equal(antisymmetrize(form.coeffs), form.coeffs)
     std = standard_crms_form(n, nu=rng.normal(size=4 * n))
-    assert np.array_equal(antisymmetrize(std.coeffs), std.coeffs)
+    for c in (form.coeffs, std.coeffs):
+        for axes in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):
+            assert np.array_equal(c, -np.transpose(c, axes))
 
 
 def test_wedge3_matches_determinant():
@@ -170,40 +149,6 @@ def test_broken_compatibility_equals_wedge_sum(n):
     assert np.array_equal(break_i_compatibility(n).coeffs, expected)
 
 
-# --- matrix_sqrt_spd ---------------------------------------------------------
-
-
-def test_sqrt_of_scaled_identity():
-    s = matrix_sqrt_spd(SpdMatrix(4.0 * np.eye(4)))
-    assert np.allclose(s.matrix, 2.0 * np.eye(4), atol=1e-12)
-
-
-def test_sqrt_of_diagonal():
-    s = matrix_sqrt_spd(SpdMatrix(np.diag([1.0, 4.0, 9.0, 16.0])))
-    assert np.allclose(s.matrix, np.diag([1.0, 2.0, 3.0, 4.0]), atol=1e-10)
-
-
-@settings(max_examples=20, deadline=None)
-@given(dim=st.integers(min_value=2, max_value=16), seed=st.integers(min_value=0, max_value=10_000))
-def test_sqrt_squares_back(dim, seed):
-    rng = np.random.default_rng(seed)
-    lower = np.tril(rng.normal(size=(dim, dim)))
-    np.fill_diagonal(lower, np.abs(lower.diagonal()) + 0.5)
-    m = lower @ lower.T
-    s = matrix_sqrt_spd(m)
-    assert np.max(np.abs(s.matrix @ s.matrix - m)) < 1e-10
-
-
-def test_sqrt_rejects_nonsymmetric():
-    with pytest.raises(ValueError):
-        matrix_sqrt_spd(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
-def test_sqrt_rejects_indefinite():
-    with pytest.raises(ValueError):
-        matrix_sqrt_spd(np.diag([1.0, -2.0]))
-
-
 def test_spd_wrapper_validates():
     with pytest.raises(ValueError):
         SpdMatrix(np.diag([1.0, 0.0]))
@@ -226,24 +171,21 @@ def test_complex_structure_invariants():
         structure = standard_complex_structure(n)
         d = structure.matrix.shape[0]
         assert np.max(np.abs(structure.matrix @ structure.matrix + np.eye(d))) == 0.0
-        assert np.max(np.abs(structure.coupling)) == 0.0
+        assert np.max(np.abs(structure.matrix[2:, :2])) == 0.0
 
 
 def test_complex_structure_with_coupling():
     # A nonzero coupling block is admissible exactly when A j + I' A = 0.
-    from crms.sampling import structure_with_coupling
     from crms.linalg import BASE_ROTATION
 
     rng = np.random.default_rng(5)
     structure = structure_with_coupling(1, rng)
-    a = structure.coupling
+    a = structure.matrix[2:, :2]
     assert np.max(np.abs(a)) > 0.0
     assert np.max(np.abs(a @ BASE_ROTATION + structure.fiber_part @ a)) < 1e-12
 
 
 def test_standard_form_stays_crms_under_coupled_structure():
-    from crms.sampling import structure_with_coupling
-
     rng = np.random.default_rng(12)
     structure = structure_with_coupling(2, rng)
     assert validate_crms(standard_crms_form(2), structure).passed
@@ -322,8 +264,8 @@ def test_compatibility_extends_to_random_vectors_by_linearity():
         xi = rng.normal(size=d)
         v1 = np.concatenate([np.zeros(2), rng.normal(size=d - 2)])
         v2 = np.concatenate([np.zeros(2), rng.normal(size=d - 2)])
-        lhs = evaluate_form(form, structure.matrix @ xi, v1, v2)
-        rhs = -evaluate_form(form, xi, v1, structure.matrix @ v2)
+        lhs = evaluate(form, structure.matrix @ xi, v1, v2)
+        rhs = -evaluate(form, xi, v1, structure.matrix @ v2)
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
 
 
@@ -338,8 +280,8 @@ def test_pull_back_is_congruence():
     m = np.eye(form.dim) + 0.1 * rng.normal(size=(form.dim, form.dim))
     pulled = pull_back(form, m)
     u, v, w = rng.normal(size=(3, form.dim))
-    assert float(np.einsum("ijk,i,j,k->", pulled.coeffs, u, v, w)) == pytest.approx(
-        evaluate_form(form, m @ u, m @ v, m @ w), rel=1e-12, abs=1e-12
+    assert evaluate(pulled, u, v, w) == pytest.approx(
+        evaluate(form, m @ u, m @ v, m @ w), rel=1e-12, abs=1e-12
     )
 
 
