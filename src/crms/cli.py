@@ -374,8 +374,16 @@ def _initial_state(cfg: ExperimentConfig) -> FieldState:
     return state
 
 
+def _hamiltonian(cfg: ExperimentConfig):
+    """The configured Hamiltonian; one that fails its construction check is a config error."""
+    try:
+        return make_hamiltonian(cfg.ham_name, cfg.n, cfg.ham_parameters, cfg.gradient_scale)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
+
+
 def cmd_flow(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
-    ham = make_hamiltonian(cfg.ham_name, cfg.n, cfg.ham_parameters, cfg.gradient_scale)
+    ham = _hamiltonian(cfg)
     triple = standard_triple(cfg.n)
     ds = cfg.flow_ds
     if ds is None:
@@ -449,7 +457,7 @@ def _richardson_directional(state: FieldState, ham, delta: np.ndarray) -> float:
 
 
 def cmd_gradcheck(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
-    ham = make_hamiltonian(cfg.ham_name, cfg.n, cfg.ham_parameters, cfg.gradient_scale)
+    ham = _hamiltonian(cfg)
     triple = standard_triple(cfg.n)
     rng = np.random.default_rng(cfg.seed)
     state = random_smooth_state(cfg.grid, cfg.n, 0.5, rng)

@@ -99,17 +99,27 @@ class FieldState:
 def diff(values: np.ndarray, grid: TorusGrid, direction: int) -> np.ndarray:
     """Centered difference with periodic wraparound along a torus direction.
 
+    (v[i+1] - v[i-1]) / (2h) as a slice stencil: the interior rows and the
+    two wrapped rows are subtracted into one new array, which is then divided
+    in place.  These are the operations of the np.roll form
+    (roll(v, -1) - roll(v, 1)) / (2h), so the result is bitwise the same.
     The operator is skew-adjoint for the grid inner product
     <u, v> = h1 h2 sum(u v).
     """
     if direction not in (1, 2):
         raise ValueError(f"direction must be 1 or 2, got {direction}")
-    axis = direction - 1
     h = grid.h1 if direction == 1 else grid.h2
     v = np.asarray(values, dtype=float)
     if v.shape[:2] != (grid.n1, grid.n2):
         raise DimensionMismatchError("values do not match the grid")
-    return (np.roll(v, -1, axis=axis) - np.roll(v, 1, axis=axis)) / (2.0 * h)
+    out = np.empty_like(v)
+    # Views with the differenced axis first.
+    src, dst = (v, out) if direction == 1 else (v.swapaxes(0, 1), out.swapaxes(0, 1))
+    np.subtract(src[2:], src[:-2], out=dst[1:-1])
+    np.subtract(src[1], src[-1], out=dst[0])
+    np.subtract(src[0], src[-2], out=dst[-1])
+    out /= 2.0 * h
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +246,9 @@ def _require_fiber_match(state_dim: int, ham: HamiltonianSpec) -> None:
 
 def _bridges_operator(values: np.ndarray, grid: TorusGrid, j1: np.ndarray, j2: np.ndarray) -> np.ndarray:
     """J1 ∂1 Z + J2 ∂2 Z (Bridges' principal part): the action, gradient and flow use it."""
-    return diff(values, grid, 1) @ j1.T + diff(values, grid, 2) @ j2.T
+    out = diff(values, grid, 1) @ j1.T
+    out += diff(values, grid, 2) @ j2.T
+    return out
 
 
 def _action_value(grid: TorusGrid, values: np.ndarray, bridges: np.ndarray, density: np.ndarray) -> float:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .compatible import CompatibleTriple
 from .errors import ConfigError, DimensionMismatchError, FlowDivergenceError
-from .fields import FieldState, HamiltonianSpec, TorusGrid, l2_gradient
+from .fields import FieldState, HamiltonianSpec, TorusGrid
 from .fields import _action_value, _bridges_operator, _standard_pair
 
 INTEGRATORS = ("explicit_euler", "rk4")
@@ -222,18 +222,27 @@ def fueter_residual(
 
     Evaluates I ∂s Z + I J1 ∂1 Z + I J2 ∂2 Z - I ∇H(Z) with a centered
     difference in s at the interior trajectory points; small values certify
-    the trajectory solves the three-direction Cauchy-Riemann system.
+    the trajectory solves the three-direction Cauchy-Riemann system.  The
+    gradient at each point is l2_gradient's, with the triple checked once.
+
+    Raises DimensionMismatchError unless every state has the first state's
+    grid and shape.
     """
     states = list(trajectory)
     if len(states) < 3:
         raise ValueError("fueter_residual needs at least 3 trajectory states")
     if ds <= 0.0:
         raise ValueError("ds must be positive")
+    grid, shape = states[0].grid, states[0].values.shape
+    if any(st.grid != grid or st.values.shape != shape for st in states):
+        raise DimensionMismatchError("trajectory states differ in grid or shape")
+    j1, j2 = _standard_pair(shape[2], ham, triple)
     worst = 0.0
     i_fib = triple.i_fiber
     for k in range(1, len(states) - 1):
+        v = states[k].values
         dzds = (states[k + 1].values - states[k - 1].values) / (2.0 * ds)
-        grad = l2_gradient(states[k], ham, triple)
+        grad = _bridges_operator(v, grid, j1, j2) - ham.gradient(v)
         residual = (dzds + grad) @ i_fib.T
         worst = max(worst, float(np.max(np.abs(residual))))
     return worst

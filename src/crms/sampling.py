@@ -112,7 +112,8 @@ def random_smooth_state(
 
     t1, t2 = grid.coordinates()
     dim = 4 * n
-    values = np.zeros((grid.n1, grid.n2, dim))
+    # Component-major, so each product below runs over a whole grid.
+    values = np.zeros((dim, grid.n1, grid.n2))
     modes = [
         (k1, k2)
         for k1 in range(-max_mode, max_mode + 1)
@@ -122,11 +123,12 @@ def random_smooth_state(
     coef = rng.normal(size=(dim, len(modes), 2))
     for m, (k1, k2) in enumerate(modes):
         phase = k1 * (2.0 * np.pi / grid.l1) * t1 + k2 * (2.0 * np.pi / grid.l2) * t2
-        values += coef[:, m, 0] * np.cos(phase)[..., None] + coef[:, m, 1] * np.sin(phase)[..., None]
+        values += coef[:, m, 0, None, None] * np.cos(phase) + coef[:, m, 1, None, None] * np.sin(phase)
     peak = float(np.max(np.abs(values)))
     if peak > 0.0:
         values *= amplitude / peak
-    return FieldState(grid, values)
+    # A C-ordered copy, so later sums and matmuls see a point-major layout.
+    return FieldState(grid, np.moveaxis(values, 0, -1).copy())
 
 
 def inject_vertical_triple(form: AlternatingThreeForm, value: float = 1.0) -> tuple[AlternatingThreeForm, tuple[int, int, int]]:

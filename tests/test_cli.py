@@ -366,6 +366,21 @@ def test_gradcheck_corrupted_gradient_fails(tmp_path):
     assert report["max_error_to_bound"] > 1.0
 
 
+@pytest.mark.parametrize("command", ["flow", "gradcheck"])
+def test_gradient_scale_outside_the_tolerance_is_config_error(tmp_path, capsys, command):
+    # 1.001 fails the finite-difference check that builds the Hamiltonian.
+    out = tmp_path / "out"
+    cfg = {
+        "n": 1,
+        "output_dir": str(out),
+        "grid": {"n1": 16, "n2": 16},
+        "hamiltonian": {"name": "cosine", "gradient_scale": 1.001},
+    }
+    assert run_cli(tmp_path, command, cfg)[0] == 2
+    assert "disagrees with finite differences" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gradcheck_bound_absorbs_oracle_roundoff(tmp_path):
     # A direction with pairing -1.5e-6 gives relative error 6.4e-5 from the
     # oracle's roundoff alone; the error stays within 0.3 of the bound.

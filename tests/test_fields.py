@@ -71,6 +71,33 @@ def test_diff_is_skew_adjoint():
             assert abs(lhs + rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
+def roll_diff(values: np.ndarray, grid: TorusGrid, direction: int) -> np.ndarray:
+    # The np.roll form of the centered periodic difference.
+    axis = direction - 1
+    h = grid.h1 if direction == 1 else grid.h2
+    return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * h)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (5, 7), (17, 33), (32, 32)])
+@pytest.mark.parametrize("fiber", [None, 8, "strided"], ids=["2d", "3d", "3d-strided"])
+def test_diff_equals_the_roll_form_bitwise(shape, fiber):
+    grid = TorusGrid(*shape, l1=1.3, l2=2.9)
+    rng = np.random.default_rng(shape[0] * shape[1])
+    if fiber is None:
+        values = rng.normal(size=shape)
+    elif fiber == "strided":
+        # A q-component view such as oracles.momenta_from_positions passes.
+        values = rng.normal(size=(*shape, 8))[..., 0::4]
+    else:
+        values = rng.normal(size=(*shape, fiber))
+    values.setflags(write=False)
+    before = values.copy()
+    for direction in (1, 2):
+        got, expected = diff(values, grid, direction), roll_diff(values, grid, direction)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    assert np.array_equal(values, before)
+
+
 # --- Hamiltonians ------------------------------------------------------------
 
 
@@ -309,6 +336,7 @@ def test_random_smooth_state_equals_the_per_component_loop_bitwise(n, max_mode):
     state = random_smooth_state(grid, n, 0.4, np.random.default_rng(8), max_mode=max_mode)
     expected = smooth_state_by_component(grid, n, 0.4, np.random.default_rng(8), max_mode)
     assert np.array_equal(state.values, expected)
+    assert state.values.flags.c_contiguous
 
 
 # --- serialization -----------------------------------------------------------

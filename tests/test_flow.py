@@ -265,6 +265,48 @@ def test_short_trajectory_rejected():
         fueter_residual([state, state], 0.01, make_hamiltonian("zero", 1), TRIPLE)
 
 
+@pytest.mark.parametrize(
+    "other",
+    [TorusGrid(16, 16, l1=3.0), TorusGrid(16, 20), None],
+    ids=["other-periods", "other-grid", "other-fiber"],
+)
+def test_mixed_trajectory_rejected(other):
+    state = FieldState(GRID, np.zeros((16, 16, 4)))
+    if other is None:
+        odd = FieldState(GRID, np.zeros((16, 16, 8)))
+    else:
+        odd = FieldState(other, np.zeros((other.n1, other.n2, 4)))
+    ham = make_hamiltonian("quadratic", 1)
+    for trajectory in ([state, odd, state], [state, state, odd], [odd, state, state]):
+        with pytest.raises(DimensionMismatchError):
+            fueter_residual(trajectory, 0.01, ham, TRIPLE)
+
+
+def per_state_fueter_residual(states, ds, ham, triple) -> float:
+    # The residual with one l2_gradient call per interior state.
+    worst = 0.0
+    for k in range(1, len(states) - 1):
+        dzds = (states[k + 1].values - states[k - 1].values) / (2.0 * ds)
+        residual = (dzds + l2_gradient(states[k], ham, triple)) @ triple.i_fiber.T
+        worst = max(worst, float(np.max(np.abs(residual))))
+    return worst
+
+
+@pytest.mark.parametrize("integrator", ["explicit_euler", "rk4"])
+@pytest.mark.parametrize("record_every", [1, 2])
+def test_fueter_residual_equals_the_per_state_loop_bitwise(integrator, record_every):
+    grid = TorusGrid(17, 12, l1=3.0, l2=2.0)
+    ham = make_hamiltonian("cosine", 2, {"lambda": 0.6})
+    triple = standard_triple(2)
+    ds = 0.5 * STABILITY_KAPPA[integrator] * min(grid.h1, grid.h2)
+    cfg = FlowConfig(ds=ds, max_steps=9, grad_tolerance=1e-30, integrator=integrator, record_every=record_every)
+    trace = run_flow(smooth(21, amplitude=0.3, grid=grid, n=2), ham, triple, cfg)
+    stride_ds = ds * trace.record_stride
+    expected = per_state_fueter_residual(trace.states, stride_ds, ham, triple)
+    assert expected > 0.0
+    assert fueter_residual(trace.states, stride_ds, ham, triple) == expected
+
+
 def test_euler_residual_is_first_order_in_ds():
     ham = make_hamiltonian("quadratic", 1)
     init = smooth(10, amplitude=0.05)
