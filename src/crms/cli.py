@@ -54,8 +54,9 @@ FORM_SOURCES = ("standard", "standard_plus_nu", "seeded_random_conjugate")
 FORM_INJECTIONS = ("vertical_triple", "drop_block", "break_compatibility")
 INITIAL_MODES = ("random_smooth", "constant", "file")
 
-# Entries of the largest float array a run may allocate (2 GiB).  Larger n or
-# grids are config errors, reported before anything is allocated.
+# Float entries a run may hold in its largest array, or for flow in its kept
+# trajectory (2 GiB).  Larger n, grids or trajectories are config errors,
+# reported before anything is allocated.
 MAX_ARRAY_ENTRIES = 2**28
 
 
@@ -115,7 +116,7 @@ class ExperimentConfig:
     flow_max_steps: int = 10000
     flow_tolerance: float = 1e-8
     flow_integrator: str = "explicit_euler"
-    flow_record_every: int = 1
+    flow_record_every: int | None = None  # parse_config derives it from flow_max_steps
     initial_mode: str = "random_smooth"
     initial_amplitude: float = 0.1
     initial_value: float = 0.0
@@ -139,61 +140,62 @@ def parse_config(raw: dict, command: str) -> ExperimentConfig:
     if kind is not None and kind != command:
         raise ConfigError(f"config kind '{kind}' does not match command '{command}'")
 
+    # Each absent entry keeps the ExperimentConfig default.
     cfg = ExperimentConfig()
-    cfg.n = _expect(raw, "n", int, 1)
+    cfg.n = _expect(raw, "n", int, cfg.n)
     if cfg.n < 1:
         raise ConfigError("n must be at least 1")
-    cfg.seed = _expect(raw, "seed", int, 0)
+    cfg.seed = _expect(raw, "seed", int, cfg.seed)
     if cfg.seed < 0:
         raise ConfigError("seed must be a non-negative integer")
-    cfg.output_dir = _expect(raw, "output_dir", str, "crms_out")
+    cfg.output_dir = _expect(raw, "output_dir", str, cfg.output_dir)
 
     grid = _section(raw, "grid", ("n1", "n2", "l1", "l2"))
     try:
         cfg.grid = TorusGrid(
-            n1=_expect(grid, "n1", int, 32),
-            n2=_expect(grid, "n2", int, 32),
-            l1=_expect(grid, "l1", float, 2.0 * np.pi),
-            l2=_expect(grid, "l2", float, 2.0 * np.pi),
+            n1=_expect(grid, "n1", int, cfg.grid.n1),
+            n2=_expect(grid, "n2", int, cfg.grid.n2),
+            l1=_expect(grid, "l1", float, cfg.grid.l1),
+            l2=_expect(grid, "l2", float, cfg.grid.l2),
         )
     except ValueError as err:
         raise ConfigError(str(err)) from None
 
     ham = _section(raw, "hamiltonian", ("name", "parameters", "gradient_scale"))
-    cfg.ham_name = _expect(ham, "name", str, "quadratic")
+    cfg.ham_name = _expect(ham, "name", str, cfg.ham_name)
     if cfg.ham_name not in BUILTIN_HAMILTONIANS:
         raise ConfigError(f"unknown Hamiltonian '{cfg.ham_name}'; built-ins: {BUILTIN_HAMILTONIANS}")
     params = _section(ham, "hamiltonian.parameters", ("lambda",))
     cfg.ham_parameters = {k: _finite_float(v) for k, v in params.items()}
     if None in cfg.ham_parameters.values():
         raise ConfigError("'hamiltonian.parameters' must map names to finite numbers")
-    cfg.gradient_scale = _expect(ham, "gradient_scale", float, 1.0)
+    cfg.gradient_scale = _expect(ham, "gradient_scale", float, cfg.gradient_scale)
 
     flow = _section(raw, "flow", ("ds", "max_steps", "tolerance", "integrator", "record_every", "initial"))
-    cfg.flow_ds = _expect(flow, "ds", float, None)
-    cfg.flow_max_steps = _expect(flow, "max_steps", int, 10000)
-    cfg.flow_tolerance = _expect(flow, "tolerance", float, 1e-8)
-    cfg.flow_integrator = _expect(flow, "integrator", str, "explicit_euler")
+    cfg.flow_ds = _expect(flow, "ds", float, cfg.flow_ds)
+    cfg.flow_max_steps = _expect(flow, "max_steps", int, cfg.flow_max_steps)
+    cfg.flow_tolerance = _expect(flow, "tolerance", float, cfg.flow_tolerance)
+    cfg.flow_integrator = _expect(flow, "integrator", str, cfg.flow_integrator)
     cfg.flow_record_every = _expect(flow, "record_every", int, max(1, cfg.flow_max_steps // 100))
     initial = _section(flow, "flow.initial", ("mode", "amplitude", "value", "path"))
-    cfg.initial_mode = _expect(initial, "mode", str, "random_smooth")
+    cfg.initial_mode = _expect(initial, "mode", str, cfg.initial_mode)
     if cfg.initial_mode not in INITIAL_MODES:
         raise ConfigError(f"initial mode must be one of {INITIAL_MODES}")
-    cfg.initial_amplitude = _expect(initial, "amplitude", float, 0.1)
-    cfg.initial_value = _expect(initial, "value", float, 0.0)
-    cfg.initial_path = _expect(initial, "path", str, None)
+    cfg.initial_amplitude = _expect(initial, "amplitude", float, cfg.initial_amplitude)
+    cfg.initial_value = _expect(initial, "value", float, cfg.initial_value)
+    cfg.initial_path = _expect(initial, "path", str, cfg.initial_path)
 
     form = _section(raw, "form", ("source", "inject", "nu_scale"))
-    cfg.form_source = _expect(form, "source", str, "standard")
+    cfg.form_source = _expect(form, "source", str, cfg.form_source)
     if cfg.form_source not in FORM_SOURCES:
         raise ConfigError(f"form source must be one of {FORM_SOURCES}")
-    cfg.form_inject = _expect(form, "inject", str, None)
+    cfg.form_inject = _expect(form, "inject", str, cfg.form_inject)
     if cfg.form_inject is not None and cfg.form_inject not in FORM_INJECTIONS:
         raise ConfigError(f"form injection must be one of {FORM_INJECTIONS}")
-    cfg.form_nu_scale = _expect(form, "nu_scale", float, 0.5)
+    cfg.form_nu_scale = _expect(form, "nu_scale", float, cfg.form_nu_scale)
 
     symbol = _section(raw, "symbol", ("angles", "xi"))
-    cfg.symbol_angles = _expect(symbol, "angles", int, 64)
+    cfg.symbol_angles = _expect(symbol, "angles", int, cfg.symbol_angles)
     if cfg.symbol_angles < 1:
         raise ConfigError("symbol.angles must be positive")
     xi = symbol.get("xi")
@@ -204,30 +206,35 @@ def parse_config(raw: dict, command: str) -> ExperimentConfig:
         cfg.symbol_xi = xi
 
     gradcheck = _section(raw, "gradcheck", ("directions",))
-    cfg.gradcheck_directions = _expect(gradcheck, "directions", int, 20)
+    cfg.gradcheck_directions = _expect(gradcheck, "directions", int, cfg.gradcheck_directions)
     if cfg.gradcheck_directions < 1:
         raise ConfigError("gradcheck.directions must be positive")
     return cfg
 
 
 def _check_size(cfg: ExperimentConfig, command: str) -> None:
-    """Reject an n or grid whose largest array exceeds MAX_ARRAY_ENTRIES.
+    """Reject an n, grid or flow length that needs more than MAX_ARRAY_ENTRIES.
 
-    That array depends on the verb: the d^3 3-form (d = 4n + 2) of validate
-    and darboux, the (4n)^2 symbol matrix, and for flow and gradcheck the
-    (4n)^2 compatible triple or one n1 x n2 x 4n field.
+    What is counted depends on the verb: the d^3 3-form (d = 4n + 2) of
+    validate and darboux, the (4n)^2 symbol matrix, for gradcheck the (4n)^2
+    compatible triple or one n1 x n2 x 4n field, and for flow the triple or
+    the max_steps // record_every + 1 such fields that run_flow keeps.
     """
     d = 4 * cfg.n
+    field_entries = cfg.grid.n1 * cfg.grid.n2 * d
     if command in ("validate", "darboux"):
         largest = (d + 2) ** 3
     elif command == "symbol":
         largest = d * d
+    elif command == "flow":
+        # A record_every below 1 is rejected by FlowConfig.
+        largest = max(d * d, (cfg.flow_max_steps // max(1, cfg.flow_record_every) + 1) * field_entries)
     else:
-        largest = max(d * d, cfg.grid.n1 * cfg.grid.n2 * d)
+        largest = max(d * d, field_entries)
     if largest > MAX_ARRAY_ENTRIES:
         raise ConfigError(
-            f"{command} with n = {cfg.n} and grid {cfg.grid.n1}x{cfg.grid.n2} needs an array of"
-            f" {largest} entries; at most {MAX_ARRAY_ENTRIES} are allowed"
+            f"{command} with n = {cfg.n} and grid {cfg.grid.n1}x{cfg.grid.n2} needs"
+            f" {largest} float entries; at most {MAX_ARRAY_ENTRIES} are allowed"
         )
 
 
@@ -404,12 +411,12 @@ def cmd_flow(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
         trace = err.trace
         diverged_step = err.step
 
-    if trace is not None:
-        write_trace_csv(trace, _output(out, "flow_trace.csv"))
-        write_state(trace.final_state, _output(out, "flow_final.crms"))
+    # run_flow attaches the partial trace to every FlowDivergenceError.
+    write_trace_csv(trace, _output(out, "flow_trace.csv"))
+    write_state(trace.final_state, _output(out, "flow_final.crms"))
     residual = None
     fueter = None
-    if trace is not None and diverged_step is None:
+    if diverged_step is None:
         residual = float(np.max(np.abs(bridges_residual(trace.final_state, ham))))
         if len(trace.states) >= 3:
             fueter = fueter_residual(trace.states, flow_cfg.ds * trace.record_stride, ham, triple)
@@ -420,11 +427,12 @@ def cmd_flow(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
         "hamiltonian": cfg.ham_name,
         "integrator": cfg.flow_integrator,
         "ds": ds,
-        "steps_taken": 0 if trace is None else int(len(trace.steps) - 1),
-        "converged": bool(trace.converged) if trace is not None else False,
+        # A divergence in the step-0 diagnostics leaves no trace row.
+        "steps_taken": max(0, len(trace.steps) - 1),
+        "converged": trace.converged,
         "diverged_at_step": diverged_step,
-        "final_action": float(trace.actions[-1]) if trace is not None and len(trace.steps) else None,
-        "final_grad_sup_norm": float(trace.grad_norms[-1]) if trace is not None and len(trace.steps) else None,
+        "final_action": float(trace.actions[-1]) if len(trace.steps) else None,
+        "final_grad_sup_norm": float(trace.grad_norms[-1]) if len(trace.steps) else None,
         "final_bridges_residual_sup_norm": residual,
         "fueter_residual": fueter,
     }

@@ -64,7 +64,7 @@ def build_compatible(
     omega1: np.ndarray,
     omega2: np.ndarray,
     i_fiber: np.ndarray,
-    reference: SpdMatrix | np.ndarray | None = None,
+    reference: SpdMatrix | None = None,
 ) -> CompatibleTriple:
     """Run the polar-decomposition construction on a CRPS pair.
 
@@ -74,7 +74,7 @@ def build_compatible(
         The two contraction forms; omega2 must equal -omega1(·, I·).
     i_fiber : (4n, 4n) array
         Fiber complex structure.
-    reference : SpdMatrix or array, optional
+    reference : SpdMatrix, optional
         Inner product compatible with i_fiber (default: identity).  Making
         it explicit keeps the construction deterministic and lets tests vary
         the starting point.
@@ -95,8 +95,6 @@ def build_compatible(
         raise DimensionMismatchError("omega1, omega2 and i_fiber must be square of equal size")
     if reference is None:
         reference = SpdMatrix(np.eye(d))
-    elif not isinstance(reference, SpdMatrix):
-        reference = SpdMatrix(np.asarray(reference, dtype=float))
     if reference.dim != d:
         raise DimensionMismatchError("reference dimension does not match the forms")
 

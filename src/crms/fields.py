@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Mapping
 
 import numpy as np
@@ -145,10 +146,8 @@ class HamiltonianSpec:
     fiber_dim: int
     value: FiberFunction = field(repr=False)
     gradient: FiberFunction = field(repr=False)
-    parameters: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "parameters", dict(self.parameters))
         rng = np.random.default_rng(20240901)
         z = rng.normal(size=(6, self.fiber_dim))
         grad = np.asarray(self.gradient(z), dtype=float)
@@ -193,8 +192,7 @@ def make_hamiltonian(
     diagnostic knob for negative controls of gradient-consistency checks and
     must stay within the construction tolerance.
     """
-    params = dict(parameters or {})
-    lam = float(params.get("lambda", 1.0))
+    lam = float((parameters or {}).get("lambda", 1.0))
     dim = 4 * n
     qm = _q_mask(dim)
     pm = ~qm
@@ -226,7 +224,7 @@ def make_hamiltonian(
     if gradient_scale != 1.0:
         inner = grad
         grad = lambda z: gradient_scale * inner(z)
-    return HamiltonianSpec(name=name, fiber_dim=dim, value=value, gradient=grad, parameters=params)
+    return HamiltonianSpec(name=name, fiber_dim=dim, value=value, gradient=grad)
 
 
 BUILTIN_HAMILTONIANS = ("zero", "quadratic_p", "quadratic", "quartic", "cosine")
@@ -329,28 +327,20 @@ def l2_gradient(state: FieldState, ham: HamiltonianSpec, triple: CompatibleTripl
 # ---------------------------------------------------------------------------
 
 
-def write_state(state: FieldState, target) -> None:
-    """Write the binary field container (little-endian header + f64 payload)."""
+def write_state(state: FieldState, path: str | Path) -> None:
+    """Write the binary field container (little-endian header + f64 payload) to a file."""
     header = _HEADER.pack(
         MAGIC, FORMAT_VERSION, state.grid.n1, state.grid.n2, state.n, state.grid.l1, state.grid.l2
     )
-    payload = np.ascontiguousarray(state.values, dtype="<f8").tobytes()
-    if hasattr(target, "write"):
-        target.write(header)
-        target.write(payload)
-    else:
-        with open(target, "wb") as fh:
-            fh.write(header)
-            fh.write(payload)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(np.ascontiguousarray(state.values, dtype="<f8").tobytes())
 
 
-def read_state(source) -> FieldState:
-    """Read a field state from the binary container written by write_state."""
-    if hasattr(source, "read"):
-        raw = source.read()
-    else:
-        with open(source, "rb") as fh:
-            raw = fh.read()
+def read_state(path: str | Path) -> FieldState:
+    """Read a field state from the binary container file written by write_state."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
     if len(raw) < _HEADER.size:
         raise ValueError("truncated field container")
     magic, version, n1, n2, n, l1, l2 = _HEADER.unpack_from(raw)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -80,8 +81,8 @@ class FlowTrace:
     steps: np.ndarray = field(repr=False)
     final_state: FieldState
     converged: bool
-    states: tuple[FieldState, ...] = ()
-    record_stride: int = 1
+    states: tuple[FieldState, ...]
+    record_stride: int
 
     def __post_init__(self):
         s = np.array(self.steps, dtype=float)
@@ -89,7 +90,6 @@ class FlowTrace:
             raise DimensionMismatchError("steps must have shape (k, 3)")
         s.setflags(write=False)
         object.__setattr__(self, "steps", s)
-        object.__setattr__(self, "states", tuple(self.states))
 
     @property
     def actions(self) -> np.ndarray:
@@ -248,17 +248,10 @@ def fueter_residual(
     return worst
 
 
-def write_trace_csv(trace: FlowTrace, target) -> None:
-    """CSV export of a trace: columns (step, s, action, grad_norm)."""
-
-    def emit(fh) -> None:
+def write_trace_csv(trace: FlowTrace, path: str | Path) -> None:
+    """CSV export of a trace to a file: columns (step, s, action, grad_norm)."""
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "s", "action", "grad_norm"])
         for k, (s, act, gn) in enumerate(trace.steps):
             writer.writerow([k, repr(float(s)), repr(float(act)), repr(float(gn))])
-
-    if hasattr(target, "write"):
-        emit(target)
-    else:
-        with open(target, "w", newline="") as fh:
-            emit(fh)

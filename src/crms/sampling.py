@@ -25,7 +25,7 @@ from .linalg import (
 _COND_CAP = 200.0
 
 
-def commuting_fiber_map(n: int, rng: np.random.Generator, spread: float = 0.4) -> np.ndarray:
+def commuting_fiber_map(n: int, rng: np.random.Generator) -> np.ndarray:
     """Random invertible 4n x 4n matrix commuting with the standard fiber I.
 
     Averaging X with -I X I projects onto the commutant; the identity shift
@@ -34,16 +34,16 @@ def commuting_fiber_map(n: int, rng: np.random.Generator, spread: float = 0.4) -
     d = 4 * n
     i_fib = fiber_complex_matrix(n)
     while True:
-        x = rng.normal(size=(d, d)) * spread / np.sqrt(d)
+        x = rng.normal(size=(d, d)) * 0.4 / np.sqrt(d)
         m = 0.5 * (x - i_fib @ x @ i_fib) + np.eye(d)
         if np.linalg.cond(m) < _COND_CAP:
             return m
 
 
-def intertwining_coupling(n: int, rng: np.random.Generator, spread: float = 0.5) -> np.ndarray:
+def intertwining_coupling(n: int, rng: np.random.Generator) -> np.ndarray:
     """Random 4n x 2 coupling C with C j = I' C (complex-linear T -> V)."""
     i_fib = fiber_complex_matrix(n)
-    x = rng.normal(size=(4 * n, 2)) * spread
+    x = rng.normal(size=(4 * n, 2)) * 0.5
     return 0.5 * (x - i_fib @ x @ BASE_ROTATION)
 
 
@@ -87,23 +87,17 @@ def random_crps_pair(n: int, rng: np.random.Generator) -> CrpsPair:
     return CrpsPair(m.T @ w1 @ m, m.T @ w2 @ m, fiber_complex_matrix(n))
 
 
-def compatible_reference(n: int, rng: np.random.Generator, spread: float = 0.3) -> SpdMatrix:
+def compatible_reference(n: int, rng: np.random.Generator) -> SpdMatrix:
     """Random SPD inner product compatible with the standard fiber I."""
     d = 4 * n
     i_fib = fiber_complex_matrix(n)
-    y = np.eye(d) + rng.normal(size=(d, d)) * spread / np.sqrt(d)
+    y = np.eye(d) + rng.normal(size=(d, d)) * 0.3 / np.sqrt(d)
     r = y.T @ y
     return SpdMatrix(0.5 * (r + i_fib.T @ r @ i_fib))
 
 
-def random_smooth_state(
-    grid,
-    n: int,
-    amplitude: float,
-    rng: np.random.Generator,
-    max_mode: int = 2,
-):
-    """Truncated low-frequency random Fourier data, scaled to a sup-norm.
+def random_smooth_state(grid, n: int, amplitude: float, rng: np.random.Generator):
+    """Random Fourier data with modes |k1|, |k2| <= 2, scaled to a sup-norm.
 
     Coefficients are drawn per mode, so refining the grid samples the same
     underlying smooth field (important for convergence-order studies).
@@ -114,11 +108,7 @@ def random_smooth_state(
     dim = 4 * n
     # Component-major, so each product below runs over a whole grid.
     values = np.zeros((dim, grid.n1, grid.n2))
-    modes = [
-        (k1, k2)
-        for k1 in range(-max_mode, max_mode + 1)
-        for k2 in range(-max_mode, max_mode + 1)
-    ]
+    modes = [(k1, k2) for k1 in range(-2, 3) for k2 in range(-2, 3)]
     # One (a, b) pair per component and mode, drawn component-major.
     coef = rng.normal(size=(dim, len(modes), 2))
     for m, (k1, k2) in enumerate(modes):
@@ -131,11 +121,11 @@ def random_smooth_state(
     return FieldState(grid, np.moveaxis(values, 0, -1).copy())
 
 
-def inject_vertical_triple(form: AlternatingThreeForm, value: float = 1.0) -> tuple[AlternatingThreeForm, tuple[int, int, int]]:
-    """Break 1-horizontality by planting one vertical-triple coefficient."""
+def inject_vertical_triple(form: AlternatingThreeForm) -> tuple[AlternatingThreeForm, tuple[int, int, int]]:
+    """Break 1-horizontality by adding 1 to one vertical-triple coefficient."""
     c = form.coeffs.copy()
     triple = i, j, k = (2, 3, 4)
-    _put_alternating(c, i, j, k, c[i, j, k] + value)
+    _put_alternating(c, i, j, k, c[i, j, k] + 1.0)
     return AlternatingThreeForm(c), triple
 
 
@@ -156,10 +146,10 @@ def drop_quadruple_block(n: int) -> AlternatingThreeForm:
     return AlternatingThreeForm(full)
 
 
-def break_i_compatibility(n: int, value: float = 0.5) -> AlternatingThreeForm:
+def break_i_compatibility(n: int) -> AlternatingThreeForm:
     """Standard form plus a term that desynchronizes the two contractions."""
     form = standard_crms_form(n)
     c = form.coeffs.copy()
-    # Adds value * beta1 ∧ alpha1 ∧ eps1 of the first quadruple.
-    _put_alternating(c, 4, 2, 0, c[4, 2, 0] + value)
+    # Adds 0.5 * beta1 ∧ alpha1 ∧ eps1 of the first quadruple.
+    _put_alternating(c, 4, 2, 0, c[4, 2, 0] + 0.5)
     return AlternatingThreeForm(c)

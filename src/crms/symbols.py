@@ -22,17 +22,14 @@ _KERNEL_REL_TOL = 1e-10  # singular values below this fraction of the largest co
 
 @dataclass(frozen=True)
 class SymbolReport:
-    covector: np.ndarray
-    operator_tag: str
     symbol_matrix: np.ndarray = field(repr=False)
     kernel_dim: int
     determinant: float
 
     def __post_init__(self):
-        for attr in ("covector", "symbol_matrix"):
-            a = np.array(getattr(self, attr), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, attr, a)
+        a = np.array(self.symbol_matrix, dtype=float)
+        a.setflags(write=False)
+        object.__setattr__(self, "symbol_matrix", a)
 
 
 def _bridges_block(x1: float, x2: float) -> np.ndarray:
@@ -81,8 +78,6 @@ def principal_symbol(operator_tag: str, xi: np.ndarray, n: int) -> SymbolReport:
     sv = np.linalg.svd(matrix, compute_uv=False)
     kernel_dim = int(np.sum(sv < _KERNEL_REL_TOL * sv[0])) if sv[0] > 0.0 else matrix.shape[0]
     return SymbolReport(
-        covector=xi,
-        operator_tag=operator_tag,
         symbol_matrix=matrix,
         kernel_dim=kernel_dim,
         determinant=float(np.linalg.det(matrix)),

@@ -1,12 +1,14 @@
 """Exit-code contract and artifact emission of the command-line harness."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from crms.cli import _check_size, main, parse_config
+import crms.cli
+from crms.cli import COMMANDS, ExperimentConfig, _check_size, main, parse_config
 from crms.errors import ConfigError
 from crms.fields import FieldState, TorusGrid, read_state, write_state
 
@@ -79,6 +81,7 @@ def test_kind_mismatch_is_a_usage_error(tmp_path):
         {"flow": {"ds": 10**400}},
         {"hamiltonian": {"parameters": {"lambda": float("nan")}}},
         {"gradcheck": {"directions": 0}},
+        {"flow": {"record_every": 0}},
     ],
 )
 def test_bad_config_values_are_usage_errors(tmp_path, config):
@@ -115,9 +118,13 @@ def test_misspelled_section_keys_are_usage_errors(tmp_path, capsys, command, pat
     [
         ("symbol", {"n": 100_000_000_000}, ()),
         ("flow", {}, ("--grid", "100000000x100000000")),
+        # 10001 kept 256^2 x 8 states: 5.2e9 entries (42 GB), one field only 5.2e5.
+        ("flow", {"n": 2, "flow": {"max_steps": 10000, "record_every": 1}}, ("--grid", "256x256")),
     ],
 )
-def test_sizes_too_large_to_allocate_are_usage_errors(tmp_path, capsys, command, config, extra):
+def test_sizes_too_large_to_allocate_are_usage_errors(tmp_path, capsys, monkeypatch, command, config, extra):
+    # Were the bound missing, the flow would fail here instead of allocating.
+    monkeypatch.setattr(crms.cli, "run_flow", lambda *args: pytest.fail("the flow started"))
     out = tmp_path / "out"
     assert run_cli(tmp_path, command, {"output_dir": str(out), **config}, *extra)[0] == 2
     err = capsys.readouterr().err
@@ -133,6 +140,18 @@ def test_size_bound_depends_on_the_verb(tmp_path):
         _check_size(parse_config({"n": 200}, "validate"), "validate")
     cfg = {"n": 200, "output_dir": str(tmp_path / "out"), "symbol": {"xi": [1.0, 0.0]}}
     assert run_cli(tmp_path, "symbol", cfg)[0] == 0
+    # The default record_every keeps 101 of 10000 steps: 5.3e7 entries at 256^2, n = 2.
+    _check_size(parse_config({"n": 2, "grid": {"n1": 256, "n2": 256}}, "flow"), "flow")
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_absent_config_entries_take_the_dataclass_defaults(command):
+    parsed, default = parse_config({}, command), ExperimentConfig()
+    for f in dataclasses.fields(ExperimentConfig):
+        if f.name != "flow_record_every":
+            assert getattr(parsed, f.name) == getattr(default, f.name), f.name
+    # record_every defaults to one kept state per 1% of max_steps.
+    assert parsed.flow_record_every == default.flow_max_steps // 100
 
 
 # --- darboux -----------------------------------------------------------------
@@ -223,6 +242,28 @@ def test_flow_zero_hamiltonian_constant_state_converges_immediately(tmp_path):
     assert (out / "flow_trace.csv").exists()
     final = read_state(out / "flow_final.crms")
     assert np.max(np.abs(final.values - 0.4)) == 0.0
+
+
+def test_flow_divergence_in_the_step_0_diagnostics_reports_no_steps(tmp_path):
+    # The quadratic H of 1e200 overflows, so the first trace row is never written.
+    out = tmp_path / "out"
+    cfg = {
+        "n": 1,
+        "output_dir": str(out),
+        "grid": {"n1": 8, "n2": 8},
+        "hamiltonian": {"name": "quadratic"},
+        "flow": {"max_steps": 5, "initial": {"mode": "constant", "value": 1e200}},
+    }
+    code, _ = run_cli(tmp_path, "flow", cfg)
+    assert code == 3
+    assert (out / "flow_trace.csv").read_bytes() == b"step,s,action,grad_norm\r\n"
+    assert np.array_equal(read_state(out / "flow_final.crms").values, np.full((8, 8, 4), 1e200))
+    summary = read_json(out / "flow_summary.json")
+    assert summary["diverged_at_step"] == 0
+    assert summary["steps_taken"] == 0
+    assert summary["converged"] is False
+    for key in ("final_action", "final_grad_sup_norm", "final_bridges_residual_sup_norm", "fueter_residual"):
+        assert summary[key] is None, key
 
 
 def test_flow_indefinite_quadratic_diverges(tmp_path):

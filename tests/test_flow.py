@@ -1,7 +1,5 @@
 """Gradient-flow stepping, traces, and Fueter-residual diagnostics."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -335,12 +333,12 @@ def test_rk4_residual_scales_with_grid_under_coupled_steps():
     assert 2.8 < residuals[0] / residuals[1] < 5.2
 
 
-def test_trace_csv_export():
+def test_trace_csv_export(tmp_path):
     ham = make_hamiltonian("quadratic", 1)
     cfg = FlowConfig(ds=0.05 * GRID.h1, max_steps=5, grad_tolerance=1e-30)
     trace = run_flow(smooth(12), ham, TRIPLE, cfg)
-    buf = io.StringIO()
-    write_trace_csv(trace, buf)
-    lines = buf.getvalue().splitlines()
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    lines = path.read_text().splitlines()
     assert lines[0] == "step,s,action,grad_norm"
     assert len(lines) == len(trace.steps) + 1

@@ -136,8 +136,8 @@ def test_vertical_triple_equals_permutation_add(n):
         ((i, j, k), 1.0), ((j, k, i), 1.0), ((k, i, j), 1.0),
         ((i, k, j), -1.0), ((j, i, k), -1.0), ((k, j, i), -1.0),
     ):
-        expected[p, q, r] += sign * 0.7
-    broken, triple = inject_vertical_triple(form, 0.7)
+        expected[p, q, r] += sign
+    broken, triple = inject_vertical_triple(form)
     assert triple == (i, j, k)
     assert np.array_equal(broken.coeffs, expected)
 
