@@ -51,7 +51,6 @@ from .flow import (
     write_trace_csv,
 )
 from .symbols import SymbolReport, principal_symbol
-from .transition import PatchSamples, cauchy_riemann_defect, sample_patch, transition_check
 from .errors import (
     ConfigError,
     CrmsError,

@@ -110,21 +110,21 @@ def crps_darboux(pair: CrpsPair) -> np.ndarray:
         comp = _symplectic_complement(built, w1)
         if comp.shape[1] != d - len(built):
             raise DegenerateFormError("symplectic complement has unexpected dimension")
-        # Pivot: project each original basis vector into the complement and
-        # keep the candidate with the largest omega1 row (sup norm).
-        best_score, best_vec = -1.0, None
-        for i in range(d):
-            v = comp @ (comp.T @ eye[i])
-            norm = float(np.linalg.norm(v))
-            if norm < 1e-8:
-                continue
-            v = v / norm
-            score = float(np.max(np.abs(w1.T @ v)))
-            if score > best_score:
-                best_score, best_vec = score, v
-        if best_vec is None or best_score < 1e-10:
+        # Pivot: project every original basis vector into the complement at
+        # once and score it by the sup norm of its omega1 row.  Candidates
+        # within a relative TAU_ALG of the best are ties, and the lowest index
+        # wins, so roundoff does not decide between them.
+        proj = comp @ comp.T
+        norms = np.linalg.norm(proj, axis=0)
+        usable = norms >= 1e-8
+        scores = np.max(np.abs(w1.T @ (proj / np.where(usable, norms, 1.0))), axis=0)
+        scores[~usable] = -1.0
+        best_score = float(np.max(scores))
+        if best_score < 1e-10:
             raise DegenerateFormError("no usable pivot for the next quadruple")
-        a1 = best_vec
+        i = int(np.argmax(scores >= best_score * (1.0 - TAU_ALG)))
+        a1 = comp @ (comp.T @ eye[i])
+        a1 = a1 / np.linalg.norm(a1)
         a2 = i_fib @ a1
         # b1 lives in the complement and satisfies omega1(b1, a1) = 1,
         # omega1(b1, a2) = 0; the remaining normal-form pairings follow from

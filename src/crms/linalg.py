@@ -13,6 +13,7 @@ coordinates a quadruple reads (q1, q2, P1, P2).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,10 +76,19 @@ def _put_alternating(c: np.ndarray, i, j, k, v) -> None:
     c[k, j, i] = -v
 
 
+@functools.cache
+def _canonical_triples(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The index triples i<j<k of a d x d x d tensor, built once per d and read-only."""
+    r = np.arange(d)
+    triples = np.nonzero((r[:, None, None] < r[None, :, None]) & (r[None, :, None] < r[None, None, :]))
+    for t in triples:
+        t.setflags(write=False)
+    return triples
+
+
 def _alternation_from_canonical(raw: np.ndarray) -> np.ndarray:
     """Rebuild a tensor from its i<j<k entries so antisymmetry is bitwise."""
-    r = np.arange(raw.shape[0])
-    i, j, k = np.nonzero((r[:, None, None] < r[None, :, None]) & (r[None, :, None] < r[None, None, :]))
+    i, j, k = _canonical_triples(raw.shape[0])
     out = np.zeros_like(raw)
     _put_alternating(out, i, j, k, raw[i, j, k])
     return out
@@ -116,6 +126,11 @@ class AlternatingThreeForm:
         return self.coeffs.shape[0]
 
 
+# The contraction order np.einsum(optimize=True) picks for the pull-back at
+# every n = 1..8; passing it skips the path search on each call.
+_PULL_BACK_PATH = ["einsum_path", (0, 1), (0, 2), (0, 1)]
+
+
 def pull_back(form: AlternatingThreeForm, basis: np.ndarray) -> AlternatingThreeForm:
     """Pull the form back through a change of basis (columns = new frame).
 
@@ -125,7 +140,7 @@ def pull_back(form: AlternatingThreeForm, basis: np.ndarray) -> AlternatingThree
     d = form.dim
     if b.shape != (d, d):
         raise DimensionMismatchError(f"basis shape {b.shape} does not match dimension {d}")
-    raw = np.einsum("pqr,pa,qb,rc->abc", form.coeffs, b, b, b, optimize=True)
+    raw = np.einsum("pqr,pa,qb,rc->abc", form.coeffs, b, b, b, optimize=_PULL_BACK_PATH)
     return AlternatingThreeForm(_alternation_from_canonical(raw))
 
 
@@ -218,14 +233,19 @@ _W2_BLOCK = np.array(
 )
 
 
+def _block_diagonal(n: int, block: np.ndarray) -> np.ndarray:
+    """np.kron(np.eye(n), block) for a 4 x 4 block, bit for bit, from one broadcast product."""
+    return (np.eye(n)[:, None, :, None] * block[None, :, None, :]).reshape(4 * n, 4 * n)
+
+
 def fiber_complex_matrix(n: int) -> np.ndarray:
     """Standard complex structure on the 4n-dimensional fiber."""
-    return np.kron(np.eye(n), _I_BLOCK)
+    return _block_diagonal(n, _I_BLOCK)
 
 
 def standard_fiber_forms(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gram matrices of the standard fiber 2-form pair (omega1, omega2)."""
-    return np.kron(np.eye(n), _W1_BLOCK), np.kron(np.eye(n), _W2_BLOCK)
+    return _block_diagonal(n, _W1_BLOCK), _block_diagonal(n, _W2_BLOCK)
 
 
 def standard_complex_structure(n: int) -> LinearComplexStructure:

@@ -5,7 +5,8 @@ lines and timings.  Every tolerance is pinned here; the oracles (explicit
 congruences, Richardson-extrapolated differences, brute-force determinants,
 roll-based Laplacians, per-mode Fourier symbols) are implemented in this
 module, independently of the library code paths they check.  Criterion 6
-builds its states with ``momenta_from_positions`` from ``tests/oracles.py``.
+builds its states with ``momenta_from_positions`` from ``tests/oracles.py``,
+and criterion 9 checks the chart transitions with ``tests/transition.py``.
 """
 
 import math
@@ -40,8 +41,8 @@ from crms.sampling import (
     random_smooth_state,
 )
 from crms.symbols import principal_symbol
-from crms.transition import sample_patch, transition_check
 from oracles import momenta_from_positions
+from transition import sample_patch, transition_check
 
 
 class Criterion:

@@ -25,8 +25,9 @@ from crms.sampling import (
     commuting_fiber_map,
     inject_vertical_triple,
     random_crms_form,
+    random_crps_pair,
 )
-from oracles import structure_with_coupling
+from oracles import darboux_basis_by_loop, structure_with_coupling
 
 
 def normal_form_defects(pair: CrpsPair, basis: np.ndarray) -> float:
@@ -96,6 +97,27 @@ def test_pairings_by_direct_assertion():
     for i, x in enumerate(b_cols):
         for y in b_cols[i + 1 :]:
             assert x @ pair.omega1 @ y == pytest.approx(0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tied_pivots_are_stable_under_roundoff(n):
+    # The conjugated pair has pivot candidates whose scores tie in exact
+    # arithmetic (four at the first pivot), so a 1e-13 perturbation of
+    # omega1 must move the basis by roundoff only, not pick another
+    # candidate and jump by O(1).
+    for seed in range(10):
+        pair = random_crps_pair(n, np.random.default_rng(seed))
+        a = np.random.default_rng(1000 + seed).normal(size=pair.omega1.shape)
+        w1 = pair.omega1 + 1e-13 * (a - a.T)
+        nudged = CrpsPair(w1, -w1 @ pair.i_fiber, pair.i_fiber)
+        assert np.max(np.abs(crps_darboux(nudged) - crps_darboux(pair))) < 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_one_pass_pivot_equals_the_per_candidate_loop(n):
+    for seed in range(10):
+        pair = random_crps_pair(n, np.random.default_rng(300 + seed))
+        assert crps_darboux(pair).tobytes() == darboux_basis_by_loop(pair).tobytes()
 
 
 def test_degenerate_omega_is_rejected():

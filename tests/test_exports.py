@@ -9,10 +9,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "crms"
 
-# Names only the acceptance gate calls: the momentum-bundle holomorphy claim
-# (criterion 9) has an acceptance criterion but no CLI verb.
-ACCEPTANCE_ONLY = {"sample_patch", "transition_check"}
-
 
 def exported_names() -> set[str]:
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
@@ -53,9 +49,6 @@ def benchmark_words() -> set[str]:
 def test_every_export_has_a_product_caller():
     names = exported_names()
     assert {"validate_crms", "build_compatible", "run_flow"} <= names
-    assert ACCEPTANCE_ONLY <= names
     callers = package_code_names() | benchmark_words()
-    # An exempt name that gains a caller leaves the exemption.
-    assert ACCEPTANCE_ONLY.isdisjoint(callers)
-    test_only = sorted(names - ACCEPTANCE_ONLY - callers)
+    test_only = sorted(names - callers)
     assert test_only == [], f"exported but called only from tests: {test_only}"

@@ -12,7 +12,12 @@ from crms.linalg import (
     AlternatingThreeForm,
     LinearComplexStructure,
     SpdMatrix,
+    _I_BLOCK,
+    _PULL_BACK_PATH,
+    _W1_BLOCK,
+    _W2_BLOCK,
     _alternation_from_canonical,
+    _canonical_triples,
     pull_back,
     standard_complex_structure,
     standard_crms_form,
@@ -283,6 +288,45 @@ def test_pull_back_is_congruence():
     assert evaluate(pulled, u, v, w) == pytest.approx(
         evaluate(form, m @ u, m @ v, m @ w), rel=1e-12, abs=1e-12
     )
+
+
+# --- per-dimension work done once, bitwise as before --------------------------
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pull_back_path_is_the_greedy_einsum_path(n):
+    # A numpy whose optimize=True picks another order fails here, not silently.
+    d = 2 + 4 * n
+    rng = np.random.default_rng(n)
+    c, b = rng.normal(size=(d, d, d)), rng.normal(size=(d, d))
+    assert _PULL_BACK_PATH == np.einsum_path("pqr,pa,qb,rc->abc", c, b, b, b, optimize=True)[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pull_back_equals_the_optimized_einsum_bitwise(n):
+    rng = np.random.default_rng(70 + n)
+    form, _ = random_crms_form(n, rng)
+    basis = rng.normal(size=(form.dim, form.dim))
+    raw = np.einsum("pqr,pa,qb,rc->abc", form.coeffs, basis, basis, basis, optimize=True)
+    assert pull_back(form, basis).coeffs.tobytes() == _alternation_from_canonical(raw).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_standard_blocks_equal_kron_bitwise(n):
+    # Compared as integers, so a sign of zero that differs fails too.
+    w1, w2 = standard_fiber_forms(n)
+    for got, block in ((fiber_complex_matrix(n), _I_BLOCK), (w1, _W1_BLOCK), (w2, _W2_BLOCK)):
+        assert np.array_equal(got.view(np.int64), np.kron(np.eye(n), block).view(np.int64))
+
+
+def test_cached_index_triples_are_read_only():
+    triples = _canonical_triples(10)
+    assert triples is _canonical_triples(10)
+    assert len(triples[0]) == 120  # C(10, 3)
+    for t in triples:
+        assert not t.flags.writeable
+        with pytest.raises(ValueError):
+            t[0] = 0
 
 
 def test_standard_fiber_forms_pairing():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from crms.errors import DimensionMismatchError
-from crms.transition import PatchSamples, cauchy_riemann_defect, sample_patch, transition_check
+from transition import PatchSamples, cauchy_riemann_defect, sample_patch, transition_check
 
 # Dyadic spacings and origins keep the centered differences of the identity
 # map exact in floating point.

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from crms.errors import DimensionMismatchError
 
 
 @dataclass(frozen=True)
