@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .compatible import standard_triple
 from .darboux import crms_darboux, darboux_reconstruction_error
 from .errors import ConfigError, CrmsError, CrmsValidationError, FlowDivergenceError
 from .fields import (
@@ -217,8 +216,8 @@ def _check_size(cfg: ExperimentConfig, command: str) -> None:
 
     What is counted depends on the verb: the d^3 3-form (d = 4n + 2) of
     validate and darboux, the (4n)^2 symbol matrix, for gradcheck the (4n)^2
-    compatible triple or one n1 x n2 x 4n field, and for flow the triple or
-    the max_steps // record_every + 1 such fields that run_flow keeps.
+    fiber forms or one n1 x n2 x 4n field, and for flow the forms or the
+    max_steps // record_every + 1 such fields that run_flow keeps.
     """
     d = 4 * cfg.n
     field_entries = cfg.grid.n1 * cfg.grid.n2 * d
@@ -391,7 +390,6 @@ def _hamiltonian(cfg: ExperimentConfig):
 
 def cmd_flow(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     ham = _hamiltonian(cfg)
-    triple = standard_triple(cfg.n)
     ds = cfg.flow_ds
     if ds is None:
         ds = 0.5 * STABILITY_KAPPA[cfg.flow_integrator] * min(cfg.grid.h1, cfg.grid.h2)
@@ -406,7 +404,7 @@ def cmd_flow(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
 
     diverged_step = None
     try:
-        trace = run_flow(initial, ham, triple, flow_cfg)
+        trace = run_flow(initial, ham, flow_cfg)
     except FlowDivergenceError as err:
         trace = err.trace
         diverged_step = err.step
@@ -419,7 +417,7 @@ def cmd_flow(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     if diverged_step is None:
         residual = float(np.max(np.abs(bridges_residual(trace.final_state, ham))))
         if len(trace.states) >= 3:
-            fueter = fueter_residual(trace.states, flow_cfg.ds * trace.record_stride, ham, triple)
+            fueter = fueter_residual(trace.states, flow_cfg.ds * flow_cfg.record_every, ham)
     payload = {
         "command": "flow",
         "n": cfg.n,
@@ -466,10 +464,9 @@ def _richardson_directional(state: FieldState, ham, delta: np.ndarray) -> float:
 
 def cmd_gradcheck(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     ham = _hamiltonian(cfg)
-    triple = standard_triple(cfg.n)
     rng = np.random.default_rng(cfg.seed)
     state = random_smooth_state(cfg.grid, cfg.n, 0.5, rng)
-    grad = l2_gradient(state, ham, triple)
+    grad = l2_gradient(state, ham)
     # Each action value carries a roundoff error of about u |A|, which the
     # finest difference divides by its step: a direction with a tiny pairing
     # can miss a purely relative bound on roundoff alone.

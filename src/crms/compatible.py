@@ -55,10 +55,6 @@ class CompatibleTriple:
             arr.setflags(write=False)
             object.__setattr__(self, attr, arr)
 
-    @property
-    def dim(self) -> int:
-        return self.g.dim
-
 
 def build_compatible(
     omega1: np.ndarray,

@@ -5,8 +5,9 @@ complex dimension.  Spatial derivatives are centered differences, which are
 skew-adjoint for the grid inner product; that choice makes the continuum
 gradient formula J1 ∂1 Z + J2 ∂2 Z - ∇H the *exact* gradient of the discrete
 action, so the gradient check is a machine-precision test rather than an
-O(h^2) one.  The conformal factor is fixed to 1 and the connection is the
-trivial product connection.
+O(h^2) one.  The fiber structure is the standard pair (J1, J2) =
+standard_fiber_forms(n), which follows from n alone; the conformal factor is
+fixed to 1 and the connection is the trivial product connection.
 
 Grid sums use numpy's pairwise reductions, so results are deterministic for
 a fixed shape regardless of threading.
@@ -22,9 +23,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .compatible import CompatibleTriple
 from .errors import DimensionMismatchError
-from .linalg import TAU_ALG, standard_fiber_forms
+from .linalg import standard_fiber_forms
 
 GRADIENT_CHECK_TOL = 1e-5  # relative, enforced when a Hamiltonian is built
 
@@ -263,19 +263,6 @@ def _standard_forms(n: int) -> tuple[np.ndarray, np.ndarray]:
     return forms
 
 
-def _standard_pair(
-    fiber_dim: int, ham: HamiltonianSpec, triple: CompatibleTriple
-) -> tuple[np.ndarray, np.ndarray]:
-    """The triple's (J1, J2), once they are checked to be the action's standard pair."""
-    _require_fiber_match(fiber_dim, ham)
-    if triple.dim != fiber_dim:
-        raise DimensionMismatchError("compatible triple does not match the state's fiber")
-    w1, w2 = _standard_forms(fiber_dim // 4)
-    if max(np.max(np.abs(triple.j1 - w1)), np.max(np.abs(triple.j2 - w2))) > TAU_ALG:
-        raise ValueError("the action is built from the standard pair; the triple's (J1, J2) differ from it")
-    return triple.j1, triple.j2
-
-
 def action(state: FieldState, ham: HamiltonianSpec) -> float:
     """Discrete multisymplectic action h1 h2 sum[1/2 Z·(J1 ∂1 Z + J2 ∂2 Z) - H(Z)].
 
@@ -294,8 +281,8 @@ def bridges_residual(state: FieldState, ham: HamiltonianSpec) -> np.ndarray:
     """Pointwise residual of the first-order elliptic field equations.
 
     Zero exactly at critical points of the discrete action; equal to minus
-    the discrete gradient for the standard compatible triple.  Written out by
-    components, apart from _bridges_operator, as the reference for the gradient.
+    l2_gradient.  Written out by components, apart from _bridges_operator and
+    the standard pair, as the reference for the gradient.
     """
     _require_fiber_match(state.fiber_dim, ham)
     v = state.values
@@ -310,16 +297,14 @@ def bridges_residual(state: FieldState, ham: HamiltonianSpec) -> np.ndarray:
     return r
 
 
-def l2_gradient(state: FieldState, ham: HamiltonianSpec, triple: CompatibleTriple) -> np.ndarray:
+def l2_gradient(state: FieldState, ham: HamiltonianSpec) -> np.ndarray:
     """Exact gradient of the discrete action: J1 ∂1 Z + J2 ∂2 Z - ∇H(Z).
 
-    Raises ValueError unless the triple's (J1, J2) is the standard pair the
-    action is built from (within TAU_ALG): for any other triple the formula
-    is not the gradient of the action.
+    (J1, J2) = standard_fiber_forms(n), the pair the action is built from.
     """
-    j1, j2 = _standard_pair(state.fiber_dim, ham, triple)
+    _require_fiber_match(state.fiber_dim, ham)
     v = state.values
-    return _bridges_operator(v, state.grid, j1, j2) - ham.gradient(v)
+    return _bridges_operator(v, state.grid, *_standard_forms(state.n)) - ham.gradient(v)
 
 
 # ---------------------------------------------------------------------------

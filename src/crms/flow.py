@@ -25,10 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .compatible import CompatibleTriple
 from .errors import ConfigError, DimensionMismatchError, FlowDivergenceError
 from .fields import FieldState, HamiltonianSpec, TorusGrid
-from .fields import _action_value, _bridges_operator, _standard_pair
+from .fields import _action_value, _bridges_operator, _require_fiber_match, _standard_forms
+from .linalg import fiber_complex_matrix
 
 INTEGRATORS = ("explicit_euler", "rk4")
 
@@ -74,15 +74,14 @@ class FlowTrace:
 
     ``steps`` has one row (s, action, grad_norm) per evaluated state, step k
     at s = k ds; ``states`` holds the trajectory sampled every
-    ``record_stride`` steps.  For step sizes inside the stability bound the
-    action column is non-increasing up to 1e-10 (1 + |action_0|).
+    ``FlowConfig.record_every`` steps.  For step sizes inside the stability
+    bound the action column is non-increasing up to 1e-10 (1 + |action_0|).
     """
 
     steps: np.ndarray = field(repr=False)
     final_state: FieldState
     converged: bool
     states: tuple[FieldState, ...]
-    record_stride: int
 
     def __post_init__(self):
         s = np.array(self.steps, dtype=float)
@@ -109,29 +108,27 @@ def _check_finite(values: np.ndarray, step: int | None) -> None:
 def flow_step(
     state: FieldState,
     ham: HamiltonianSpec,
-    triple: CompatibleTriple,
     ds: float,
     integrator: str = "explicit_euler",
     step: int | None = None,
     *,
-    gradient: np.ndarray | None = None,
+    gradient: np.ndarray,
 ) -> FieldState:
     """One step of Z <- Z - ds grad A(Z) (Euler) or the RK4 update.
 
-    ``gradient`` is the L² gradient at ``state`` (``l2_gradient(state, ham,
-    triple)``), when the caller already has it.  The step takes its negation
-    as the first stage, so it evaluates the operator J1 ∂1 + J2 ∂2 and ∇H
-    0 times (Euler) or 3 times (RK4) instead of 1 or 4, and returns the same
-    state bitwise.
+    ``gradient`` is the L² gradient at ``state``, ``l2_gradient(state, ham)``.
+    The step takes its negation as the first stage, so it evaluates the
+    operator J1 ∂1 + J2 ∂2 and ∇H 0 times (Euler) or 3 times (RK4).
 
     Raises FlowDivergenceError when the update produces non-finite values.
     """
     if integrator not in INTEGRATORS:
         raise ConfigError(f"unknown integrator '{integrator}'")
+    _require_fiber_match(state.fiber_dim, ham)
     grid = state.grid
-    j1, j2 = _standard_pair(state.fiber_dim, ham, triple)
+    j1, j2 = _standard_forms(state.n)
     v = state.values
-    if gradient is not None and np.shape(gradient) != v.shape:
+    if np.shape(gradient) != v.shape:
         raise DimensionMismatchError(f"gradient shape {np.shape(gradient)} does not match the state {v.shape}")
 
     def rhs(values: np.ndarray) -> np.ndarray:
@@ -139,7 +136,7 @@ def flow_step(
         return -(_bridges_operator(values, grid, j1, j2) - ham.gradient(values))
 
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = rhs(v) if gradient is None else -gradient
+        k1 = -gradient
         if integrator == "explicit_euler":
             new = v + ds * k1
         else:
@@ -151,12 +148,7 @@ def flow_step(
     return state.with_values(new)
 
 
-def run_flow(
-    initial: FieldState,
-    ham: HamiltonianSpec,
-    triple: CompatibleTriple,
-    config: FlowConfig,
-) -> FlowTrace:
+def run_flow(initial: FieldState, ham: HamiltonianSpec, config: FlowConfig) -> FlowTrace:
     """Iterate flow_step until the gradient sup-norm drops below tolerance.
 
     Each state's gradient is evaluated once, for its trace row, and handed to
@@ -164,15 +156,16 @@ def run_flow(
     K + 1 times (Euler) or 4K + 1 times (RK4).
 
     Convergence certifies an approximate solution of the field equations:
-    for the standard triple the gradient equals minus the equation residual
-    pointwise.  The run converges from the strongly contracting part of the
-    stable subspace of a critical point (see the module docstring); from
-    generic data the unstable modes grow until a FlowDivergenceError is
-    raised carrying the partial trace.
+    the gradient equals minus the equation residual pointwise.  The run
+    converges from the strongly contracting part of the stable subspace of a
+    critical point (see the module docstring); from generic data the unstable
+    modes grow until a FlowDivergenceError is raised carrying the partial
+    trace.
     """
     grid = initial.grid
     config.check_stability(grid)
-    j1, j2 = _standard_pair(initial.fiber_dim, ham, triple)
+    _require_fiber_match(initial.fiber_dim, ham)
+    j1, j2 = _standard_forms(initial.n)
     state = initial
     rows: list[tuple[float, float, float]] = []
     recorded: list[FieldState] = []
@@ -197,7 +190,6 @@ def run_flow(
             final_state=state,
             converged=converged,
             states=tuple(recorded),
-            record_stride=config.record_every,
         )
 
     try:
@@ -205,7 +197,7 @@ def run_flow(
         for k in range(config.max_steps):
             if gnorm < config.grad_tolerance:
                 break
-            state = flow_step(state, ham, triple, config.ds, config.integrator, step=k, gradient=grad)
+            state = flow_step(state, ham, config.ds, config.integrator, step=k, gradient=grad)
             gnorm, grad = observe(k + 1, state)
     except FlowDivergenceError as err:
         raise FlowDivergenceError(str(err), step=err.step, trace=trace(False)) from None
@@ -216,14 +208,13 @@ def fueter_residual(
     trajectory: list[FieldState] | tuple[FieldState, ...],
     ds: float,
     ham: HamiltonianSpec,
-    triple: CompatibleTriple,
 ) -> float:
     """Sup-norm defect of a trajectory as a discrete Fueter curve.
 
     Evaluates I ∂s Z + I J1 ∂1 Z + I J2 ∂2 Z - I ∇H(Z) with a centered
     difference in s at the interior trajectory points; small values certify
     the trajectory solves the three-direction Cauchy-Riemann system.  The
-    gradient at each point is l2_gradient's, with the triple checked once.
+    gradient at each point is l2_gradient's, and I = fiber_complex_matrix(n).
 
     Raises DimensionMismatchError unless every state has the first state's
     grid and shape.
@@ -236,9 +227,10 @@ def fueter_residual(
     grid, shape = states[0].grid, states[0].values.shape
     if any(st.grid != grid or st.values.shape != shape for st in states):
         raise DimensionMismatchError("trajectory states differ in grid or shape")
-    j1, j2 = _standard_pair(shape[2], ham, triple)
+    _require_fiber_match(shape[2], ham)
+    j1, j2 = _standard_forms(states[0].n)
+    i_fib = fiber_complex_matrix(states[0].n)
     worst = 0.0
-    i_fib = triple.i_fiber
     for k in range(1, len(states) - 1):
         v = states[k].values
         dzds = (states[k + 1].values - states[k - 1].values) / (2.0 * ds)

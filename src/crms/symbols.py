@@ -2,9 +2,11 @@
 
 Replacing each partial derivative by a covector component and dropping the
 zero-order Hamiltonian terms turns the operators into matrices.  The
-regularized (Bridges) operator is elliptic: its symbol is invertible with
-|det| = |xi|^(4n).  The general (De Donder-Weyl) operator is not: its symbol
-has an n-dimensional kernel for every nonzero covector.
+regularized (Bridges) operator, the residual -(J1 ∂1 + J2 ∂2) of the field
+equations, has the symbol -(xi1 J1 + xi2 J2) for the standard pair
+(J1, J2) = standard_fiber_forms(n); it is elliptic: the symbol is invertible
+with |det| = |xi|^(4n).  The general (De Donder-Weyl) operator is not: its
+symbol has an n-dimensional kernel for every nonzero covector.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError
+from .linalg import standard_fiber_forms
 
 OPERATOR_TAGS = ("DDW", "Bridges")
 
@@ -30,18 +33,6 @@ class SymbolReport:
         a = np.array(self.symbol_matrix, dtype=float)
         a.setflags(write=False)
         object.__setattr__(self, "symbol_matrix", a)
-
-
-def _bridges_block(x1: float, x2: float) -> np.ndarray:
-    # Rows (r_q1, r_q2, r_P1, r_P2), columns (q1, q2, P1, P2).
-    return np.array(
-        [
-            [0.0, 0.0, x1, -x2],
-            [0.0, 0.0, x2, x1],
-            [-x1, -x2, 0.0, 0.0],
-            [x2, -x1, 0.0, 0.0],
-        ]
-    )
 
 
 def _ddw_block(x1: float, x2: float) -> np.ndarray:
@@ -73,8 +64,11 @@ def principal_symbol(operator_tag: str, xi: np.ndarray, n: int) -> SymbolReport:
         raise ValueError("covector must be nonzero")
     if n < 1:
         raise ValueError("n must be positive")
-    block = _bridges_block(*xi) if operator_tag == "Bridges" else _ddw_block(*xi)
-    matrix = np.kron(np.eye(n), block)
+    if operator_tag == "Bridges":
+        w1, w2 = standard_fiber_forms(n)
+        matrix = -(xi[0] * w1 + xi[1] * w2)
+    else:
+        matrix = np.kron(np.eye(n), _ddw_block(*xi))
     sv = np.linalg.svd(matrix, compute_uv=False)
     kernel_dim = int(np.sum(sv < _KERNEL_REL_TOL * sv[0])) if sv[0] > 0.0 else matrix.shape[0]
     return SymbolReport(

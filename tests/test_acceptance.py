@@ -174,14 +174,13 @@ def test_criterion_4_exact_discrete_gradient():
         worst = 0.0
         worst_ratio = 0.0
         for n in (1, 2):
-            triple = standard_triple(n)
             for name in ("zero", "quadratic", "quartic", "cosine"):
                 ham = make_hamiltonian(name, n, {"lambda": 0.6})
                 # Seeded from the name's bytes: hash() of a str changes with
                 # PYTHONHASHSEED, and so would the directions drawn.
                 rng = np.random.default_rng([n, *name.encode()])
                 state = random_smooth_state(grid, n, 0.4, rng)
-                grad = l2_gradient(state, ham, triple)
+                grad = l2_gradient(state, ham)
                 # Roundoff floor of the oracle: each action carries an absolute
                 # error of about u |A|, which the finest difference divides by
                 # its step 1e-5.  With the cosine Hamiltonian |A| is 50-100, so
@@ -226,7 +225,7 @@ def test_criterion_6_laplace_recovery():
             name, lam = cases[trial % 2]
             ham = make_hamiltonian(name, 1, {"lambda": lam})
             state = momenta_from_positions(random_smooth_state(grid, 1, 1.0, rng))
-            grad = l2_gradient(state, ham, standard_triple(1))
+            grad = l2_gradient(state, ham)
             for comp in (0, 1):
                 q = state.values[..., comp]
                 # Independent wide-stencil Laplacian (composed centered differences).
@@ -271,7 +270,7 @@ def test_criterion_7_flow_convergence():
         symbol = _quadratic_symbol(grid, triple, lam)
         noise = np.random.default_rng(7).normal(size=(grid.n1, grid.n2, 4))
         noise_hat = np.fft.fft2(noise, axes=(0, 1))[..., None]
-        grad_hat = np.fft.fft2(l2_gradient(FieldState(grid, noise), ham, triple), axes=(0, 1))
+        grad_hat = np.fft.fft2(l2_gradient(FieldState(grid, noise), ham), axes=(0, 1))
         gap = float(np.max(np.abs((symbol @ noise_hat)[..., 0] - grad_hat)))
         c.check(gap < 1e-12 * float(np.max(np.abs(grad_hat))),
                 f"Fourier symbol disagrees with l2_gradient by {gap:.3e}")
@@ -296,7 +295,7 @@ def test_criterion_7_flow_convergence():
         stable = np.fft.ifft2(stable_hat[..., 0], axes=(0, 1)).real
         initial = FieldState(grid, amplitude * stable / np.max(np.abs(stable)))
 
-        trace = run_flow(initial, ham, triple, cfg)
+        trace = run_flow(initial, ham, cfg)
         final = trace.final_state
         residual = float(np.max(np.abs(bridges_residual(final, ham))))
         c.check(_monotone(trace.actions),
@@ -307,7 +306,7 @@ def test_criterion_7_flow_convergence():
         # The limit is the zero section: on the stable subspace |A Z| >= mu0 |Z|
         # in the grid L2 norm.
         z_norm = math.sqrt(grid.cell_area * np.sum(final.values**2))
-        grad_norm = math.sqrt(grid.cell_area * np.sum(l2_gradient(final, ham, triple) ** 2))
+        grad_norm = math.sqrt(grid.cell_area * np.sum(l2_gradient(final, ham) ** 2))
         c.check(z_norm <= grad_norm / mu0,
                 f"final |Z| = {z_norm:.3e} exceeds |grad| / mu0 = {grad_norm / mu0:.3e}")
 
@@ -316,7 +315,7 @@ def test_criterion_7_flow_convergence():
         generic = random_smooth_state(grid, 1, amplitude, np.random.default_rng(7))
         diverged_at = None
         try:
-            run_flow(generic, ham, triple, cfg)
+            run_flow(generic, ham, cfg)
         except FlowDivergenceError as err:
             diverged_at = err.step
             prefix = err.trace
@@ -334,7 +333,6 @@ def test_criterion_7_flow_convergence():
 def test_criterion_8_fueter_residual_convergence_order():
     with Criterion(8, "Fueter-residual convergence order", budget_s=120.0) as c:
         ham = make_hamiltonian("quadratic", 1, {"lambda": 1.0})
-        triple = standard_triple(1)
 
         # Euler: first order in ds at fixed grid.
         grid = TorusGrid(32, 32)
@@ -343,8 +341,8 @@ def test_criterion_8_fueter_residual_convergence_order():
         for ds in (0.02, 0.01, 0.005):
             cfg = FlowConfig(ds=ds, max_steps=int(round(0.4 / ds)), grad_tolerance=1e-30,
                              record_every=1)
-            trace = run_flow(init, ham, triple, cfg)
-            euler_res.append(fueter_residual(trace.states, ds, ham, triple))
+            trace = run_flow(init, ham, cfg)
+            euler_res.append(fueter_residual(trace.states, ds, ham))
         ratios = [b / a for a, b in zip(euler_res, euler_res[1:])]
         for r in ratios:
             c.check(0.4 < r < 0.6, f"Euler halving ratio {r:.3f} outside [0.4, 0.6]")
@@ -358,8 +356,8 @@ def test_criterion_8_fueter_residual_convergence_order():
             ds = 0.1 * g.h1
             cfg = FlowConfig(ds=ds, max_steps=int(round(0.4 / ds)), grad_tolerance=1e-30,
                              integrator="rk4", record_every=1)
-            trace = run_flow(init, ham, triple, cfg)
-            rk4_res.append(fueter_residual(trace.states, ds, ham, triple))
+            trace = run_flow(init, ham, cfg)
+            rk4_res.append(fueter_residual(trace.states, ds, ham))
         rk4_ratio = rk4_res[0] / rk4_res[1]
         c.check(2.8 < rk4_ratio < 5.2, f"RK4 grid-doubling ratio {rk4_ratio:.3f} outside [2.8, 5.2]")
         c.detail = f"Euler ratios {[f'{r:.3f}' for r in ratios]}, RK4 ratio {rk4_ratio:.3f}"

@@ -11,7 +11,7 @@ from crms.sampling import compatible_reference, random_crps_pair
 
 
 def triple_invariant_defect(triple, omega1, omega2) -> float:
-    d = triple.dim
+    d = triple.g.dim
     eye = np.eye(d)
     return max(
         float(np.max(np.abs(triple.j1 @ triple.j1 + eye))),
@@ -24,12 +24,16 @@ def triple_invariant_defect(triple, omega1, omega2) -> float:
 
 
 def test_standard_pair_gives_identity_metric():
-    triple = standard_triple(1)
-    w1, w2 = standard_fiber_forms(1)
-    assert np.max(np.abs(triple.g.matrix - np.eye(4))) < 1e-12
-    assert np.max(np.abs(triple.b.matrix - np.eye(4))) < 1e-12
-    assert np.max(np.abs(triple.j1 - w1)) < 1e-12
-    assert np.max(np.abs(triple.j2 - w2)) < 1e-12
+    # The field layer reads (J1, J2) = standard_fiber_forms(n) and I =
+    # fiber_complex_matrix(n) directly: they must be the standard triple's.
+    for n in range(1, 9):
+        triple = standard_triple(n)
+        w1, w2 = standard_fiber_forms(n)
+        assert np.max(np.abs(triple.g.matrix - np.eye(4 * n))) < 1e-12
+        assert np.max(np.abs(triple.b.matrix - np.eye(4 * n))) < 1e-12
+        assert np.array_equal(triple.j1, w1)
+        assert np.array_equal(triple.j2, w2)
+        assert np.array_equal(triple.i_fiber, fiber_complex_matrix(n))
 
 
 def test_scaling_moves_into_the_metric():

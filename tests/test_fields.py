@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from crms.compatible import build_compatible, standard_triple
 from crms.errors import DimensionMismatchError
 from crms.fields import (
     BUILTIN_HAMILTONIANS,
@@ -20,7 +19,7 @@ from crms.fields import (
     read_state,
     write_state,
 )
-from crms.sampling import random_crps_pair, random_smooth_state
+from crms.sampling import random_smooth_state
 from oracles import momenta_from_positions
 
 
@@ -237,14 +236,14 @@ def test_bridges_momentum_block_vanishes_after_elimination():
 def test_gradient_zero_for_constant_state_zero_hamiltonian():
     grid = TorusGrid(8, 8)
     state = FieldState(grid, np.full((8, 8, 4), 0.4))
-    g = l2_gradient(state, make_hamiltonian("zero", 1), standard_triple(1))
+    g = l2_gradient(state, make_hamiltonian("zero", 1))
     assert np.max(np.abs(g)) == 0.0
 
 
 def test_gradient_nonzero_off_criticality():
     grid = TorusGrid(8, 8)
     state = random_state(grid, 1, seed=101, scale=0.5)
-    g = l2_gradient(state, make_hamiltonian("quadratic", 1), standard_triple(1))
+    g = l2_gradient(state, make_hamiltonian("quadratic", 1))
     assert grid.cell_area * np.sum(g * g) > 0.0
 
 
@@ -252,20 +251,9 @@ def test_gradient_is_minus_bridges_residual():
     grid = TorusGrid(16, 16)
     state = random_state(grid, 2, seed=103)
     ham = make_hamiltonian("quartic", 2, {"lambda": 0.3})
-    g = l2_gradient(state, ham, standard_triple(2))
+    g = l2_gradient(state, ham)
     r = bridges_residual(state, ham)
     assert np.max(np.abs(g + r)) < 1e-13
-
-
-def test_gradient_rejects_a_triple_the_action_is_not_built_from():
-    # The action uses the standard pair; a compatible triple of another CRPS
-    # pair gives a J1 ∂1 Z + J2 ∂2 Z - ∇H that is not its gradient.
-    grid = TorusGrid(8, 8)
-    state = random_state(grid, 2, seed=131)
-    pair = random_crps_pair(2, np.random.default_rng(137))
-    triple = build_compatible(pair.omega1, pair.omega2, pair.i_fiber)
-    with pytest.raises(ValueError, match="standard pair"):
-        l2_gradient(state, make_hamiltonian("quadratic", 2), triple)
 
 
 def richardson_directional(state: FieldState, ham, delta: np.ndarray) -> float:
@@ -282,8 +270,7 @@ def test_gradient_matches_richardson_differences():
     grid = TorusGrid(16, 16)
     state = random_state(grid, 1, seed=107, scale=0.6)
     ham = make_hamiltonian("quartic", 1, {"lambda": 0.5})
-    triple = standard_triple(1)
-    g = l2_gradient(state, ham, triple)
+    g = l2_gradient(state, ham)
     rng = np.random.default_rng(109)
     for _ in range(5):
         delta = rng.normal(size=state.values.shape)

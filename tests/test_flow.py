@@ -14,7 +14,6 @@ from crms.sampling import random_smooth_state
 
 
 GRID = TorusGrid(16, 16)
-TRIPLE = standard_triple(1)
 
 
 def smooth(seed: int, amplitude: float = 0.1, grid: TorusGrid = GRID, n: int = 1) -> FieldState:
@@ -46,7 +45,7 @@ def test_stability_bound_rejects_large_steps():
 def test_critical_state_is_a_fixed_point():
     ham = make_hamiltonian("quadratic", 1)
     state = FieldState(GRID, np.zeros((16, 16, 4)))
-    stepped = flow_step(state, ham, TRIPLE, ds=0.01)
+    stepped = flow_step(state, ham, ds=0.01, gradient=l2_gradient(state, ham))
     assert np.array_equal(stepped.values, state.values)
 
 
@@ -54,8 +53,9 @@ def test_euler_step_matches_definition():
     ham = make_hamiltonian("quartic", 1, {"lambda": 0.4})
     state = smooth(1)
     ds = 0.01
-    stepped = flow_step(state, ham, TRIPLE, ds=ds, integrator="explicit_euler")
-    expected = state.values - ds * l2_gradient(state, ham, TRIPLE)
+    gradient = l2_gradient(state, ham)
+    stepped = flow_step(state, ham, ds=ds, integrator="explicit_euler", gradient=gradient)
+    expected = state.values - ds * gradient
     assert np.array_equal(stepped.values, expected)
 
 
@@ -63,7 +63,7 @@ def test_small_step_decreases_the_action():
     ham = make_hamiltonian("quadratic", 1)
     state = smooth(2)
     ds = 0.1 * GRID.h1
-    stepped = flow_step(state, ham, TRIPLE, ds=ds)
+    stepped = flow_step(state, ham, ds=ds, gradient=l2_gradient(state, ham))
     assert action(stepped, ham) < action(state, ham)
 
 
@@ -71,8 +71,9 @@ def test_rk4_step_differs_from_euler_at_higher_order():
     ham = make_hamiltonian("quadratic", 1)
     state = smooth(3)
     ds = 0.02
-    euler = flow_step(state, ham, TRIPLE, ds=ds, integrator="explicit_euler")
-    rk4 = flow_step(state, ham, TRIPLE, ds=ds, integrator="rk4")
+    gradient = l2_gradient(state, ham)
+    euler = flow_step(state, ham, ds=ds, integrator="explicit_euler", gradient=gradient)
+    rk4 = flow_step(state, ham, ds=ds, integrator="rk4", gradient=gradient)
     gap = np.max(np.abs(euler.values - rk4.values))
     assert 0.0 < gap < ds * ds
 
@@ -82,8 +83,10 @@ def test_divergent_values_raise(integrator):
     # The cubic gradient of the quartic term overflows at this magnitude.
     ham = make_hamiltonian("quartic", 1)
     huge = FieldState(GRID, np.full((16, 16, 4), 1e200))
+    with np.errstate(over="ignore"):
+        gradient = l2_gradient(huge, ham)
     with pytest.raises(FlowDivergenceError):
-        flow_step(huge, ham, TRIPLE, ds=0.01, integrator=integrator, step=7)
+        flow_step(huge, ham, ds=0.01, integrator=integrator, step=7, gradient=gradient)
 
 
 # --- run_flow ----------------------------------------------------------------
@@ -92,7 +95,7 @@ def test_divergent_values_raise(integrator):
 def test_critical_initial_converges_at_step_zero():
     ham = make_hamiltonian("zero", 1)
     state = FieldState(GRID, np.full((16, 16, 4), 0.25))
-    trace = run_flow(state, ham, TRIPLE, FlowConfig(ds=0.01, max_steps=50))
+    trace = run_flow(state, ham, FlowConfig(ds=0.01, max_steps=50))
     assert trace.converged
     assert len(trace.steps) == 1
     assert trace.grad_norms[0] == 0.0
@@ -109,7 +112,7 @@ def test_monotone_descent_on_seeded_runs():
     for name, lam, seed, ds, steps in cases:
         ham = make_hamiltonian(name, 1, {"lambda": lam})
         cfg = FlowConfig(ds=ds, max_steps=steps, grad_tolerance=1e-30)
-        trace = run_flow(smooth(seed, amplitude=0.05), ham, TRIPLE, cfg)
+        trace = run_flow(smooth(seed, amplitude=0.05), ham, cfg)
         a = trace.actions
         assert np.all(np.diff(a) <= 1e-12 * (1.0 + np.abs(a[:-1])))
 
@@ -119,10 +122,10 @@ def test_energy_identity_at_half_stability_bound():
     ham = make_hamiltonian("quadratic", 1)
     ds = 0.5 * 0.2 * GRID.h1
     cfg = FlowConfig(ds=ds, max_steps=150, grad_tolerance=1e-30, record_every=1)
-    trace = run_flow(smooth(7), ham, TRIPLE, cfg)
+    trace = run_flow(smooth(7), ham, cfg)
     dissipated = 0.0
     for state in trace.states[:-1]:
-        g = l2_gradient(state, ham, TRIPLE)
+        g = l2_gradient(state, ham)
         dissipated += GRID.cell_area * float(np.sum(g * g))
     drop = trace.actions[0] - trace.actions[-1]
     assert drop >= (1.0 - 0.2) * ds * dissipated
@@ -134,7 +137,7 @@ def test_indefinite_action_makes_long_runs_diverge():
     ham = make_hamiltonian("quadratic", 1)
     cfg = FlowConfig(ds=0.2 * GRID.h1, max_steps=50_000, grad_tolerance=1e-8)
     with pytest.raises(FlowDivergenceError) as excinfo:
-        run_flow(smooth(8), ham, TRIPLE, cfg)
+        run_flow(smooth(8), ham, cfg)
     err = excinfo.value
     assert err.step is not None and err.step > 10
     assert err.trace is not None
@@ -151,7 +154,7 @@ def test_rk4_stage_overflow_is_a_divergence():
     ham = make_hamiltonian("quartic", 1, {"lambda": 0.6})
     cfg = FlowConfig(ds=0.25 * min(grid.h1, grid.h2), max_steps=40, integrator="rk4")
     with pytest.raises(FlowDivergenceError) as excinfo:
-        run_flow(smooth(5, grid=grid), ham, TRIPLE, cfg)
+        run_flow(smooth(5, grid=grid), ham, cfg)
     err = excinfo.value
     assert err.step == 17
     assert len(err.trace.steps) == 18
@@ -166,15 +169,15 @@ def test_run_flow_matches_a_loop_over_flow_step(n, integrator, record_every):
     # run_flow's rows, recorded states and final state are exactly those of
     # a plain loop over the public flow_step, l2_gradient and action.
     ham = make_hamiltonian("cosine", n, {"lambda": 0.5})
-    triple = standard_triple(n)
     ds = 0.5 * STABILITY_KAPPA[integrator] * GRID.h1
     cfg = FlowConfig(ds=ds, max_steps=10, grad_tolerance=1e-30, integrator=integrator,
                      record_every=record_every)
     states = [smooth(13, n=n)]
-    trace = run_flow(states[0], ham, triple, cfg)
+    trace = run_flow(states[0], ham, cfg)
     for k in range(cfg.max_steps):
-        states.append(flow_step(states[-1], ham, triple, ds, integrator, step=k))
-    rows = [(k * ds, action(st, ham), float(np.max(np.abs(l2_gradient(st, ham, triple)))))
+        gradient = l2_gradient(states[-1], ham)
+        states.append(flow_step(states[-1], ham, ds, integrator, step=k, gradient=gradient))
+    rows = [(k * ds, action(st, ham), float(np.max(np.abs(l2_gradient(st, ham)))))
             for k, st in enumerate(states)]
     assert np.array_equal(trace.steps, np.array(rows))
     recorded = states[::record_every]
@@ -186,15 +189,24 @@ def test_run_flow_matches_a_loop_over_flow_step(n, integrator, record_every):
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("integrator", ["explicit_euler", "rk4"])
 def test_flow_step_with_the_known_gradient_is_bitwise_the_same(n, integrator):
+    # The given gradient is the first stage: the step is the Euler or RK4
+    # update written out with the public l2_gradient, bit for bit.
     ham = make_hamiltonian("cosine", n, {"lambda": 0.5})
-    triple = standard_triple(n)
     state = smooth(21, amplitude=0.3, n=n)
     ds = 0.5 * STABILITY_KAPPA[integrator] * GRID.h1
-    gradient = l2_gradient(state, ham, triple)
-    given = flow_step(state, ham, triple, ds, integrator, gradient=gradient)
-    assert np.array_equal(given.values, flow_step(state, ham, triple, ds, integrator).values)
+    gradient = l2_gradient(state, ham)
+    v = state.values
+    k1 = -gradient
+    if integrator == "explicit_euler":
+        expected = v + ds * k1
+    else:
+        k2 = -l2_gradient(state.with_values(v + 0.5 * ds * k1), ham)
+        k3 = -l2_gradient(state.with_values(v + 0.5 * ds * k2), ham)
+        k4 = -l2_gradient(state.with_values(v + ds * k3), ham)
+        expected = v + (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    assert np.array_equal(flow_step(state, ham, ds, integrator, gradient=gradient).values, expected)
     with pytest.raises(DimensionMismatchError):
-        flow_step(state, ham, triple, ds, integrator, gradient=gradient[:-1])
+        flow_step(state, ham, ds, integrator, gradient=gradient[:-1])
 
 
 @pytest.mark.parametrize("integrator, per_step", [("explicit_euler", 1), ("rk4", 4)])
@@ -210,9 +222,24 @@ def test_run_flow_evaluates_the_operator_once_per_stage(monkeypatch, integrator,
     steps = 6
     cfg = FlowConfig(ds=0.25 * STABILITY_KAPPA[integrator] * GRID.h1, max_steps=steps,
                      grad_tolerance=1e-30, integrator=integrator)
-    trace = run_flow(smooth(4), make_hamiltonian("cosine", 1), TRIPLE, cfg)
+    trace = run_flow(smooth(4), make_hamiltonian("cosine", 1), cfg)
     assert len(trace.steps) == steps + 1
     assert len(calls) == per_step * steps + 1
+
+
+def test_every_field_entry_rejects_a_hamiltonian_of_another_fiber():
+    state = smooth(3, n=2)
+    ham = make_hamiltonian("quadratic", 1)
+    calls = (
+        lambda: action(state, ham),
+        lambda: l2_gradient(state, ham),
+        lambda: flow_step(state, ham, 0.01, gradient=np.zeros_like(state.values)),
+        lambda: run_flow(state, ham, FlowConfig(ds=0.01, max_steps=1)),
+        lambda: fueter_residual([state] * 3, 0.01, ham),
+    )
+    for call in calls:
+        with pytest.raises(DimensionMismatchError, match="Hamiltonian fiber dimension"):
+            call()
 
 
 def test_standard_forms_are_cached_read_only_and_the_public_forms_fresh():
@@ -232,7 +259,7 @@ def test_fixed_point_soundness_of_converged_traces():
     ham = make_hamiltonian("zero", 1)
     state = FieldState(GRID, np.full((16, 16, 4), 0.25))
     tol = 1e-8
-    trace = run_flow(state, ham, TRIPLE, FlowConfig(ds=0.01, max_steps=10, grad_tolerance=tol))
+    trace = run_flow(state, ham, FlowConfig(ds=0.01, max_steps=10, grad_tolerance=tol))
     assert trace.converged
     residual = float(np.max(np.abs(bridges_residual(trace.final_state, ham))))
     assert residual < 10.0 * tol
@@ -241,8 +268,8 @@ def test_fixed_point_soundness_of_converged_traces():
 def test_determinism_of_traces():
     ham = make_hamiltonian("quartic", 1, {"lambda": 0.2})
     cfg = FlowConfig(ds=0.02 * GRID.h1, max_steps=40, grad_tolerance=1e-30)
-    t1 = run_flow(smooth(9), ham, TRIPLE, cfg)
-    t2 = run_flow(smooth(9), ham, TRIPLE, cfg)
+    t1 = run_flow(smooth(9), ham, cfg)
+    t2 = run_flow(smooth(9), ham, cfg)
     assert np.array_equal(t1.steps, t2.steps)
     assert np.array_equal(t1.final_state.values, t2.final_state.values)
 
@@ -253,14 +280,14 @@ def test_determinism_of_traces():
 def test_constant_trajectory_at_critical_point_has_zero_residual():
     ham = make_hamiltonian("quadratic", 1)
     state = FieldState(GRID, np.zeros((16, 16, 4)))
-    residual = fueter_residual([state, state, state], 0.01, ham, TRIPLE)
+    residual = fueter_residual([state, state, state], 0.01, ham)
     assert residual == 0.0
 
 
 def test_short_trajectory_rejected():
     state = FieldState(GRID, np.zeros((16, 16, 4)))
     with pytest.raises(ValueError):
-        fueter_residual([state, state], 0.01, make_hamiltonian("zero", 1), TRIPLE)
+        fueter_residual([state, state], 0.01, make_hamiltonian("zero", 1))
 
 
 @pytest.mark.parametrize(
@@ -277,15 +304,15 @@ def test_mixed_trajectory_rejected(other):
     ham = make_hamiltonian("quadratic", 1)
     for trajectory in ([state, odd, state], [state, state, odd], [odd, state, state]):
         with pytest.raises(DimensionMismatchError):
-            fueter_residual(trajectory, 0.01, ham, TRIPLE)
+            fueter_residual(trajectory, 0.01, ham)
 
 
-def per_state_fueter_residual(states, ds, ham, triple) -> float:
+def per_state_fueter_residual(states, ds, ham, i_fiber) -> float:
     # The residual with one l2_gradient call per interior state.
     worst = 0.0
     for k in range(1, len(states) - 1):
         dzds = (states[k + 1].values - states[k - 1].values) / (2.0 * ds)
-        residual = (dzds + l2_gradient(states[k], ham, triple)) @ triple.i_fiber.T
+        residual = (dzds + l2_gradient(states[k], ham)) @ i_fiber.T
         worst = max(worst, float(np.max(np.abs(residual))))
     return worst
 
@@ -295,14 +322,14 @@ def per_state_fueter_residual(states, ds, ham, triple) -> float:
 def test_fueter_residual_equals_the_per_state_loop_bitwise(integrator, record_every):
     grid = TorusGrid(17, 12, l1=3.0, l2=2.0)
     ham = make_hamiltonian("cosine", 2, {"lambda": 0.6})
-    triple = standard_triple(2)
     ds = 0.5 * STABILITY_KAPPA[integrator] * min(grid.h1, grid.h2)
     cfg = FlowConfig(ds=ds, max_steps=9, grad_tolerance=1e-30, integrator=integrator, record_every=record_every)
-    trace = run_flow(smooth(21, amplitude=0.3, grid=grid, n=2), ham, triple, cfg)
-    stride_ds = ds * trace.record_stride
-    expected = per_state_fueter_residual(trace.states, stride_ds, ham, triple)
+    trace = run_flow(smooth(21, amplitude=0.3, grid=grid, n=2), ham, cfg)
+    stride_ds = ds * record_every
+    # The compatible triple's I, built apart from the forms fueter_residual reads.
+    expected = per_state_fueter_residual(trace.states, stride_ds, ham, standard_triple(2).i_fiber)
     assert expected > 0.0
-    assert fueter_residual(trace.states, stride_ds, ham, triple) == expected
+    assert fueter_residual(trace.states, stride_ds, ham) == expected
 
 
 def test_euler_residual_is_first_order_in_ds():
@@ -311,8 +338,8 @@ def test_euler_residual_is_first_order_in_ds():
     residuals = []
     for ds in (0.02, 0.01, 0.005):
         cfg = FlowConfig(ds=ds, max_steps=int(round(0.4 / ds)), grad_tolerance=1e-30, record_every=1)
-        trace = run_flow(init, ham, TRIPLE, cfg)
-        residuals.append(fueter_residual(trace.states, ds, ham, TRIPLE))
+        trace = run_flow(init, ham, cfg)
+        residuals.append(fueter_residual(trace.states, ds, ham))
     for coarse, fine in zip(residuals, residuals[1:]):
         assert 0.4 < fine / coarse < 0.6
 
@@ -328,15 +355,15 @@ def test_rk4_residual_scales_with_grid_under_coupled_steps():
         ds = 0.1 * grid.h1
         cfg = FlowConfig(ds=ds, max_steps=int(round(0.4 / ds)), grad_tolerance=1e-30,
                          integrator="rk4", record_every=1)
-        trace = run_flow(init, ham, TRIPLE, cfg)
-        residuals.append(fueter_residual(trace.states, ds, ham, TRIPLE))
+        trace = run_flow(init, ham, cfg)
+        residuals.append(fueter_residual(trace.states, ds, ham))
     assert 2.8 < residuals[0] / residuals[1] < 5.2
 
 
 def test_trace_csv_export(tmp_path):
     ham = make_hamiltonian("quadratic", 1)
     cfg = FlowConfig(ds=0.05 * GRID.h1, max_steps=5, grad_tolerance=1e-30)
-    trace = run_flow(smooth(12), ham, TRIPLE, cfg)
+    trace = run_flow(smooth(12), ham, cfg)
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
     lines = path.read_text().splitlines()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from crms.errors import DimensionMismatchError
+from crms.fields import FieldState, TorusGrid, bridges_residual, make_hamiltonian
 from crms.symbols import principal_symbol
 
 
@@ -34,6 +35,24 @@ def test_bridges_determinant_formula():
         report = principal_symbol("Bridges", np.array([a, b]), 1)
         assert abs(abs(report.determinant) - (a * a + b * b) ** 2) < 1e-10 * max(1.0, (a * a + b * b) ** 2)
         assert abs(report.determinant - brute_force_det(report.symbol_matrix)) < 1e-10
+
+
+@pytest.mark.parametrize("size", [9, 16])
+@pytest.mark.parametrize("n", [1, 2])
+def test_bridges_symbol_is_that_of_the_field_residual(size, n):
+    # The centred difference maps cos(k·x) to -sin(k·x) s with
+    # s_j = sin(k_j h_j) / h_j, so on Z = cos(k·x) v the written-out residual
+    # (H = 0) is -sin(k·x) times the Bridges symbol at s applied to v.
+    grid = TorusGrid(size, size)
+    x1, x2 = grid.coordinates()
+    v = np.random.default_rng([size, n]).normal(size=4 * n)
+    for k in ((1, 0), (0, 2), (3, -1)):
+        phase = k[0] * x1 + k[1] * x2
+        s = np.array([np.sin(k[0] * grid.h1) / grid.h1, np.sin(k[1] * grid.h2) / grid.h2])
+        state = FieldState(grid, np.cos(phase)[..., None] * v)
+        expected = -np.sin(phase)[..., None] * (principal_symbol("Bridges", s, n).symbol_matrix @ v)
+        residual = bridges_residual(state, make_hamiltonian("zero", n))
+        assert np.max(np.abs(residual - expected)) < 1e-12
 
 
 def test_ddw_symbol_kernel_is_the_transverse_momentum():
