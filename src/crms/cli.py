@@ -33,7 +33,7 @@ from .fields import (
     read_state,
     write_state,
 )
-from .flow import STABILITY_KAPPA, FlowConfig, fueter_residual, run_flow, write_trace_csv
+from .flow import INTEGRATORS, STABILITY_KAPPA, FlowConfig, fueter_residual, run_flow, write_trace_csv
 from .linalg import standard_complex_structure, standard_crms_form, validate_crms
 from .sampling import (
     break_i_compatibility,
@@ -50,7 +50,12 @@ EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
 FORM_SOURCES = ("standard", "standard_plus_nu", "seeded_random_conjugate")
-FORM_INJECTIONS = ("vertical_triple", "drop_block", "break_compatibility")
+# Each injection breaks the form the configured source built.
+FORM_INJECTIONS = {
+    "vertical_triple": inject_vertical_triple,
+    "drop_block": drop_quadruple_block,
+    "break_compatibility": break_i_compatibility,
+}
 INITIAL_MODES = ("random_smooth", "constant", "file")
 
 # Float entries a run may hold in its largest array, or for flow in its kept
@@ -175,6 +180,8 @@ def parse_config(raw: dict, command: str) -> ExperimentConfig:
     cfg.flow_max_steps = _expect(flow, "max_steps", int, cfg.flow_max_steps)
     cfg.flow_tolerance = _expect(flow, "tolerance", float, cfg.flow_tolerance)
     cfg.flow_integrator = _expect(flow, "integrator", str, cfg.flow_integrator)
+    if cfg.flow_integrator not in INTEGRATORS:
+        raise ConfigError(f"flow integrator must be one of {INTEGRATORS}")
     cfg.flow_record_every = _expect(flow, "record_every", int, max(1, cfg.flow_max_steps // 100))
     initial = _section(flow, "flow.initial", ("mode", "amplitude", "value", "path"))
     cfg.initial_mode = _expect(initial, "mode", str, cfg.initial_mode)
@@ -190,7 +197,7 @@ def parse_config(raw: dict, command: str) -> ExperimentConfig:
         raise ConfigError(f"form source must be one of {FORM_SOURCES}")
     cfg.form_inject = _expect(form, "inject", str, cfg.form_inject)
     if cfg.form_inject is not None and cfg.form_inject not in FORM_INJECTIONS:
-        raise ConfigError(f"form injection must be one of {FORM_INJECTIONS}")
+        raise ConfigError(f"form injection must be one of {tuple(FORM_INJECTIONS)}")
     cfg.form_nu_scale = _expect(form, "nu_scale", float, cfg.form_nu_scale)
 
     symbol = _section(raw, "symbol", ("angles", "xi"))
@@ -274,12 +281,8 @@ def _build_form(cfg: ExperimentConfig):
         structure = standard_complex_structure(cfg.n)
     else:
         form, structure = random_crms_form(cfg.n, rng, nu_scale=cfg.form_nu_scale)
-    if cfg.form_inject == "vertical_triple":
-        form, _ = inject_vertical_triple(form)
-    elif cfg.form_inject == "drop_block":
-        form = drop_quadruple_block(cfg.n)
-    elif cfg.form_inject == "break_compatibility":
-        form = break_i_compatibility(cfg.n)
+    if cfg.form_inject is not None:
+        form = FORM_INJECTIONS[cfg.form_inject](form)
     return form, structure
 
 

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .darboux import CrpsPair, standard_crps_pair
 from .errors import DimensionMismatchError
-from .linalg import TAU_ALG, SpdMatrix, require_invertible
+from .linalg import TAU_ALG, SpdMatrix
 
 
 @dataclass(frozen=True)
@@ -77,32 +78,25 @@ def build_compatible(
 
     Raises
     ------
+    DimensionMismatchError, ValueError, DegenerateFormError
+        Whatever ``CrpsPair`` raises for (omega1, omega2, i_fiber), such as
+        DegenerateFormError for a singular omega1 or omega2.
+    DimensionMismatchError
+        If the reference has another dimension.
     ValueError
-        If the reference is not I-compatible or omega2 is inconsistent with
-        omega1.
-    DegenerateFormError
-        If omega1 is singular.
+        If the reference is not I-compatible or a construction check fails.
     """
-    w1 = np.asarray(omega1, dtype=float)
-    w2 = np.asarray(omega2, dtype=float)
-    i_fib = np.asarray(i_fiber, dtype=float)
-    d = w1.shape[0]
-    if w1.shape != (d, d) or w2.shape != (d, d) or i_fib.shape != (d, d):
-        raise DimensionMismatchError("omega1, omega2 and i_fiber must be square of equal size")
+    pair = CrpsPair(omega1, omega2, i_fiber)
+    w1, w2, i_fib = pair.omega1, pair.omega2, pair.i_fiber
     if reference is None:
-        reference = SpdMatrix(np.eye(d))
-    if reference.dim != d:
+        reference = SpdMatrix(np.eye(pair.dim))
+    if reference.dim != pair.dim:
         raise DimensionMismatchError("reference dimension does not match the forms")
 
     scale = max(1.0, float(np.max(np.abs(w1))))
     r = reference.matrix
     if np.max(np.abs(i_fib.T @ r @ i_fib - r)) > TAU_ALG * max(1.0, float(np.max(np.abs(r)))):
         raise ValueError("reference inner product is not compatible with i_fiber")
-    if np.max(np.abs(w1 + w1.T)) > TAU_ALG * scale:
-        raise ValueError("omega1 is not antisymmetric")
-    if np.max(np.abs(w2 + w1 @ i_fib)) > TAU_ALG * scale:
-        raise ValueError("omega2 is inconsistent with omega1 (expected -omega1(·, I·))")
-    require_invertible(w1, "omega1")
 
     # Orthonormal coordinates of the reference metric: x_hat = L^T x, so an
     # operator M becomes L^T M L^{-T} and the reference pairing the dot product.
@@ -139,7 +133,5 @@ def build_compatible(
 
 def standard_triple(n: int) -> CompatibleTriple:
     """Compatible triple of the standard CRPS pair with identity reference."""
-    from .darboux import standard_crps_pair
-
     pair = standard_crps_pair(n)
     return build_compatible(pair.omega1, pair.omega2, pair.i_fiber)

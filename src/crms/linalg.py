@@ -126,21 +126,19 @@ class AlternatingThreeForm:
         return self.coeffs.shape[0]
 
 
-# The contraction order np.einsum(optimize=True) picks for the pull-back at
-# every n = 1..8; passing it skips the path search on each call.
-_PULL_BACK_PATH = ["einsum_path", (0, 1), (0, 2), (0, 1)]
-
-
 def pull_back(form: AlternatingThreeForm, basis: np.ndarray) -> AlternatingThreeForm:
     """Pull the form back through a change of basis (columns = new frame).
 
-    Returns the tensor of (u, v, w) ↦ form(Bu, Bv, Bw) in the new frame.
+    Returns the tensor of (u, v, w) ↦ form(Bu, Bv, Bw) in the new frame, by
+    three tensordots that contract one basis index at a time: in this order
+    the result is bitwise that of ``np.einsum(..., optimize=True)``, as the
+    tests pin.  Raises DimensionMismatchError unless the basis is d x d.
     """
     b = np.asarray(basis, dtype=float)
     d = form.dim
     if b.shape != (d, d):
         raise DimensionMismatchError(f"basis shape {b.shape} does not match dimension {d}")
-    raw = np.einsum("pqr,pa,qb,rc->abc", form.coeffs, b, b, b, optimize=_PULL_BACK_PATH)
+    raw = np.tensordot(np.tensordot(np.tensordot(b, form.coeffs, (0, 0)), b, (1, 0)), b, (1, 0))
     return AlternatingThreeForm(_alternation_from_canonical(raw))
 
 

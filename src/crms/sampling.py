@@ -121,35 +121,32 @@ def random_smooth_state(grid, n: int, amplitude: float, rng: np.random.Generator
     return FieldState(grid, np.moveaxis(values, 0, -1).copy())
 
 
-def inject_vertical_triple(form: AlternatingThreeForm) -> tuple[AlternatingThreeForm, tuple[int, int, int]]:
-    """Break 1-horizontality by adding 1 to one vertical-triple coefficient."""
+def inject_vertical_triple(form: AlternatingThreeForm) -> AlternatingThreeForm:
+    """The form with 1 added at the vertical triple (2, 3, 4): breaks 1-horizontality."""
     c = form.coeffs.copy()
-    triple = i, j, k = (2, 3, 4)
-    _put_alternating(c, i, j, k, c[i, j, k] + 1.0)
-    return AlternatingThreeForm(c), triple
+    _put_alternating(c, 2, 3, 4, c[2, 3, 4] + 1.0)
+    return AlternatingThreeForm(c)
 
 
-def drop_quadruple_block(n: int) -> AlternatingThreeForm:
-    """Standard form with the k=1 quadruple's pairings removed.
+def drop_quadruple_block(form: AlternatingThreeForm) -> AlternatingThreeForm:
+    """The form with every entry touching the first quadruple (indices 2..5) zeroed.
 
-    Both contraction matrices become singular while horizontality and
-    I-compatibility survive (the removed part is compatible on its own).
+    Both contraction matrices become singular.  On the standard form,
+    horizontality and I-compatibility survive: the removed part is
+    compatible on its own.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    full = standard_crms_form(n).coeffs.copy()
-    # Zero every entry touching the first quadruple's vertical indices.
-    sl = slice(2, 6)
-    full[sl, :, :] = 0.0
-    full[:, sl, :] = 0.0
-    full[:, :, sl] = 0.0
-    return AlternatingThreeForm(full)
-
-
-def break_i_compatibility(n: int) -> AlternatingThreeForm:
-    """Standard form plus a term that desynchronizes the two contractions."""
-    form = standard_crms_form(n)
     c = form.coeffs.copy()
-    # Adds 0.5 * beta1 ∧ alpha1 ∧ eps1 of the first quadruple.
+    c[2:6] = 0.0
+    c[:, 2:6] = 0.0
+    c[:, :, 2:6] = 0.0
+    return AlternatingThreeForm(c)
+
+
+def break_i_compatibility(form: AlternatingThreeForm) -> AlternatingThreeForm:
+    """The form plus 0.5 beta1 ∧ alpha1 ∧ eps1 of the first quadruple.
+
+    On the standard form the term desynchronizes the two contractions.
+    """
+    c = form.coeffs.copy()
     _put_alternating(c, 4, 2, 0, c[4, 2, 0] + 0.5)
     return AlternatingThreeForm(c)

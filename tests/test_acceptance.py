@@ -86,7 +86,7 @@ def test_criterion_1_crms_validation():
             c.check(report.passed, f"standard form failed for n={n}")
 
         structure = standard_complex_structure(2)
-        broken, triple = inject_vertical_triple(standard_crms_form(2))
+        broken = inject_vertical_triple(standard_crms_form(2))
         rep = validate_crms(broken, structure)
         # A vertical-triple term necessarily violates compatibility as well
         # (no alternating vertical 3-form is compatibility-neutral), so only
@@ -94,17 +94,17 @@ def test_criterion_1_crms_validation():
         c.check(not rep.horizontal.ok and rep.nondegenerate.ok,
                 "vertical-triple injection did not trip condition (ii)")
         c.check(rep.horizontal.witness is not None
-                and tuple(sorted(rep.horizontal.witness["triple"])) == triple,
+                and sorted(rep.horizontal.witness["triple"]) == [2, 3, 4],
                 "horizontality witness does not name the injected triple")
 
-        rep = validate_crms(drop_quadruple_block(2), structure)
+        rep = validate_crms(drop_quadruple_block(standard_crms_form(2)), structure)
         c.check(not rep.nondegenerate.ok and rep.horizontal.ok and rep.i_compatible.ok,
                 "dropped-block injection not isolated to condition (iii)")
         c.check(rep.nondegenerate.witness is not None and "lift" in rep.nondegenerate.witness,
                 "non-degeneracy witness missing")
 
         structure1 = standard_complex_structure(1)
-        rep = validate_crms(break_i_compatibility(1), structure1)
+        rep = validate_crms(break_i_compatibility(standard_crms_form(1)), structure1)
         c.check(not rep.i_compatible.ok and rep.horizontal.ok and rep.nondegenerate.ok,
                 "compatibility injection not isolated to condition (iv)")
         c.check(rep.i_compatible.witness is not None and "xi_index" in rep.i_compatible.witness,

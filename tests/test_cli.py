@@ -11,6 +11,8 @@ import crms.cli
 from crms.cli import COMMANDS, ExperimentConfig, _check_size, main, parse_config
 from crms.errors import ConfigError
 from crms.fields import FieldState, TorusGrid, read_state, write_state
+from crms.linalg import validate_crms
+from crms.sampling import break_i_compatibility, drop_quadruple_block, random_crms_form
 
 
 @pytest.fixture(autouse=True)
@@ -51,6 +53,21 @@ def test_validate_injected_triple_fails_with_witness(tmp_path):
     assert sorted(report["one_horizontal"]["witness"]["triple"]) == [2, 3, 4]
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize(
+    "inject, injection",
+    [("drop_block", drop_quadruple_block), ("break_compatibility", break_i_compatibility)],
+    ids=["drop_block", "break_compatibility"],
+)
+def test_injection_breaks_the_configured_form(tmp_path, n, inject, injection):
+    out = tmp_path / "out"
+    form = {"source": "seeded_random_conjugate", "inject": inject}
+    run_cli(tmp_path, "validate", {"n": n, "seed": 3, "output_dir": str(out), "form": form})
+    configured, structure = random_crms_form(n, np.random.default_rng(3), nu_scale=0.5)
+    expected = validate_crms(injection(configured), structure).as_dict()
+    assert read_json(out / "validate.json")["report"] == json.loads(json.dumps(expected))
+
+
 def test_validate_random_conjugate_passes(tmp_path):
     out = tmp_path / "out"
     cfg = {"n": 2, "seed": 5, "output_dir": str(out), "form": {"source": "seeded_random_conjugate"}}
@@ -82,6 +99,7 @@ def test_kind_mismatch_is_a_usage_error(tmp_path):
         {"hamiltonian": {"parameters": {"lambda": float("nan")}}},
         {"gradcheck": {"directions": 0}},
         {"flow": {"record_every": 0}},
+        {"flow": {"integrator": "rk5"}},
     ],
 )
 def test_bad_config_values_are_usage_errors(tmp_path, config):
@@ -409,17 +427,19 @@ def test_gradcheck_corrupted_gradient_fails(tmp_path):
 
 @pytest.mark.parametrize("command", ["flow", "gradcheck"])
 def test_gradient_scale_outside_the_tolerance_is_config_error(tmp_path, capsys, command):
-    # 1.001 fails the finite-difference check that builds the Hamiltonian.
-    out = tmp_path / "out"
-    cfg = {
-        "n": 1,
-        "output_dir": str(out),
-        "grid": {"n1": 16, "n2": 16},
-        "hamiltonian": {"name": "cosine", "gradient_scale": 1.001},
-    }
-    assert run_cli(tmp_path, command, cfg)[0] == 2
-    assert "disagrees with finite differences" in capsys.readouterr().err
-    assert not out.exists()
+    # 1.001 fails the finite-difference check that builds the Hamiltonian;
+    # lambda = 1e308 overflows it to a NaN error, which fails it too.
+    for ham in (
+        {"name": "cosine", "gradient_scale": 1.001},
+        {"name": "quartic", "parameters": {"lambda": 1e308}},
+    ):
+        out = tmp_path / "out"
+        cfg = {"n": 1, "output_dir": str(out), "grid": {"n1": 16, "n2": 16}, "hamiltonian": ham}
+        assert run_cli(tmp_path, command, cfg)[0] == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "disagrees with finite differences" in err
+        assert not out.exists()
 
 
 def test_gradcheck_bound_absorbs_oracle_roundoff(tmp_path):

@@ -173,7 +173,7 @@ def test_coupled_structure_gives_vertical_e2_component():
 
 
 def test_invalid_form_raises_with_report():
-    form, _ = inject_vertical_triple(standard_crms_form(1))
+    form = inject_vertical_triple(standard_crms_form(1))
     with pytest.raises(CrmsValidationError) as excinfo:
         crms_darboux(form, standard_complex_structure(1))
     assert excinfo.value.report is not None

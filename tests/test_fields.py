@@ -115,6 +115,13 @@ def test_grossly_corrupted_gradient_rejected_at_construction():
         make_hamiltonian("quadratic", 1, gradient_scale=1.001)
 
 
+def test_overflowing_finite_difference_rejected_at_construction():
+    # The check's error is NaN here, and fails it; the suite makes any
+    # RuntimeWarning of the overflow an error.
+    with pytest.raises(ValueError, match="nan"):
+        make_hamiltonian("quartic", 1, {"lambda": 1e308})
+
+
 def test_subtly_corrupted_gradient_passes_construction():
     # Below the construction tolerance but above the gradcheck tolerance.
     ham = make_hamiltonian("quadratic", 1, gradient_scale=1.0 + 3e-6)
