@@ -253,21 +253,23 @@ def _output(out: Path, name: str) -> Path:
     """Path of an output file, making the directory on the first write.
 
     Verbs call it only after their own config checks, so a config error
-    leaves no output directory behind.
+    leaves no output directory behind.  An output path that cannot be made
+    a directory is a config error.
     """
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot make output directory: {err}") from None
     return out / name
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    payload = dict(payload)
-    payload["timestamp"] = datetime.now(timezone.utc).isoformat()
+def _write_report(out: Path, name: str, command: str, cfg: ExperimentConfig, **fields) -> Path:
+    """Write the JSON report ``name``: the run header, ``fields`` and a timestamp."""
+    path = _output(out, name)
+    timestamp = datetime.now(timezone.utc).isoformat()
+    payload = {"command": command, "n": cfg.n, "seed": cfg.seed, **fields, "timestamp": timestamp}
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _say(quiet: bool, message: str) -> None:
-    if not quiet:
-        print(message)
+    return path
 
 
 def _build_form(cfg: ExperimentConfig):
@@ -286,60 +288,45 @@ def _build_form(cfg: ExperimentConfig):
     return form, structure
 
 
+def _form_names(cfg: ExperimentConfig) -> dict:
+    """The report fields that name the configured form."""
+    return {"form_source": cfg.form_source, "form_inject": cfg.form_inject}
+
+
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns its exit code and the one-line summary main prints
 # ---------------------------------------------------------------------------
 
 
-def cmd_validate(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
+def cmd_validate(cfg: ExperimentConfig, out: Path) -> tuple[int, str]:
     form, structure = _build_form(cfg)
     report = validate_crms(form, structure)
-    payload = {
-        "command": "validate",
-        "n": cfg.n,
-        "seed": cfg.seed,
-        "form_source": cfg.form_source,
-        "form_inject": cfg.form_inject,
-        "report": report.as_dict(),
-    }
-    path = _output(out, "validate.json")
-    _write_json(path, payload)
-    _say(quiet, f"validate: {'pass' if report.passed else 'FAIL'} -> {path}")
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    path = _write_report(out, "validate.json", "validate", cfg, **_form_names(cfg), report=report.as_dict())
+    ok = report.passed
+    return EXIT_OK if ok else EXIT_CHECK_FAILED, f"validate: {'pass' if ok else 'FAIL'} -> {path}"
 
 
-def cmd_darboux(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
+def cmd_darboux(cfg: ExperimentConfig, out: Path) -> tuple[int, str]:
     form, structure = _build_form(cfg)
     try:
         frame = crms_darboux(form, structure)
     except CrmsValidationError as err:
-        payload = {
-            "command": "darboux",
-            "n": cfg.n,
-            "seed": cfg.seed,
-            "error": "validation failed",
-            "report": err.report.as_dict() if err.report is not None else None,
-        }
-        _write_json(_output(out, "darboux.json"), payload)
-        _say(quiet, "darboux: FAIL (input form is not CRMS)")
-        return EXIT_CHECK_FAILED
+        report = err.report.as_dict() if err.report is not None else None
+        _write_report(
+            out, "darboux.json", "darboux", cfg, **_form_names(cfg), error="validation failed", report=report
+        )
+        return EXIT_CHECK_FAILED, "darboux: FAIL (input form is not CRMS)"
     error = darboux_reconstruction_error(form, frame)
-    payload = {
-        "command": "darboux",
-        "n": cfg.n,
-        "seed": cfg.seed,
-        "form_source": cfg.form_source,
-        "frame": frame.basis.tolist(),
-        "nu": frame.nu.tolist(),
-        "reconstruction_max_error": error,
-    }
-    _write_json(_output(out, "darboux.json"), payload)
+    _write_report(
+        out, "darboux.json", "darboux", cfg, **_form_names(cfg),
+        frame=frame.basis.tolist(), nu=frame.nu.tolist(), reconstruction_max_error=error,
+    )
     ok = error < 1e-8
-    _say(quiet, f"darboux: reconstruction error {error:.3e} -> {'pass' if ok else 'FAIL'}")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    summary = f"darboux: reconstruction error {error:.3e} -> {'pass' if ok else 'FAIL'}"
+    return EXIT_OK if ok else EXIT_CHECK_FAILED, summary
 
 
-def cmd_symbol(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
+def cmd_symbol(cfg: ExperimentConfig, out: Path) -> tuple[int, str]:
     if cfg.symbol_xi is not None:
         covectors = [np.asarray(cfg.symbol_xi, dtype=float)]
         if float(np.hypot(*cfg.symbol_xi)) == 0.0:
@@ -361,8 +348,8 @@ def cmd_symbol(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
         writer.writerow(["angle", "ddw_kernel_dim", "bridges_kernel_dim", "bridges_det"])
         for angle, dk, bk, det in rows:
             writer.writerow([repr(angle), dk, bk, repr(det)])
-    _say(quiet, f"symbol: {len(rows)} covectors -> {path} ({'pass' if ok else 'FAIL'})")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    summary = f"symbol: {len(rows)} covectors -> {path} ({'pass' if ok else 'FAIL'})"
+    return EXIT_OK if ok else EXIT_CHECK_FAILED, summary
 
 
 def _initial_state(cfg: ExperimentConfig) -> FieldState:
@@ -391,7 +378,7 @@ def _hamiltonian(cfg: ExperimentConfig):
         raise ConfigError(str(err)) from None
 
 
-def cmd_flow(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
+def cmd_flow(cfg: ExperimentConfig, out: Path) -> tuple[int, str]:
     ham = _hamiltonian(cfg)
     ds = cfg.flow_ds
     if ds is None:
@@ -421,32 +408,25 @@ def cmd_flow(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
         residual = float(np.max(np.abs(bridges_residual(trace.final_state, ham))))
         if len(trace.states) >= 3:
             fueter = fueter_residual(trace.states, flow_cfg.ds * flow_cfg.record_every, ham)
-    payload = {
-        "command": "flow",
-        "n": cfg.n,
-        "seed": cfg.seed,
-        "hamiltonian": cfg.ham_name,
-        "integrator": cfg.flow_integrator,
-        "ds": ds,
+    _write_report(
+        out, "flow_summary.json", "flow", cfg,
+        hamiltonian=cfg.ham_name,
+        integrator=cfg.flow_integrator,
+        ds=ds,
         # A divergence in the step-0 diagnostics leaves no trace row.
-        "steps_taken": max(0, len(trace.steps) - 1),
-        "converged": trace.converged,
-        "diverged_at_step": diverged_step,
-        "final_action": float(trace.actions[-1]) if len(trace.steps) else None,
-        "final_grad_sup_norm": float(trace.grad_norms[-1]) if len(trace.steps) else None,
-        "final_bridges_residual_sup_norm": residual,
-        "fueter_residual": fueter,
-    }
-    _write_json(_output(out, "flow_summary.json"), payload)
-    if diverged_step is not None:
-        _say(quiet, f"flow: diverged at step {diverged_step}")
-        return EXIT_DIVERGED
-    _say(
-        quiet,
-        f"flow: {'converged' if trace.converged else 'max steps reached'} "
-        f"after {len(trace.steps) - 1} steps, grad sup {trace.grad_norms[-1]:.3e}",
+        steps_taken=max(0, len(trace.steps) - 1),
+        converged=trace.converged,
+        diverged_at_step=diverged_step,
+        final_action=float(trace.actions[-1]) if len(trace.steps) else None,
+        final_grad_sup_norm=float(trace.grad_norms[-1]) if len(trace.steps) else None,
+        final_bridges_residual_sup_norm=residual,
+        fueter_residual=fueter,
     )
-    return EXIT_OK if trace.converged else EXIT_CHECK_FAILED
+    if diverged_step is not None:
+        return EXIT_DIVERGED, f"flow: diverged at step {diverged_step}"
+    outcome = "converged" if trace.converged else "max steps reached"
+    summary = f"flow: {outcome} after {len(trace.steps) - 1} steps, grad sup {trace.grad_norms[-1]:.3e}"
+    return EXIT_OK if trace.converged else EXIT_CHECK_FAILED, summary
 
 
 # Central-difference steps of the gradient check, coarsest first.
@@ -465,7 +445,7 @@ def _richardson_directional(state: FieldState, ham, delta: np.ndarray) -> float:
     return (10_000.0 * r1[1] - r1[0]) / 9_999.0
 
 
-def cmd_gradcheck(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
+def cmd_gradcheck(cfg: ExperimentConfig, out: Path) -> tuple[int, str]:
     ham = _hamiltonian(cfg)
     rng = np.random.default_rng(cfg.seed)
     state = random_smooth_state(cfg.grid, cfg.n, 0.5, rng)
@@ -484,25 +464,18 @@ def cmd_gradcheck(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
         ratios.append(err / (1e-6 * abs(pairing) + floor))
     max_err = float(np.max(errors))
     max_ratio = float(np.max(ratios))
-    payload = {
-        "command": "gradcheck",
-        "n": cfg.n,
-        "seed": cfg.seed,
-        "hamiltonian": cfg.ham_name,
-        "gradient_scale": cfg.gradient_scale,
-        "directions": cfg.gradcheck_directions,
-        "max_relative_error": max_err,
-        "max_error_to_bound": max_ratio,
-        "relative_errors": errors,
-    }
-    _write_json(_output(out, "gradcheck.json"), payload)
-    ok = max_ratio <= 1.0
-    _say(
-        quiet,
-        f"gradcheck: max relative error {max_err:.3e}, max error / bound {max_ratio:.3e}"
-        f" -> {'pass' if ok else 'FAIL'}",
+    _write_report(
+        out, "gradcheck.json", "gradcheck", cfg,
+        hamiltonian=cfg.ham_name,
+        gradient_scale=cfg.gradient_scale,
+        directions=cfg.gradcheck_directions,
+        max_relative_error=max_err,
+        max_error_to_bound=max_ratio,
+        relative_errors=errors,
     )
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    ok = max_ratio <= 1.0
+    summary = f"gradcheck: max relative error {max_err:.3e}, max error / bound {max_ratio:.3e}"
+    return EXIT_OK if ok else EXIT_CHECK_FAILED, f"{summary} -> {'pass' if ok else 'FAIL'}"
 
 
 COMMANDS = {
@@ -548,7 +521,7 @@ def main(argv: list[str] | None = None) -> int:
             except ValueError as err:
                 raise ConfigError(f"bad --grid value '{args.grid}': {err}") from None
         _check_size(cfg, args.command)
-        return COMMANDS[args.command](cfg, Path(cfg.output_dir), args.quiet)
+        code, summary = COMMANDS[args.command](cfg, Path(cfg.output_dir))
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
@@ -558,6 +531,9 @@ def main(argv: list[str] | None = None) -> int:
     except CrmsError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    if not args.quiet:
+        print(summary)
+    return code
 
 
 if __name__ == "__main__":

@@ -356,7 +356,9 @@ def validate_crms(form: AlternatingThreeForm, structure: LinearComplexStructure)
     if form.dim != structure.matrix.shape[0]:
         raise DimensionMismatchError("form and complex structure live on different spaces")
     c = form.coeffs
-    tol = TAU_ALG * max(1.0, float(np.max(np.abs(c))))
+    # The checks read only (., V, V) coefficients, so the nu∧eps1∧eps2
+    # entries, however large, must not set the scale.
+    tol = TAU_ALG * max(1.0, float(np.max(np.abs(c[:, 2:, 2:]))))
 
     vert = c[2:, 2:, 2:]
     h_defect = float(np.max(np.abs(vert)))

@@ -21,10 +21,10 @@ def in_tmp_path(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
 
 
-def run_cli(tmp_path, command: str, config: dict, *extra: str) -> tuple[int, dict]:
+def run_cli(tmp_path, command: str, config: dict, *extra: str, quiet: bool = True) -> tuple[int, dict]:
     cfg_path = tmp_path / f"{command}.json"
     cfg_path.write_text(json.dumps(config))
-    code = main([command, "--config", str(cfg_path), "--quiet", *extra])
+    code = main([command, "--config", str(cfg_path), *(["--quiet"] if quiet else []), *extra])
     return code, config
 
 
@@ -202,6 +202,19 @@ def test_darboux_rejects_invalid_form(tmp_path):
     cfg = {"n": 1, "output_dir": str(out), "form": {"source": "standard", "inject": "vertical_triple"}}
     code, _ = run_cli(tmp_path, "darboux", cfg)
     assert code == 1
+    payload = read_json(out / "darboux.json")
+    assert payload["error"] == "validation failed"
+    assert payload["form_source"] == "standard" and payload["form_inject"] == "vertical_triple"
+
+
+@pytest.mark.parametrize("source", ["standard_plus_nu", "seeded_random_conjugate"])
+def test_large_nu_does_not_hide_a_broken_form(tmp_path, source):
+    # nu entries of 1e10 set no tolerance: the 0.5 I-compatibility defect fails.
+    form = {"source": source, "nu_scale": 1e10, "inject": "break_compatibility"}
+    out = tmp_path / "out"
+    assert run_cli(tmp_path, "validate", {"n": 2, "output_dir": str(out), "form": form})[0] == 1
+    assert read_json(out / "validate.json")["report"]["i_compatible"]["ok"] is False
+    assert run_cli(tmp_path, "darboux", {"n": 2, "output_dir": str(out), "form": form})[0] == 1
     assert read_json(out / "darboux.json")["error"] == "validation failed"
 
 
@@ -301,7 +314,7 @@ def test_flow_indefinite_quadratic_diverges(tmp_path):
     assert summary["diverged_at_step"] is not None
 
 
-def test_flow_rk4_stage_overflow_exits_as_divergence(tmp_path):
+def test_flow_rk4_stage_overflow_exits_as_divergence(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = {
         "n": 1,
@@ -310,8 +323,9 @@ def test_flow_rk4_stage_overflow_exits_as_divergence(tmp_path):
         "hamiltonian": {"name": "quartic", "parameters": {"lambda": 0.6}},
         "flow": {"integrator": "rk4", "max_steps": 40},
     }
-    code, _ = run_cli(tmp_path, "flow", cfg, "--seed", "5")
+    code, _ = run_cli(tmp_path, "flow", cfg, "--seed", "5", quiet=False)
     assert code == 3
+    assert capsys.readouterr().out == "flow: diverged at step 17\n"
     assert read_json(out / "flow_summary.json")["diverged_at_step"] == 17
     with open(out / "flow_trace.csv", newline="") as fh:
         assert len(list(csv.reader(fh))) == 1 + 18
@@ -452,6 +466,44 @@ def test_gradcheck_bound_absorbs_oracle_roundoff(tmp_path):
     report = read_json(out / "gradcheck.json")
     assert report["max_relative_error"] > 1e-6
     assert report["max_error_to_bound"] < 1.0
+
+
+# --- output paths and stdout ----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command, config, out",
+    [
+        ("validate", {}, "a_file"),
+        ("flow", {"hamiltonian": {"name": "zero"}, "flow": {"max_steps": 3}}, "a_file/sub"),
+    ],
+    ids=["validate", "flow"],
+)
+def test_output_path_that_is_not_a_directory_is_config_error(tmp_path, capsys, command, config, out):
+    (tmp_path / "a_file").write_text("")
+    assert run_cli(tmp_path, command, config, "--grid", "8x8", "--out", str(tmp_path / out))[0] == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, config, code",
+    [
+        ("validate", {}, 0),
+        ("darboux", {}, 0),
+        ("symbol", {"symbol": {"angles": 4}}, 0),
+        ("gradcheck", {"gradcheck": {"directions": 2}}, 0),
+        ("flow", {"hamiltonian": {"name": "zero"}, "flow": {"max_steps": 3}}, 1),
+    ],
+    ids=["validate", "darboux", "symbol", "gradcheck", "flow"],
+)
+def test_each_verb_prints_one_summary_line_unless_quiet(tmp_path, capsys, command, config, code):
+    config = {"output_dir": str(tmp_path / "out"), **config}
+    assert run_cli(tmp_path, command, config, "--grid", "8x8", quiet=False)[0] == code
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"{command}:")
+    assert run_cli(tmp_path, command, config, "--grid", "8x8")[0] == code
+    assert capsys.readouterr().out == ""
 
 
 # --- overrides and determinism -------------------------------------------------

@@ -255,6 +255,17 @@ def test_nu_term_is_invisible_to_all_conditions():
     assert validate_crms(form, standard_complex_structure(2)).passed
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_large_nu_sets_no_tolerance(n):
+    # The nu entries are read by no condition; were the 1e-9 tolerance scaled
+    # by them, it would be 1 and pass the 1.0 triple and the 0.5 defect.
+    form = standard_crms_form(n, nu=np.full(4 * n, 1e9))
+    structure = standard_complex_structure(n)
+    assert validate_crms(form, structure).passed
+    for inject in (inject_vertical_triple, drop_quadruple_block, break_i_compatibility):
+        assert not validate_crms(inject(form), structure).passed, inject.__name__
+
+
 def test_compatibility_extends_to_random_vectors_by_linearity():
     rng = np.random.default_rng(7)
     form, structure = random_crms_form(2, rng)
