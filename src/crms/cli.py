@@ -1,10 +1,11 @@
 """Command-line harness: reproducible experiments from a single JSON config.
 
-Verbs: validate | darboux | symbol | flow | gradcheck.  Global flags
---config, --seed, --out, --grid, --quiet override the corresponding config
-entries.  Exit codes: 0 success, 1 check failure, 2 config/usage error,
-3 runtime divergence.  All outputs are deterministic functions of
-(config, seed) apart from the timestamp field in JSON reports.
+Verbs: validate | darboux | symbol | flow | gradcheck.  The flags --seed,
+--out and --grid N1xN2 are written into the config entries seed, output_dir
+and grid.n1/grid.n2 before the config is parsed; --quiet drops the summary.
+Exit codes: 0 success, 1 check failure, 2 config/usage error, 3 runtime
+divergence.  All outputs are deterministic functions of (config, seed)
+apart from the timestamp field in JSON reports.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def _finite_float(value) -> float | None:
 
 def _expect(mapping: dict, key: str, kind, default):
     value = mapping.get(key, default)
-    if value is None:
+    if value is None and default is None:  # null stands for an absent optional entry
         return None
     if kind is float:
         number = _finite_float(value)
@@ -116,11 +117,7 @@ class ExperimentConfig:
     ham_name: str = "quadratic"
     ham_parameters: dict = field(default_factory=dict)
     gradient_scale: float = 1.0
-    flow_ds: float | None = None
-    flow_max_steps: int = 10000
-    flow_tolerance: float = 1e-8
-    flow_integrator: str = "explicit_euler"
-    flow_record_every: int | None = None  # parse_config derives it from flow_max_steps
+    flow: FlowConfig | None = None  # parse_config builds it for the final grid
     initial_mode: str = "random_smooth"
     initial_amplitude: float = 0.1
     initial_value: float = 0.0
@@ -176,13 +173,21 @@ def parse_config(raw: dict, command: str) -> ExperimentConfig:
     cfg.gradient_scale = _expect(ham, "gradient_scale", float, cfg.gradient_scale)
 
     flow = _section(raw, "flow", ("ds", "max_steps", "tolerance", "integrator", "record_every", "initial"))
-    cfg.flow_ds = _expect(flow, "ds", float, cfg.flow_ds)
-    cfg.flow_max_steps = _expect(flow, "max_steps", int, cfg.flow_max_steps)
-    cfg.flow_tolerance = _expect(flow, "tolerance", float, cfg.flow_tolerance)
-    cfg.flow_integrator = _expect(flow, "integrator", str, cfg.flow_integrator)
-    if cfg.flow_integrator not in INTEGRATORS:
+    integrator = _expect(flow, "integrator", str, FlowConfig.integrator)
+    if integrator not in INTEGRATORS:
         raise ConfigError(f"flow integrator must be one of {INTEGRATORS}")
-    cfg.flow_record_every = _expect(flow, "record_every", int, max(1, cfg.flow_max_steps // 100))
+    ds = _expect(flow, "ds", float, None)
+    if ds is None:
+        ds = 0.5 * STABILITY_KAPPA[integrator] * min(cfg.grid.h1, cfg.grid.h2)
+    max_steps = _expect(flow, "max_steps", int, 10000)
+    cfg.flow = FlowConfig(
+        ds=ds,
+        max_steps=max_steps,
+        grad_tolerance=_expect(flow, "tolerance", float, FlowConfig.grad_tolerance),
+        integrator=integrator,
+        record_every=_expect(flow, "record_every", int, max(1, max_steps // 100)),
+    )
+    cfg.flow.check_stability(cfg.grid)
     initial = _section(flow, "flow.initial", ("mode", "amplitude", "value", "path"))
     cfg.initial_mode = _expect(initial, "mode", str, cfg.initial_mode)
     if cfg.initial_mode not in INITIAL_MODES:
@@ -233,8 +238,7 @@ def _check_size(cfg: ExperimentConfig, command: str) -> None:
     elif command == "symbol":
         largest = d * d
     elif command == "flow":
-        # A record_every below 1 is rejected by FlowConfig.
-        largest = max(d * d, (cfg.flow_max_steps // max(1, cfg.flow_record_every) + 1) * field_entries)
+        largest = max(d * d, (cfg.flow.max_steps // cfg.flow.record_every + 1) * field_entries)
     else:
         largest = max(d * d, field_entries)
     if largest > MAX_ARRAY_ENTRIES:
@@ -380,39 +384,31 @@ def _hamiltonian(cfg: ExperimentConfig):
 
 def cmd_flow(cfg: ExperimentConfig, out: Path) -> tuple[int, str]:
     ham = _hamiltonian(cfg)
-    ds = cfg.flow_ds
-    if ds is None:
-        ds = 0.5 * STABILITY_KAPPA[cfg.flow_integrator] * min(cfg.grid.h1, cfg.grid.h2)
-    flow_cfg = FlowConfig(
-        ds=ds,
-        max_steps=cfg.flow_max_steps,
-        grad_tolerance=cfg.flow_tolerance,
-        integrator=cfg.flow_integrator,
-        record_every=cfg.flow_record_every,
-    )
     initial = _initial_state(cfg)
+    # An unusable output path fails here, before the flow runs.
+    trace_path, final_path = _output(out, "flow_trace.csv"), _output(out, "flow_final.crms")
 
     diverged_step = None
     try:
-        trace = run_flow(initial, ham, flow_cfg)
+        trace = run_flow(initial, ham, cfg.flow)
     except FlowDivergenceError as err:
         trace = err.trace
         diverged_step = err.step
 
     # run_flow attaches the partial trace to every FlowDivergenceError.
-    write_trace_csv(trace, _output(out, "flow_trace.csv"))
-    write_state(trace.final_state, _output(out, "flow_final.crms"))
+    write_trace_csv(trace, trace_path)
+    write_state(trace.final_state, final_path)
     residual = None
     fueter = None
     if diverged_step is None:
         residual = float(np.max(np.abs(bridges_residual(trace.final_state, ham))))
         if len(trace.states) >= 3:
-            fueter = fueter_residual(trace.states, flow_cfg.ds * flow_cfg.record_every, ham)
+            fueter = fueter_residual(trace.states, cfg.flow.ds * cfg.flow.record_every, ham)
     _write_report(
         out, "flow_summary.json", "flow", cfg,
         hamiltonian=cfg.ham_name,
-        integrator=cfg.flow_integrator,
-        ds=ds,
+        integrator=cfg.flow.integrator,
+        ds=cfg.flow.ds,
         # A divergence in the step-0 diagnostics leaves no trace row.
         steps_taken=max(0, len(trace.steps) - 1),
         converged=trace.converged,
@@ -491,9 +487,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="crms", description=__doc__)
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", type=str, default=None, help="path to the JSON experiment config")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--out", type=str, default=None, help="override the output directory")
-    parser.add_argument("--grid", type=str, default=None, help="override the grid size, e.g. 32x32")
+    parser.add_argument("--seed", type=int, default=None, help="the config entry seed")
+    parser.add_argument("--out", type=str, default=None, help="the config entry output_dir")
+    parser.add_argument("--grid", type=str, default=None, help="the config entries grid.n1, grid.n2 as N1xN2")
     parser.add_argument("--quiet", action="store_true", help="suppress the one-line summary")
     return parser
 
@@ -507,19 +503,21 @@ def main(argv: list[str] | None = None) -> int:
                 raw = json.loads(Path(args.config).read_text())
             except (OSError, json.JSONDecodeError) as err:
                 raise ConfigError(f"cannot read config: {err}") from None
+        # The flags are config entries; --grid keeps the document's l1 and l2.
+        if isinstance(raw, dict):  # parse_config rejects any other document
+            for key, value in (("seed", args.seed), ("output_dir", args.out)):
+                if value is not None:
+                    raw[key] = value
+            if args.grid is not None:
+                try:
+                    n1_str, n2_str = args.grid.lower().split("x")
+                    n1, n2 = int(n1_str), int(n2_str)
+                except ValueError as err:
+                    raise ConfigError(f"bad --grid value '{args.grid}': {err}") from None
+                grid = raw.setdefault("grid", {})
+                if isinstance(grid, dict):  # parse_config rejects any other grid
+                    grid.update(n1=n1, n2=n2)
         cfg = parse_config(raw, args.command)
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed must be non-negative")
-            cfg.seed = args.seed
-        if args.out is not None:
-            cfg.output_dir = args.out
-        if args.grid is not None:
-            try:
-                n1_str, n2_str = args.grid.lower().split("x")
-                cfg.grid = TorusGrid(int(n1_str), int(n2_str), cfg.grid.l1, cfg.grid.l2)
-            except ValueError as err:
-                raise ConfigError(f"bad --grid value '{args.grid}': {err}") from None
         _check_size(cfg, args.command)
         code, summary = COMMANDS[args.command](cfg, Path(cfg.output_dir))
     except ConfigError as err:

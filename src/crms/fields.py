@@ -243,8 +243,12 @@ def _require_fiber_match(state_dim: int, ham: HamiltonianSpec) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _bridges_operator(values: np.ndarray, grid: TorusGrid, j1: np.ndarray, j2: np.ndarray) -> np.ndarray:
-    """J1 ∂1 Z + J2 ∂2 Z (Bridges' principal part): the action, gradient and flow use it."""
+def _bridges_operator(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """J1 ∂1 Z + J2 ∂2 Z (Bridges' principal part): the action, gradient and flow use it.
+
+    (J1, J2) is the standard pair for the fiber dimension 4n of ``values``.
+    """
+    j1, j2 = _standard_forms(values.shape[-1] // 4)
     out = diff(values, grid, 1) @ j1.T
     out += diff(values, grid, 2) @ j2.T
     return out
@@ -274,7 +278,7 @@ def action(state: FieldState, ham: HamiltonianSpec) -> float:
     """
     _require_fiber_match(state.fiber_dim, ham)
     v = state.values
-    bridges = _bridges_operator(v, state.grid, *_standard_forms(state.n))
+    bridges = _bridges_operator(v, state.grid)
     return _action_value(state.grid, v, bridges, ham.value(v))
 
 
@@ -305,7 +309,7 @@ def l2_gradient(state: FieldState, ham: HamiltonianSpec) -> np.ndarray:
     """
     _require_fiber_match(state.fiber_dim, ham)
     v = state.values
-    return _bridges_operator(v, state.grid, *_standard_forms(state.n)) - ham.gradient(v)
+    return _bridges_operator(v, state.grid) - ham.gradient(v)
 
 
 # ---------------------------------------------------------------------------

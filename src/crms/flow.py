@@ -27,8 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, FlowDivergenceError
 from .fields import FieldState, HamiltonianSpec, TorusGrid
-from .fields import _action_value, _bridges_operator, _require_fiber_match, _standard_forms
-from .linalg import fiber_complex_matrix
+from .fields import _action_value, _bridges_operator, _require_fiber_match
 
 INTEGRATORS = ("explicit_euler", "rk4")
 
@@ -126,14 +125,13 @@ def flow_step(
         raise ConfigError(f"unknown integrator '{integrator}'")
     _require_fiber_match(state.fiber_dim, ham)
     grid = state.grid
-    j1, j2 = _standard_forms(state.n)
     v = state.values
     if np.shape(gradient) != v.shape:
         raise DimensionMismatchError(f"gradient shape {np.shape(gradient)} does not match the state {v.shape}")
 
     def rhs(values: np.ndarray) -> np.ndarray:
         # Stages stay raw arrays: an overflowing stage reaches _check_finite.
-        return -(_bridges_operator(values, grid, j1, j2) - ham.gradient(values))
+        return -(_bridges_operator(values, grid) - ham.gradient(values))
 
     with np.errstate(over="ignore", invalid="ignore"):
         k1 = -gradient
@@ -165,7 +163,6 @@ def run_flow(initial: FieldState, ham: HamiltonianSpec, config: FlowConfig) -> F
     grid = initial.grid
     config.check_stability(grid)
     _require_fiber_match(initial.fiber_dim, ham)
-    j1, j2 = _standard_forms(initial.n)
     state = initial
     rows: list[tuple[float, float, float]] = []
     recorded: list[FieldState] = []
@@ -173,7 +170,7 @@ def run_flow(initial: FieldState, ham: HamiltonianSpec, config: FlowConfig) -> F
     def observe(k: int, st: FieldState) -> tuple[float, np.ndarray]:
         v = st.values
         with np.errstate(over="ignore", invalid="ignore"):
-            bridges = _bridges_operator(v, grid, j1, j2)
+            bridges = _bridges_operator(v, grid)
             grad = bridges - ham.gradient(v)
             gnorm = float(np.max(np.abs(grad)))
             act = _action_value(grid, v, bridges, ham.value(v))
@@ -214,7 +211,9 @@ def fueter_residual(
     Evaluates I ∂s Z + I J1 ∂1 Z + I J2 ∂2 Z - I ∇H(Z) with a centered
     difference in s at the interior trajectory points; small values certify
     the trajectory solves the three-direction Cauchy-Riemann system.  The
-    gradient at each point is l2_gradient's, and I = fiber_complex_matrix(n).
+    gradient at each point is l2_gradient's.  I = fiber_complex_matrix(n)
+    is a signed permutation and leaves the sup-norm unchanged, so it is not
+    applied.
 
     Raises DimensionMismatchError unless every state has the first state's
     grid and shape.
@@ -228,15 +227,12 @@ def fueter_residual(
     if any(st.grid != grid or st.values.shape != shape for st in states):
         raise DimensionMismatchError("trajectory states differ in grid or shape")
     _require_fiber_match(shape[2], ham)
-    j1, j2 = _standard_forms(states[0].n)
-    i_fib = fiber_complex_matrix(states[0].n)
     worst = 0.0
     for k in range(1, len(states) - 1):
         v = states[k].values
         dzds = (states[k + 1].values - states[k - 1].values) / (2.0 * ds)
-        grad = _bridges_operator(v, grid, j1, j2) - ham.gradient(v)
-        residual = (dzds + grad) @ i_fib.T
-        worst = max(worst, float(np.max(np.abs(residual))))
+        grad = _bridges_operator(v, grid) - ham.gradient(v)
+        worst = max(worst, float(np.max(np.abs(dzds + grad))))
     return worst
 
 

@@ -11,6 +11,7 @@ import crms.cli
 from crms.cli import COMMANDS, ExperimentConfig, _check_size, main, parse_config
 from crms.errors import ConfigError
 from crms.fields import FieldState, TorusGrid, read_state, write_state
+from crms.flow import FlowConfig
 from crms.linalg import validate_crms
 from crms.sampling import break_i_compatibility, drop_quadruple_block, random_crms_form
 
@@ -100,6 +101,8 @@ def test_kind_mismatch_is_a_usage_error(tmp_path):
         {"gradcheck": {"directions": 0}},
         {"flow": {"record_every": 0}},
         {"flow": {"integrator": "rk5"}},
+        {"n": None},
+        {"flow": {"tolerance": None}},
     ],
 )
 def test_bad_config_values_are_usage_errors(tmp_path, config):
@@ -166,10 +169,28 @@ def test_size_bound_depends_on_the_verb(tmp_path):
 def test_absent_config_entries_take_the_dataclass_defaults(command):
     parsed, default = parse_config({}, command), ExperimentConfig()
     for f in dataclasses.fields(ExperimentConfig):
-        if f.name != "flow_record_every":
+        if f.name != "flow":
             assert getattr(parsed, f.name) == getattr(default, f.name), f.name
-    # record_every defaults to one kept state per 1% of max_steps.
-    assert parsed.flow_record_every == default.flow_max_steps // 100
+    # The flow takes FlowConfig's tolerance and integrator, 10000 steps, half
+    # the Euler stability bound on the default grid as its step, and one kept
+    # state per 1% of max_steps.
+    h = min(default.grid.h1, default.grid.h2)
+    assert parsed.flow == FlowConfig(ds=0.5 * 0.2 * h, max_steps=10000, record_every=100)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize(
+    "flow",
+    [{"record_every": 0}, {"max_steps": -1}, {"ds": 1.0}],
+    ids=["record_every", "max_steps", "ds_over_bound"],
+)
+def test_a_flow_section_that_flow_config_rejects_is_a_usage_error_for_every_verb(tmp_path, capsys, command, flow):
+    # ds = 1 exceeds the Euler bound 0.2 * 2 pi / 32 on the default grid.
+    out = tmp_path / "out"
+    assert run_cli(tmp_path, command, {"output_dir": str(out), "flow": flow})[0] == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 # --- darboux -----------------------------------------------------------------
@@ -479,7 +500,9 @@ def test_gradcheck_bound_absorbs_oracle_roundoff(tmp_path):
     ],
     ids=["validate", "flow"],
 )
-def test_output_path_that_is_not_a_directory_is_config_error(tmp_path, capsys, command, config, out):
+def test_output_path_that_is_not_a_directory_is_config_error(tmp_path, capsys, monkeypatch, command, config, out):
+    # The output path is resolved before the flow starts.
+    monkeypatch.setattr(crms.cli, "run_flow", lambda *args: pytest.fail("the flow started"))
     (tmp_path / "a_file").write_text("")
     assert run_cli(tmp_path, command, config, "--grid", "8x8", "--out", str(tmp_path / out))[0] == 2
     err = capsys.readouterr().err
@@ -516,6 +539,35 @@ def test_grid_and_seed_overrides(tmp_path):
     code = main(["gradcheck", "--config", str(cfg_path), "--grid", "16x16", "--seed", "11", "--quiet"])
     assert code == 0
     assert read_json(out / "gradcheck.json")["seed"] == 11
+
+
+def test_grid_flag_keeps_the_configured_periods(tmp_path):
+    out = tmp_path / "out"
+    cfg = {
+        "output_dir": str(out),
+        "grid": {"n1": 4, "n2": 4, "l1": 3.0},
+        "hamiltonian": {"name": "zero"},
+        "flow": {"max_steps": 2, "initial": {"mode": "constant"}},
+    }
+    assert run_cli(tmp_path, "flow", cfg, "--grid", "16x16")[0] == 0
+    assert read_json(out / "flow_summary.json")["ds"] == 0.5 * 0.2 * min(3.0 / 16, 2.0 * np.pi / 16)
+
+
+@pytest.mark.parametrize(
+    "command, config, extra, named",
+    [
+        ("validate", {}, ("--seed", "-1"), "seed"),
+        ("flow", {"grid": 5}, ("--grid", "8x8"), "'grid'"),
+        ("flow", {}, ("--grid", "2x8"), "grid resolution"),
+    ],
+    ids=["seed", "grid_not_an_object", "grid_too_small"],
+)
+def test_flags_are_checked_as_the_config_entries_they_set(tmp_path, capsys, command, config, extra, named):
+    out = tmp_path / "out"
+    assert run_cli(tmp_path, command, {"output_dir": str(out), **config}, *extra)[0] == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1 and named in err
+    assert not out.exists()
 
 
 def test_reports_are_deterministic_apart_from_timestamp(tmp_path):
