@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .darboux import crms_darboux, darboux_reconstruction_error
+from .darboux import crms_darboux
 from .errors import ConfigError, CrmsError, CrmsValidationError, FlowDivergenceError
 from .fields import (
     BUILTIN_HAMILTONIANS,
@@ -277,18 +277,23 @@ def _write_report(out: Path, name: str, command: str, cfg: ExperimentConfig, **f
 
 
 def _build_form(cfg: ExperimentConfig):
+    """The configured form and structure; a non-finite form (a nu_scale that overflows nu) is a config error."""
     rng = np.random.default_rng(cfg.seed)
-    if cfg.form_source == "standard":
-        form = standard_crms_form(cfg.n)
-        structure = standard_complex_structure(cfg.n)
-    elif cfg.form_source == "standard_plus_nu":
-        nu = rng.normal(size=4 * cfg.n) * cfg.form_nu_scale
-        form = standard_crms_form(cfg.n, nu=nu)
-        structure = standard_complex_structure(cfg.n)
-    else:
-        form, structure = random_crms_form(cfg.n, rng, nu_scale=cfg.form_nu_scale)
-    if cfg.form_inject is not None:
-        form = FORM_INJECTIONS[cfg.form_inject](form)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if cfg.form_source == "standard":
+                form = standard_crms_form(cfg.n)
+                structure = standard_complex_structure(cfg.n)
+            elif cfg.form_source == "standard_plus_nu":
+                nu = rng.normal(size=4 * cfg.n) * cfg.form_nu_scale
+                form = standard_crms_form(cfg.n, nu=nu)
+                structure = standard_complex_structure(cfg.n)
+            else:
+                form, structure = random_crms_form(cfg.n, rng, nu_scale=cfg.form_nu_scale)
+            if cfg.form_inject is not None:
+                form = FORM_INJECTIONS[cfg.form_inject](form)
+    except ValueError as err:
+        raise ConfigError(f"form with nu_scale {cfg.form_nu_scale!r}: {err}") from None
     return form, structure
 
 
@@ -320,7 +325,7 @@ def cmd_darboux(cfg: ExperimentConfig, out: Path) -> tuple[int, str]:
             out, "darboux.json", "darboux", cfg, **_form_names(cfg), error="validation failed", report=report
         )
         return EXIT_CHECK_FAILED, "darboux: FAIL (input form is not CRMS)"
-    error = darboux_reconstruction_error(form, frame)
+    error = frame.reconstruction_error
     _write_report(
         out, "darboux.json", "darboux", cfg, **_form_names(cfg),
         frame=frame.basis.tolist(), nu=frame.nu.tolist(), reconstruction_max_error=error,
@@ -483,19 +488,18 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="crms", description=__doc__)
-    parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("--config", type=str, default=None, help="path to the JSON experiment config")
-    parser.add_argument("--seed", type=int, default=None, help="the config entry seed")
-    parser.add_argument("--out", type=str, default=None, help="the config entry output_dir")
-    parser.add_argument("--grid", type=str, default=None, help="the config entries grid.n1, grid.n2 as N1xN2")
-    parser.add_argument("--quiet", action="store_true", help="suppress the one-line summary")
-    return parser
+# Built once at import and shared by every main call in the process.
+PARSER = argparse.ArgumentParser(prog="crms", description=__doc__)
+PARSER.add_argument("command", choices=sorted(COMMANDS))
+PARSER.add_argument("--config", type=str, default=None, help="path to the JSON experiment config")
+PARSER.add_argument("--seed", type=int, default=None, help="the config entry seed")
+PARSER.add_argument("--out", type=str, default=None, help="the config entry output_dir")
+PARSER.add_argument("--grid", type=str, default=None, help="the config entries grid.n1, grid.n2 as N1xN2")
+PARSER.add_argument("--quiet", action="store_true", help="suppress the one-line summary")
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         raw = {}
         if args.config is not None:

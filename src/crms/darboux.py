@@ -147,11 +147,13 @@ class DarbouxFrame:
     """Change of basis to Darboux coordinates plus the residual 1-form nu.
 
     Columns are ordered (e1, e2, a1^k, a2^k, b1^k, b2^k); nu holds the
-    coefficients of the vertical 1-form in the dual Darboux coframe.
+    coefficients of the vertical 1-form in the dual Darboux coframe, and
+    reconstruction_error the darboux_reconstruction_error of the pull-back that gave nu.
     """
 
     basis: np.ndarray = field(repr=False)
     nu: np.ndarray = field(repr=False)
+    reconstruction_error: float
 
     def __post_init__(self):
         b = np.array(self.basis, dtype=float)
@@ -180,7 +182,7 @@ def crms_darboux(form: AlternatingThreeForm, structure: LinearComplexStructure) 
     The splitting is complex-linear: e1 is the lift of the first base vector
     with zero vertical component in the input basis, e2 = I e1.  Pulling the
     form back by the returned frame yields the standard normal form plus
-    nu ∧ eps1 ∧ eps2.
+    nu ∧ eps1 ∧ eps2, up to the frame's reconstruction_error.
 
     Raises
     ------
@@ -215,11 +217,10 @@ def crms_darboux(form: AlternatingThreeForm, structure: LinearComplexStructure) 
 
     pulled = pull_back(form, frame)
     nu = pulled.coeffs[2:, 0, 1]
-    return DarbouxFrame(frame, nu)
+    return DarbouxFrame(frame, nu, darboux_reconstruction_error(pulled, nu))
 
 
-def darboux_reconstruction_error(form: AlternatingThreeForm, frame: DarbouxFrame) -> float:
-    """Max-norm gap between the pulled-back form and its claimed normal form."""
-    pulled = pull_back(form, frame.basis)
-    target = standard_crms_form((form.dim - 2) // 4, nu=frame.nu)
+def darboux_reconstruction_error(pulled: AlternatingThreeForm, nu: np.ndarray) -> float:
+    """Max-norm gap between a form pulled back to a Darboux frame and its normal form with residual nu."""
+    target = standard_crms_form((pulled.dim - 2) // 4, nu=nu)
     return float(np.max(np.abs(pulled.coeffs - target.coeffs)))

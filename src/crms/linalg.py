@@ -115,7 +115,11 @@ class AlternatingThreeForm:
     def __post_init__(self):
         c = _readonly(self.coeffs)
         _split_dim(c.shape, 3)
-        scale = max(1.0, float(np.max(np.abs(c))))
+        peak = float(np.max(np.abs(c)))
+        # NaN fails every comparison below, and inf + (-inf) is NaN.
+        if not np.isfinite(peak):
+            raise ValueError("coefficient tensor has non-finite entries")
+        scale = max(1.0, peak)
         for axes in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):
             if np.max(np.abs(c + np.transpose(c, axes))) > TAU_ALG * scale:
                 raise ValueError("coefficient tensor is not totally antisymmetric")

@@ -4,7 +4,7 @@ import numpy as np
 
 from crms.darboux import CrpsPair, _symplectic_complement
 from crms.fields import FieldState, diff
-from crms.linalg import BASE_ROTATION, TAU_ALG, LinearComplexStructure, fiber_complex_matrix
+from crms.linalg import BASE_ROTATION, TAU_ALG, AlternatingThreeForm, LinearComplexStructure, fiber_complex_matrix
 
 
 def momenta_from_positions(state: FieldState) -> FieldState:
@@ -71,3 +71,37 @@ def darboux_basis_by_loop(pair: CrpsPair) -> np.ndarray:
         b1 = comp @ x
         built.extend((a1, a2, b1, -(i_fib @ b1)))
     return np.column_stack(built)
+
+
+def _wedge_one_form(omega: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """(omega ∧ eps)(u, v, w) = omega(u, v) eps(w) + omega(v, w) eps(u) + omega(w, u) eps(v)."""
+    return (
+        np.einsum("ij,k->ijk", omega, eps)
+        + np.einsum("jk,i->ijk", omega, eps)
+        + np.einsum("ki,j->ijk", omega, eps)
+    )
+
+
+def normal_form_gap(form: AlternatingThreeForm, basis: np.ndarray, nu: np.ndarray) -> float:
+    """Max-norm gap between the form pulled back by basis and the normal form with residual nu.
+
+    The pull-back contracts one basis index per plain einsum.  The normal form
+    omega1∧eps2 - omega2∧eps1 + (nu∧eps1)∧eps2 is summed from its 2-forms,
+    written out per quadruple (a1, a2, b1, b2) of the coframe as
+    omega1 = b1∧a1 + b2∧a2 and omega2 = b1∧a2 - b2∧a1.
+    """
+    d = form.dim
+    pulled = np.einsum("pqr,pa->aqr", form.coeffs, basis)
+    pulled = np.einsum("aqr,qb->abr", pulled, basis)
+    pulled = np.einsum("abr,rc->abc", pulled, basis)
+    eps1, eps2, nu_full = np.zeros(d), np.zeros(d), np.zeros(d)
+    eps1[0], eps2[1], nu_full[2:] = 1.0, 1.0, nu
+    omega1, omega2 = np.zeros((d, d)), np.zeros((d, d))
+    for a1 in range(2, d, 4):
+        a2, b1, b2 = a1 + 1, a1 + 2, a1 + 3
+        omega1[b1, a1] = omega1[b2, a2] = omega2[b1, a2] = 1.0
+        omega2[b2, a1] = -1.0
+    omega1, omega2 = omega1 - omega1.T, omega2 - omega2.T
+    nu_eps1 = np.outer(nu_full, eps1) - np.outer(eps1, nu_full)
+    target = _wedge_one_form(omega1, eps2) - _wedge_one_form(omega2, eps1) + _wedge_one_form(nu_eps1, eps2)
+    return float(np.max(np.abs(pulled - target)))

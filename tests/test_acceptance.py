@@ -4,9 +4,10 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and timings.  Every tolerance is pinned here; the oracles (explicit
 congruences, Richardson-extrapolated differences, brute-force determinants,
 roll-based Laplacians, per-mode Fourier symbols) are implemented in this
-module, independently of the library code paths they check.  Criterion 6
-builds its states with ``momenta_from_positions`` from ``tests/oracles.py``,
-and criterion 9 checks the chart transitions with ``tests/transition.py``.
+module, independently of the library code paths they check.  Criterion 2
+checks its frames with ``normal_form_gap`` and criterion 6 builds its states
+with ``momenta_from_positions``, both from ``tests/oracles.py``, and
+criterion 9 checks the chart transitions with ``tests/transition.py``.
 """
 
 import math
@@ -15,7 +16,7 @@ import time
 import numpy as np
 
 from crms.compatible import build_compatible, standard_triple
-from crms.darboux import crms_darboux, darboux_reconstruction_error
+from crms.darboux import crms_darboux
 from crms.errors import FlowDivergenceError
 from crms.fields import (
     FieldState,
@@ -41,7 +42,7 @@ from crms.sampling import (
     random_smooth_state,
 )
 from crms.symbols import principal_symbol
-from oracles import momenta_from_positions
+from oracles import momenta_from_positions, normal_form_gap
 from transition import sample_patch, transition_check
 
 
@@ -125,7 +126,7 @@ def test_criterion_2_darboux_roundtrip():
             for _ in range(50):
                 form, structure = random_crms_form(n, rng)
                 frame = crms_darboux(form, structure)
-                worst = max(worst, darboux_reconstruction_error(form, frame))
+                worst = max(worst, normal_form_gap(form, frame.basis, frame.nu))
         c.check(worst < 1e-8, f"reconstruction max error {worst:.3e} >= 1e-8")
         c.detail = f"150 seeded forms, worst reconstruction error {worst:.3e}"
 

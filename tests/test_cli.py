@@ -1,5 +1,6 @@
 """Exit-code contract and artifact emission of the command-line harness."""
 
+import argparse
 import csv
 import dataclasses
 import json
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import crms.cli
+import crms.darboux
 from crms.cli import COMMANDS, ExperimentConfig, _check_size, main, parse_config
 from crms.errors import ConfigError
 from crms.fields import FieldState, TorusGrid, read_state, write_state
@@ -237,6 +239,37 @@ def test_large_nu_does_not_hide_a_broken_form(tmp_path, source):
     assert read_json(out / "validate.json")["report"]["i_compatible"]["ok"] is False
     assert run_cli(tmp_path, "darboux", {"n": 2, "output_dir": str(out), "form": form})[0] == 1
     assert read_json(out / "darboux.json")["error"] == "validation failed"
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("source", ["standard_plus_nu", "seeded_random_conjugate"])
+@pytest.mark.parametrize("command", ["validate", "darboux"])
+def test_a_form_that_overflows_is_a_usage_error(tmp_path, capsys, command, source, seed):
+    # nu_scale is finite, but nu overflows to inf; antisymmetry alone let the
+    # form pass (inf + (-inf) is NaN), and an SVD of it did not converge.
+    out = tmp_path / "out"
+    form = {"source": source, "nu_scale": 1.7e308}
+    assert run_cli(tmp_path, command, {"n": 2, "seed": seed, "output_dir": str(out), "form": form})[0] == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "non-finite" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_darboux_pulls_the_form_back_once(tmp_path, monkeypatch):
+    # The reported error comes from the pull-back that gave nu.
+    calls = []
+    pull_back = crms.darboux.pull_back
+
+    def counting(*args):
+        calls.append(args)
+        return pull_back(*args)
+
+    monkeypatch.setattr(crms.darboux, "pull_back", counting)
+    out = tmp_path / "out"
+    cfg = {"n": 4, "seed": 7, "output_dir": str(out), "form": {"source": "seeded_random_conjugate"}}
+    assert run_cli(tmp_path, "darboux", cfg)[0] == 0
+    assert len(calls) == 1
+    assert read_json(out / "darboux.json")["reconstruction_max_error"] < 1e-8
 
 
 # --- symbol ------------------------------------------------------------------
@@ -591,3 +624,28 @@ def test_symbol_csv_bytes_are_reproducible(tmp_path):
         return (out / "symbol.csv").read_bytes()
 
     assert one_run("a") == one_run("b")
+
+
+def test_the_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for k in range(3):
+        assert main(["validate", "--out", str(tmp_path / str(k)), "--quiet"]) == 0
+    assert built == []
+    # The shared parser answers --help and an unknown verb the same way each time.
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: crms")
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["nosuchverb"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'nosuchverb'" in capsys.readouterr().err

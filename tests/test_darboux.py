@@ -16,6 +16,7 @@ from crms.darboux import (
 from crms.errors import CrmsValidationError, DegenerateFormError
 from crms.linalg import (
     contraction_matrix,
+    pull_back,
     standard_complex_structure,
     standard_crms_form,
     standard_fiber_forms,
@@ -27,7 +28,7 @@ from crms.sampling import (
     random_crms_form,
     random_crps_pair,
 )
-from oracles import darboux_basis_by_loop, structure_with_coupling
+from oracles import darboux_basis_by_loop, normal_form_gap, structure_with_coupling
 
 
 def normal_form_defects(pair: CrpsPair, basis: np.ndarray) -> float:
@@ -150,7 +151,7 @@ def test_nu_recovered_in_darboux_coframe():
     form = standard_crms_form(1, nu=nu)
     frame = crms_darboux(form, standard_complex_structure(1))
     assert np.max(np.abs(frame.nu - nu)) < 1e-9
-    assert darboux_reconstruction_error(form, frame) < 1e-9
+    assert normal_form_gap(form, frame.basis, frame.nu) < 1e-9
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -158,7 +159,7 @@ def test_conjugated_form_roundtrip(n):
     rng = np.random.default_rng(200 + n)
     form, structure = random_crms_form(n, rng)
     frame = crms_darboux(form, structure)
-    assert darboux_reconstruction_error(form, frame) < 1e-9
+    assert normal_form_gap(form, frame.basis, frame.nu) < 1e-9
 
 
 def test_coupled_structure_gives_vertical_e2_component():
@@ -169,7 +170,7 @@ def test_coupled_structure_gives_vertical_e2_component():
     form = standard_crms_form(1, nu=rng.normal(size=4))
     frame = crms_darboux(form, structure)
     assert np.max(np.abs(frame.basis[2:, 1])) > 1e-3
-    assert darboux_reconstruction_error(form, frame) < 1e-9
+    assert normal_form_gap(form, frame.basis, frame.nu) < 1e-9
 
 
 def test_invalid_form_raises_with_report():
@@ -195,6 +196,22 @@ def test_splitting_contractions_form_a_crps_pair():
         assert np.max(np.abs(w2 + w1 @ structure.fiber_part)) < 1e-10
 
 
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_reported_error_is_the_oracle_gap(n):
+    # The frame reports the gap of the pull-back that gave nu; the oracle
+    # pulls back and builds the normal form on its own.  A nudged basis
+    # checks the two away from zero as well.
+    for seed in range(5):
+        rng = np.random.default_rng(400 + seed)
+        form, structure = random_crms_form(n, rng)
+        frame = crms_darboux(form, structure)
+        assert abs(frame.reconstruction_error - normal_form_gap(form, frame.basis, frame.nu)) < 1e-12
+        nudged = frame.basis + 1e-3 * rng.normal(size=frame.basis.shape)
+        gap = normal_form_gap(form, nudged, frame.nu)
+        assert gap > 1e-4
+        assert abs(darboux_reconstruction_error(pull_back(form, nudged), frame.nu) - gap) < 1e-12
+
+
 @settings(max_examples=15, deadline=None)
 @given(n=st.integers(min_value=1, max_value=4), seed=st.integers(min_value=0, max_value=10_000))
 def test_roundtrip_property(n, seed):
@@ -202,9 +219,9 @@ def test_roundtrip_property(n, seed):
     rng = np.random.default_rng(seed)
     form, structure = random_crms_form(n, rng)
     frame = crms_darboux(form, structure)
-    assert darboux_reconstruction_error(form, frame) < 1e-8
+    assert normal_form_gap(form, frame.basis, frame.nu) < 1e-8
 
 
 def test_frame_validation_rejects_garbage():
     with pytest.raises(ValueError):
-        DarbouxFrame(np.zeros((6, 6)), np.zeros(4))
+        DarbouxFrame(np.zeros((6, 6)), np.zeros(4), 0.0)

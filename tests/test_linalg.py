@@ -205,6 +205,17 @@ def test_alternating_form_rejects_symmetric_tensor():
         AlternatingThreeForm(t)
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_alternating_form_rejects_non_finite_coefficients(value):
+    # Written antisymmetrically, inf + (-inf) and NaN pass any comparison
+    # against the antisymmetry tolerance; the finiteness check must not.
+    t = np.array(standard_crms_form(1).coeffs)
+    for i, j, k, sign in ((2, 0, 1, 1), (0, 1, 2, 1), (1, 2, 0, 1), (2, 1, 0, -1), (0, 2, 1, -1), (1, 0, 2, -1)):
+        t[i, j, k] = sign * value
+    with pytest.raises(ValueError, match="non-finite"):
+        AlternatingThreeForm(t)
+
+
 # --- validate_crms -----------------------------------------------------------
 
 
