@@ -227,8 +227,10 @@ def _check_size(cfg: ExperimentConfig, command: str) -> None:
     """Reject an n, grid or flow length that needs more than MAX_ARRAY_ENTRIES.
 
     What is counted depends on the verb: the d^3 3-form (d = 4n + 2) of
-    validate and darboux, the (4n)^2 symbol matrix, for gradcheck the (4n)^2
-    fiber forms or one n1 x n2 x 4n field, and for flow the forms or the
+    validate and darboux; for symbol the (4n)^2 symbol matrix or, per
+    covector, its angle, its two components and its four-field row; for
+    gradcheck the (4n)^2 fiber forms, one n1 x n2 x 4n field or the two
+    floats kept per direction; and for flow the forms or the
     max_steps // record_every + 1 such fields that run_flow keeps.
     """
     d = 4 * cfg.n
@@ -236,11 +238,11 @@ def _check_size(cfg: ExperimentConfig, command: str) -> None:
     if command in ("validate", "darboux"):
         largest = (d + 2) ** 3
     elif command == "symbol":
-        largest = d * d
+        largest = max(d * d, 7 * (1 if cfg.symbol_xi is not None else cfg.symbol_angles))
     elif command == "flow":
         largest = max(d * d, (cfg.flow.max_steps // cfg.flow.record_every + 1) * field_entries)
     else:
-        largest = max(d * d, field_entries)
+        largest = max(d * d, field_entries, 2 * cfg.gradcheck_directions)
     if largest > MAX_ARRAY_ENTRIES:
         raise ConfigError(
             f"{command} with n = {cfg.n} and grid {cfg.grid.n1}x{cfg.grid.n2} needs"
@@ -272,7 +274,8 @@ def _write_report(out: Path, name: str, command: str, cfg: ExperimentConfig, **f
     path = _output(out, name)
     timestamp = datetime.now(timezone.utc).isoformat()
     payload = {"command": command, "n": cfg.n, "seed": cfg.seed, **fields, "timestamp": timestamp}
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    # One line: without indent, json runs its C encoder.
+    path.write_text(json.dumps(payload, sort_keys=True) + "\n")
     return path
 
 
@@ -338,8 +341,12 @@ def cmd_darboux(cfg: ExperimentConfig, out: Path) -> tuple[int, str]:
 def cmd_symbol(cfg: ExperimentConfig, out: Path) -> tuple[int, str]:
     if cfg.symbol_xi is not None:
         covectors = [np.asarray(cfg.symbol_xi, dtype=float)]
-        if float(np.hypot(*cfg.symbol_xi)) == 0.0:
+        radius = math.hypot(*cfg.symbol_xi)  # inf when |xi| overflows
+        if radius == 0.0:
             raise ConfigError("symbol.xi must be a nonzero covector")
+        # The Bridges determinant |xi|^(4n) must be a normal double; checked in log space.
+        if not math.log(sys.float_info.min) <= 4 * cfg.n * math.log(radius) <= math.log(sys.float_info.max):
+            raise ConfigError(f"symbol.xi {list(cfg.symbol_xi)}: |xi|^(4n) is not a finite normal double")
         angles = [float(np.arctan2(cfg.symbol_xi[1], cfg.symbol_xi[0]))]
     else:
         angles = [2.0 * np.pi * k / cfg.symbol_angles for k in range(cfg.symbol_angles)]

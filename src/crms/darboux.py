@@ -17,10 +17,10 @@ from .linalg import (
     TAU_ALG,
     AlternatingThreeForm,
     LinearComplexStructure,
+    _normal_form_coeffs,
     contraction_matrix,
     pull_back,
     require_invertible,
-    standard_crms_form,
     standard_fiber_forms,
     fiber_complex_matrix,
     validate_crms,
@@ -221,6 +221,12 @@ def crms_darboux(form: AlternatingThreeForm, structure: LinearComplexStructure) 
 
 
 def darboux_reconstruction_error(pulled: AlternatingThreeForm, nu: np.ndarray) -> float:
-    """Max-norm gap between a form pulled back to a Darboux frame and its normal form with residual nu."""
-    target = standard_crms_form((pulled.dim - 2) // 4, nu=nu)
-    return float(np.max(np.abs(pulled.coeffs - target.coeffs)))
+    """Max-norm gap between a form pulled back to a Darboux frame and its normal form with residual nu.
+
+    Raises DimensionMismatchError unless nu has 4n entries, and ValueError
+    if any of them is not finite.
+    """
+    target = _normal_form_coeffs((pulled.dim - 2) // 4, nu)
+    if not np.all(np.isfinite(target[2:, 0, 1])):
+        raise ValueError("nu has non-finite entries")
+    return float(np.max(np.abs(pulled.coeffs - target)))

@@ -250,24 +250,18 @@ def standard_fiber_forms(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _block_diagonal(n, _W1_BLOCK), _block_diagonal(n, _W2_BLOCK)
 
 
+@functools.cache
 def standard_complex_structure(n: int) -> LinearComplexStructure:
-    """Product complex structure diag(j, I_fiber) on T ⊕ V."""
+    """Product complex structure diag(j, I_fiber) on T ⊕ V, built once per n."""
     m = np.zeros((2 + 4 * n, 2 + 4 * n))
     m[:2, :2] = BASE_ROTATION
     m[2:, 2:] = fiber_complex_matrix(n)
     return LinearComplexStructure(m)
 
 
-def standard_crms_form(n: int, nu: np.ndarray | None = None) -> AlternatingThreeForm:
-    """The normal-form 3-form omega1∧eps2 - omega2∧eps1 (+ nu∧eps1∧eps2).
-
-    Parameters
-    ----------
-    n : int
-        Number of complex fiber dimensions.
-    nu : array of shape (4n,), optional
-        Coefficients of the residual vertical 1-form in the dual coframe.
-    """
+@functools.cache
+def _normal_form_base(n: int) -> np.ndarray:
+    """Coefficients of omega1∧eps2 - omega2∧eps1, built once per n and read-only."""
     coeffs = np.zeros((2 + 4 * n,) * 3)
     a1 = 2 + 4 * np.arange(n)
     a2, b1, b2 = a1 + 1, a1 + 2, a1 + 3
@@ -280,12 +274,32 @@ def standard_crms_form(n: int, nu: np.ndarray | None = None) -> AlternatingThree
         np.repeat([1, 1, 0, 0], n),
         np.repeat([1.0, 1.0, -1.0, 1.0], n),
     )
+    coeffs.setflags(write=False)
+    return coeffs
+
+
+def _normal_form_coeffs(n: int, nu: np.ndarray | None) -> np.ndarray:
+    """A fresh copy of the normal-form coefficients with nu∧eps1∧eps2 written in."""
+    coeffs = _normal_form_base(n).copy()
     if nu is not None:
         nu = np.asarray(nu, dtype=float)
         if nu.shape != (4 * n,):
             raise DimensionMismatchError(f"nu must have shape ({4 * n},), got {nu.shape}")
         _put_alternating(coeffs, 2 + np.arange(4 * n), 0, 1, nu)
-    return AlternatingThreeForm(coeffs)
+    return coeffs
+
+
+def standard_crms_form(n: int, nu: np.ndarray | None = None) -> AlternatingThreeForm:
+    """The normal-form 3-form omega1∧eps2 - omega2∧eps1 (+ nu∧eps1∧eps2).
+
+    Parameters
+    ----------
+    n : int
+        Number of complex fiber dimensions.
+    nu : array of shape (4n,), optional
+        Coefficients of the residual vertical 1-form in the dual coframe.
+    """
+    return AlternatingThreeForm(_normal_form_coeffs(n, nu))
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +407,10 @@ def validate_crms(form: AlternatingThreeForm, structure: LinearComplexStructure)
     nondegenerate = ConditionCheck(nd_ok, worst_cond, nd_witness)
 
     # form(I xi, v1, v2) + form(xi, v1, I v2) over all basis xi and vertical pairs.
-    lhs = np.einsum("pab,px->xab", c[:, 2:, 2:], structure.matrix)
-    rhs = np.einsum("xaq,qb->xab", c[:, 2:, 2:], structure.fiber_part)
+    # Both are BLAS products; with a signed-permutation structure each sum has
+    # one nonzero term, so they are bitwise the plain index sums.
+    lhs = np.tensordot(structure.matrix, c[:, 2:, 2:], (0, 0))
+    rhs = c[:, 2:, 2:] @ structure.fiber_part
     defect = lhs + rhs
     ic_defect = float(np.max(np.abs(defect)))
     ic_witness = None

@@ -105,3 +105,15 @@ def normal_form_gap(form: AlternatingThreeForm, basis: np.ndarray, nu: np.ndarra
     nu_eps1 = np.outer(nu_full, eps1) - np.outer(eps1, nu_full)
     target = _wedge_one_form(omega1, eps2) - _wedge_one_form(omega2, eps1) + _wedge_one_form(nu_eps1, eps2)
     return float(np.max(np.abs(pulled - target)))
+
+
+def i_compatibility_defect(form: AlternatingThreeForm, structure: LinearComplexStructure) -> float:
+    """Max over basis xi and vertical basis pairs of |form(I xi, v1, v2) + form(xi, v1, I v2)|.
+
+    Each side is one plain np.einsum over its written-out index sum: I xi is
+    column xi of the matrix, and I v2 for a vertical v2 stays vertical.
+    """
+    c = form.coeffs[:, 2:, 2:]
+    lhs = np.einsum("pab,px->xab", c, structure.matrix)
+    rhs = np.einsum("xaq,qb->xab", c, structure.matrix[2:, 2:])
+    return float(np.max(np.abs(lhs + rhs)))

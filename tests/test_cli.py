@@ -10,6 +10,7 @@ import pytest
 
 import crms.cli
 import crms.darboux
+import crms.linalg
 from crms.cli import COMMANDS, ExperimentConfig, _check_size, main, parse_config
 from crms.errors import ConfigError
 from crms.fields import FieldState, TorusGrid, read_state, write_state
@@ -272,6 +273,33 @@ def test_darboux_pulls_the_form_back_once(tmp_path, monkeypatch):
     assert read_json(out / "darboux.json")["reconstruction_max_error"] < 1e-8
 
 
+def test_darboux_builds_three_forms(tmp_path, monkeypatch):
+    # The random form, its pull-back by the conjugator and its pull-back by
+    # the frame: the reconstruction error builds no form of its own.
+    built = []
+    post_init = crms.linalg.AlternatingThreeForm.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(crms.linalg.AlternatingThreeForm, "__post_init__", counting)
+    cfg = {"n": 4, "seed": 7, "output_dir": str(tmp_path / "out"), "form": {"source": "seeded_random_conjugate"}}
+    assert run_cli(tmp_path, "darboux", cfg)[0] == 0
+    assert len(built) == 3
+
+
+@pytest.mark.parametrize("command", ["validate", "darboux"])
+def test_reports_are_one_line_of_json(tmp_path, command):
+    out = tmp_path / "out"
+    cfg = {"n": 2, "seed": 4, "output_dir": str(out), "form": {"source": "seeded_random_conjugate"}}
+    assert run_cli(tmp_path, command, cfg)[0] == 0
+    text = (out / f"{command}.json").read_text()
+    assert text.count("\n") == 1 and text.endswith("}\n")
+    payload = json.loads(text)
+    assert json.dumps(payload, sort_keys=True) + "\n" == text
+
+
 # --- symbol ------------------------------------------------------------------
 
 
@@ -294,6 +322,47 @@ def test_symbol_zero_covector_rejected(tmp_path):
     cfg = {"n": 1, "output_dir": str(out), "symbol": {"xi": [0.0, 0.0]}}
     assert run_cli(tmp_path, "symbol", cfg)[0] == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("xi", [[1e-320, 0.0], [1e100, 0.0], [1e308, 1e308]])
+def test_symbol_covector_whose_determinant_is_not_a_normal_double_is_a_usage_error(tmp_path, capsys, xi):
+    # |xi|^4 underflows or overflows at n = 1: no kernel count or
+    # determinant of that symbol could be trusted.
+    out = tmp_path / "out"
+    assert run_cli(tmp_path, "symbol", {"n": 1, "output_dir": str(out), "symbol": {"xi": xi}})[0] == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1 and "symbol.xi" in err
+    assert not out.exists()
+
+
+def test_symbol_covector_near_the_top_of_the_range_passes(tmp_path):
+    # |xi|^4 = 1e304 is a normal double; a RuntimeWarning fails the test.
+    out = tmp_path / "out"
+    assert run_cli(tmp_path, "symbol", {"n": 1, "output_dir": str(out), "symbol": {"xi": [1e76, 0.0]}})[0] == 0
+    with open(out / "symbol.csv", newline="") as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert (row["ddw_kernel_dim"], row["bridges_kernel_dim"]) == ("1", "0")
+    assert float(row["bridges_det"]) == pytest.approx(1e304, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "command, config, entries",
+    [
+        # Seven floats per covector: its angle, two components and four-field row.
+        ("symbol", {"symbol": {"angles": 15}}, 105),
+        # Two floats per direction; the 4x4 field at n = 1 holds 64.
+        ("gradcheck", {"grid": {"n1": 4, "n2": 4}, "gradcheck": {"directions": 51}}, 102),
+    ],
+)
+def test_size_bound_counts_symbol_angles_and_gradcheck_directions(tmp_path, capsys, monkeypatch, command, config, entries):
+    monkeypatch.setattr(crms.cli, "MAX_ARRAY_ENTRIES", 100)
+    out = tmp_path / "out"
+    assert run_cli(tmp_path, command, {"n": 1, "output_dir": str(out), **config})[0] == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"needs {entries} float entries" in err
+    assert not out.exists()
+    monkeypatch.setattr(crms.cli, "MAX_ARRAY_ENTRIES", entries)
+    _check_size(parse_config(config, command), command)
 
 
 def test_symbol_explicit_covector(tmp_path):

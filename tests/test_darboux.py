@@ -13,7 +13,7 @@ from crms.darboux import (
     darboux_reconstruction_error,
     standard_crps_pair,
 )
-from crms.errors import CrmsValidationError, DegenerateFormError
+from crms.errors import CrmsValidationError, DegenerateFormError, DimensionMismatchError
 from crms.linalg import (
     contraction_matrix,
     pull_back,
@@ -210,6 +210,25 @@ def test_reported_error_is_the_oracle_gap(n):
         gap = normal_form_gap(form, nudged, frame.nu)
         assert gap > 1e-4
         assert abs(darboux_reconstruction_error(pull_back(form, nudged), frame.nu) - gap) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_reconstruction_error_is_the_gap_to_the_normal_form_tensor(n):
+    # Bitwise the max-norm gap to standard_crms_form(n, nu); a nu of the
+    # wrong shape or with a non-finite entry is still rejected.
+    rng = np.random.default_rng(500 + n)
+    form, structure = random_crms_form(n, rng)
+    pulled = pull_back(form, crms_darboux(form, structure).basis)
+    nu = rng.normal(size=4 * n)
+    expected = float(np.max(np.abs(pulled.coeffs - standard_crms_form(n, nu=nu).coeffs)))
+    assert darboux_reconstruction_error(pulled, nu) == expected
+    with pytest.raises(DimensionMismatchError):
+        darboux_reconstruction_error(pulled, nu[1:])
+    for value in (np.inf, -np.inf, np.nan):
+        bad = nu.copy()
+        bad[-1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            darboux_reconstruction_error(pulled, bad)
 
 
 @settings(max_examples=15, deadline=None)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crms.cli import FORM_INJECTIONS, FORM_SOURCES, _build_form, parse_config
 from crms.errors import DimensionMismatchError
 from crms.linalg import (
     AlternatingThreeForm,
@@ -17,6 +18,7 @@ from crms.linalg import (
     _W2_BLOCK,
     _alternation_from_canonical,
     _canonical_triples,
+    _normal_form_base,
     pull_back,
     standard_complex_structure,
     standard_crms_form,
@@ -31,7 +33,7 @@ from crms.sampling import (
     inject_vertical_triple,
     random_crms_form,
 )
-from oracles import structure_with_coupling
+from oracles import i_compatibility_defect, structure_with_coupling
 
 
 def evaluate(form: AlternatingThreeForm, u, v, w) -> float:
@@ -291,6 +293,58 @@ def test_compatibility_extends_to_random_vectors_by_linearity():
         lhs = evaluate(form, structure.matrix @ xi, v1, v2)
         rhs = -evaluate(form, xi, v1, structure.matrix @ v2)
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("source", FORM_SOURCES)
+def test_i_compatibility_defect_is_the_oracle_bitwise_on_every_cli_form(n, source):
+    # Every CLI form source uses the standard structure, a signed
+    # permutation: each index sum has one nonzero term, so the BLAS products
+    # and the plain einsums agree to the bit.
+    for inject in (None, *FORM_INJECTIONS):
+        cfg = parse_config({"n": n, "seed": 3, "form": {"source": source, "inject": inject}}, "validate")
+        form, structure = _build_form(cfg)
+        report = validate_crms(form, structure)
+        assert report.i_compatible.max_defect == i_compatibility_defect(form, structure), inject
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_i_compatibility_defect_matches_the_oracle_on_a_conjugated_structure(n):
+    # J' = M^-1 J M for a block-lower-triangular M is a non-standard complex
+    # structure, and the standard form pulled back by M is CRMS for it.
+    rng = np.random.default_rng(40 + n)
+    d = 2 + 4 * n
+    m = np.eye(d) + 0.3 * rng.normal(size=(d, d)) / np.sqrt(d)
+    m[:2, 2:] = 0.0
+    structure = LinearComplexStructure(np.linalg.solve(m, standard_complex_structure(n).matrix @ m))
+    assert np.count_nonzero(np.abs(structure.matrix) > 1e-12) > 2 * d
+    base = pull_back(standard_crms_form(n, nu=rng.normal(size=4 * n)), m)
+    for form in (base, break_i_compatibility(base)):
+        scale = float(np.max(np.abs(form.coeffs[:, 2:, 2:]))) * float(np.max(np.abs(structure.matrix)))
+        defect = validate_crms(form, structure).i_compatible.max_defect
+        assert abs(defect - i_compatibility_defect(form, structure)) <= 1e-14 * scale
+    assert validate_crms(base, structure).passed
+    assert not validate_crms(break_i_compatibility(base), structure).i_compatible.ok
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_per_n_constants_are_built_once_and_read_only(n):
+    structure = standard_complex_structure(n)
+    assert standard_complex_structure(n) is structure
+    assert not structure.matrix.flags.writeable
+    base = _normal_form_base(n)
+    assert _normal_form_base(n) is base
+    assert not base.flags.writeable
+    with pytest.raises(ValueError):
+        base[2, 0, 1] = 1.0
+    nu = np.arange(1.0, 4 * n + 1)
+    assert np.array_equal(standard_crms_form(n, nu=nu).coeffs[2:, 0, 1], nu)
+    # Writing nu went to a copy: the next form has no nu terms.
+    plain = standard_crms_form(n)
+    assert not np.any(plain.coeffs[2:, 0, 1])
+    assert np.array_equal(plain.coeffs, base)
+    # The public fiber matrices stay fresh and writable.
+    assert fiber_complex_matrix(n).flags.writeable
 
 
 def test_validate_rejects_mismatched_spaces():
