@@ -188,6 +188,9 @@ def crms_darboux(form: AlternatingThreeForm, structure: LinearComplexStructure) 
     ------
     CrmsValidationError
         If (form, structure) fails validate_crms.
+    DegenerateFormError
+        If the frame is not complex-linear: I e1 = e2 within TAU_ALG, and
+        I a1 = a2, I b1 = -b2 within 1e-8 for every quadruple.
     """
     report = validate_crms(form, structure)
     if not report.passed:
@@ -207,13 +210,15 @@ def crms_darboux(form: AlternatingThreeForm, structure: LinearComplexStructure) 
     frame[:, 1] = e2
     frame[2:, 2:] = fiber_basis
 
-    # Complex-linearity of the frame, by construction; kept as a cheap guard.
-    im = structure.matrix
-    assert np.max(np.abs(im @ frame[:, 0] - frame[:, 1])) < TAU_ALG
-    for k in range((d - 2) // 4):
-        c = 2 + 4 * k
-        assert np.max(np.abs(im @ frame[:, c] - frame[:, c + 1])) < 1e-8
-        assert np.max(np.abs(im @ frame[:, c + 2] + frame[:, c + 3])) < 1e-8
+    # Complex-linearity of the frame, by construction; kept as a cheap guard:
+    # I e1 = e2, and per quadruple I a1 = a2 and I b1 = -b2.
+    moved = structure.matrix @ frame
+    if not (
+        np.max(np.abs(moved[:, 0] - frame[:, 1])) < TAU_ALG
+        and np.max(np.abs(moved[:, 2::4] - frame[:, 3::4])) < 1e-8
+        and np.max(np.abs(moved[:, 4::4] + frame[:, 5::4])) < 1e-8
+    ):
+        raise DegenerateFormError("Darboux frame is not complex-linear")
 
     pulled = pull_back(form, frame)
     nu = pulled.coeffs[2:, 0, 1]

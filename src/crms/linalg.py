@@ -77,21 +77,31 @@ def _put_alternating(c: np.ndarray, i, j, k, v) -> None:
 
 
 @functools.cache
-def _canonical_triples(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The index triples i<j<k of a d x d x d tensor, built once per d and read-only."""
+def _alternation_index(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat positions in a d x d x d tensor, built once per d and read-only.
+
+    The first array holds the positions of the triples i<j<k, the second
+    (3 rows) those of their even permutations and the third those of their
+    odd ones, column by column in the order of the first.
+    """
     r = np.arange(d)
-    triples = np.nonzero((r[:, None, None] < r[None, :, None]) & (r[None, :, None] < r[None, None, :]))
-    for t in triples:
-        t.setflags(write=False)
-    return triples
+    i, j, k = np.nonzero((r[:, None, None] < r[None, :, None]) & (r[None, :, None] < r[None, None, :]))
+    canonical = (i * d + j) * d + k
+    even = np.stack([canonical, (j * d + k) * d + i, (k * d + i) * d + j])
+    odd = np.stack([(i * d + k) * d + j, (j * d + i) * d + k, (k * d + j) * d + i])
+    for a in (canonical, even, odd):
+        a.setflags(write=False)
+    return canonical, even, odd
 
 
 def _alternation_from_canonical(raw: np.ndarray) -> np.ndarray:
     """Rebuild a tensor from its i<j<k entries so antisymmetry is bitwise."""
-    i, j, k = _canonical_triples(raw.shape[0])
-    out = np.zeros_like(raw)
-    _put_alternating(out, i, j, k, raw[i, j, k])
-    return out
+    canonical, even, odd = _alternation_index(raw.shape[0])
+    v = raw.take(canonical)
+    out = np.zeros(raw.size)
+    out[even] = v
+    out[odd] = -v
+    return out.reshape(raw.shape)
 
 
 def wedge3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -112,17 +122,18 @@ class AlternatingThreeForm:
 
     coeffs: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, *, _exact: bool = False):
         c = _readonly(self.coeffs)
         _split_dim(c.shape, 3)
         peak = float(np.max(np.abs(c)))
         # NaN fails every comparison below, and inf + (-inf) is NaN.
         if not np.isfinite(peak):
             raise ValueError("coefficient tensor has non-finite entries")
-        scale = max(1.0, peak)
-        for axes in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):
-            if np.max(np.abs(c + np.transpose(c, axes))) > TAU_ALG * scale:
-                raise ValueError("coefficient tensor is not totally antisymmetric")
+        if not _exact:
+            scale = max(1.0, peak)
+            for axes in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):
+                if np.max(np.abs(c + np.transpose(c, axes))) > TAU_ALG * scale:
+                    raise ValueError("coefficient tensor is not totally antisymmetric")
         object.__setattr__(self, "coeffs", c)
 
     @property
@@ -130,20 +141,37 @@ class AlternatingThreeForm:
         return self.coeffs.shape[0]
 
 
+def _exact_form(coeffs: np.ndarray) -> AlternatingThreeForm:
+    """The form of a tensor that the library alternated itself.
+
+    Such a tensor is antisymmetric bitwise, so its construction keeps the
+    shape check, the read-only copy and the non-finite check and skips the
+    three transposed sums.
+    """
+    form = object.__new__(AlternatingThreeForm)
+    object.__setattr__(form, "coeffs", coeffs)
+    form.__post_init__(_exact=True)
+    return form
+
+
 def pull_back(form: AlternatingThreeForm, basis: np.ndarray) -> AlternatingThreeForm:
     """Pull the form back through a change of basis (columns = new frame).
 
     Returns the tensor of (u, v, w) ↦ form(Bu, Bv, Bw) in the new frame, by
-    three tensordots that contract one basis index at a time: in this order
-    the result is bitwise that of ``np.einsum(..., optimize=True)``, as the
-    tests pin.  Raises DimensionMismatchError unless the basis is d x d.
+    three matrix products that contract one basis index at a time, on the
+    operands ``np.tensordot`` would build: in this order the result is
+    bitwise that of ``np.einsum(..., optimize=True)``, as the tests pin.
+    Raises DimensionMismatchError unless the basis is d x d.
     """
     b = np.asarray(basis, dtype=float)
     d = form.dim
     if b.shape != (d, d):
         raise DimensionMismatchError(f"basis shape {b.shape} does not match dimension {d}")
-    raw = np.tensordot(np.tensordot(np.tensordot(b, form.coeffs, (0, 0)), b, (1, 0)), b, (1, 0))
-    return AlternatingThreeForm(_alternation_from_canonical(raw))
+    raw = np.dot(b.T, form.coeffs.reshape(d, d * d)).reshape(d, d, d)
+    for _ in range(2):
+        # Contract the middle index and move the free one last.
+        raw = np.dot(raw.transpose(0, 2, 1).reshape(d * d, d), b).reshape(d, d, d)
+    return _exact_form(_alternation_from_canonical(raw))
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +327,7 @@ def standard_crms_form(n: int, nu: np.ndarray | None = None) -> AlternatingThree
     nu : array of shape (4n,), optional
         Coefficients of the residual vertical 1-form in the dual coframe.
     """
-    return AlternatingThreeForm(_normal_form_coeffs(n, nu))
+    return _exact_form(_normal_form_coeffs(n, nu))
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +421,7 @@ def validate_crms(form: AlternatingThreeForm, structure: LinearComplexStructure)
     nd_witness = None
     for label, idx in (("e1", 0), ("e2", 1)):
         mat = c[idx, 2:, 2:]
-        sv = np.linalg.svd(mat, compute_uv=False)
-        cond = np.inf if sv[-1] == 0.0 else float(sv[0] / sv[-1])
+        cond = _condition_number(mat)
         worst_cond = max(worst_cond, cond)
         if cond >= COND_LIMIT:
             nd_ok = False
@@ -402,15 +429,16 @@ def validate_crms(form: AlternatingThreeForm, structure: LinearComplexStructure)
                 nd_witness = {
                     "lift": label,
                     "condition_number": cond,
-                    "smallest_singular_value": float(sv[-1]),
+                    "smallest_singular_value": float(np.linalg.svd(mat, compute_uv=False)[-1]),
                 }
     nondegenerate = ConditionCheck(nd_ok, worst_cond, nd_witness)
 
     # form(I xi, v1, v2) + form(xi, v1, I v2) over all basis xi and vertical pairs.
     # Both are BLAS products; with a signed-permutation structure each sum has
     # one nonzero term, so they are bitwise the plain index sums.
-    lhs = np.tensordot(structure.matrix, c[:, 2:, 2:], (0, 0))
-    rhs = c[:, 2:, 2:] @ structure.fiber_part
+    cvv = c[:, 2:, 2:]
+    lhs = np.dot(structure.matrix.T, cvv.reshape(form.dim, -1)).reshape(cvv.shape)
+    rhs = cvv @ structure.fiber_part
     defect = lhs + rhs
     ic_defect = float(np.max(np.abs(defect)))
     ic_witness = None
@@ -428,8 +456,13 @@ def validate_crms(form: AlternatingThreeForm, structure: LinearComplexStructure)
     return ValidationReport(horizontal, nondegenerate, i_compatible)
 
 
+def _condition_number(matrix: np.ndarray) -> float:
+    """np.linalg.cond of a square matrix by the same SVD: sv[0] / sv[-1], inf if sv[-1] is 0."""
+    sv = np.linalg.svd(matrix, compute_uv=False)
+    return np.inf if sv[-1] == 0.0 else float(sv[0] / sv[-1])
+
+
 def require_invertible(matrix: np.ndarray, what: str) -> None:
     """Raise DegenerateFormError unless the matrix is comfortably invertible."""
-    sv = np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False)
-    if sv[-1] == 0.0 or sv[0] / sv[-1] >= COND_LIMIT:
+    if _condition_number(np.asarray(matrix, dtype=float)) >= COND_LIMIT:
         raise DegenerateFormError(f"{what} is numerically singular")

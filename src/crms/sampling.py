@@ -18,7 +18,7 @@ from .linalg import (
     standard_complex_structure,
     standard_crms_form,
     standard_fiber_forms,
-    fiber_complex_matrix,
+    _condition_number,
     _put_alternating,
 )
 
@@ -32,17 +32,17 @@ def commuting_fiber_map(n: int, rng: np.random.Generator) -> np.ndarray:
     and condition cap keep the map well-conditioned.
     """
     d = 4 * n
-    i_fib = fiber_complex_matrix(n)
+    i_fib = standard_complex_structure(n).fiber_part
     while True:
         x = rng.normal(size=(d, d)) * 0.4 / np.sqrt(d)
         m = 0.5 * (x - i_fib @ x @ i_fib) + np.eye(d)
-        if np.linalg.cond(m) < _COND_CAP:
+        if _condition_number(m) < _COND_CAP:
             return m
 
 
 def intertwining_coupling(n: int, rng: np.random.Generator) -> np.ndarray:
     """Random 4n x 2 coupling C with C j = I' C (complex-linear T -> V)."""
-    i_fib = fiber_complex_matrix(n)
+    i_fib = standard_complex_structure(n).fiber_part
     x = rng.normal(size=(4 * n, 2)) * 0.5
     return 0.5 * (x - i_fib @ x @ BASE_ROTATION)
 
@@ -62,7 +62,7 @@ def crms_conjugator(n: int, rng: np.random.Generator) -> np.ndarray:
         m[:2, :2] = base_commuting_map(rng)
         m[2:, :2] = intertwining_coupling(n, rng)
         m[2:, 2:] = commuting_fiber_map(n, rng)
-        if np.linalg.cond(m) < _COND_CAP:
+        if _condition_number(m) < _COND_CAP:
             return m
 
 
@@ -84,13 +84,13 @@ def random_crps_pair(n: int, rng: np.random.Generator) -> CrpsPair:
     """Standard CRPS pair conjugated by a random I-commuting fiber map."""
     m = commuting_fiber_map(n, rng)
     w1, w2 = standard_fiber_forms(n)
-    return CrpsPair(m.T @ w1 @ m, m.T @ w2 @ m, fiber_complex_matrix(n))
+    return CrpsPair(m.T @ w1 @ m, m.T @ w2 @ m, standard_complex_structure(n).fiber_part)
 
 
 def compatible_reference(n: int, rng: np.random.Generator) -> SpdMatrix:
     """Random SPD inner product compatible with the standard fiber I."""
     d = 4 * n
-    i_fib = fiber_complex_matrix(n)
+    i_fib = standard_complex_structure(n).fiber_part
     y = np.eye(d) + rng.normal(size=(d, d)) * 0.3 / np.sqrt(d)
     r = y.T @ y
     return SpdMatrix(0.5 * (r + i_fib.T @ r @ i_fib))

@@ -273,20 +273,23 @@ def test_darboux_pulls_the_form_back_once(tmp_path, monkeypatch):
     assert read_json(out / "darboux.json")["reconstruction_max_error"] < 1e-8
 
 
-def test_darboux_builds_three_forms(tmp_path, monkeypatch):
-    # The random form, its pull-back by the conjugator and its pull-back by
-    # the frame: the reconstruction error builds no form of its own.
+@pytest.mark.parametrize("command, forms", [("validate", 2), ("darboux", 3)])
+def test_darboux_builds_three_forms(tmp_path, monkeypatch, command, forms):
+    # The seeded form is a standard form pulled back by the conjugator: two
+    # forms.  darboux adds the pull-back by the frame; the reconstruction
+    # error builds no form of its own.  The hook passes the keyword that the
+    # library's own route (_exact_form) gives, so it counts both routes.
     built = []
     post_init = crms.linalg.AlternatingThreeForm.__post_init__
 
-    def counting(self):
+    def counting(self, **kwargs):
         built.append(self)
-        post_init(self)
+        post_init(self, **kwargs)
 
     monkeypatch.setattr(crms.linalg.AlternatingThreeForm, "__post_init__", counting)
     cfg = {"n": 4, "seed": 7, "output_dir": str(tmp_path / "out"), "form": {"source": "seeded_random_conjugate"}}
-    assert run_cli(tmp_path, "darboux", cfg)[0] == 0
-    assert len(built) == 3
+    assert run_cli(tmp_path, command, cfg)[0] == 0
+    assert len(built) == forms
 
 
 @pytest.mark.parametrize("command", ["validate", "darboux"])

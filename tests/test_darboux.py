@@ -1,10 +1,17 @@
 """Darboux bases for fiber pairs and frames for split-space forms."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crms
 from crms.darboux import (
     CrpsPair,
     DarbouxFrame,
@@ -179,6 +186,37 @@ def test_invalid_form_raises_with_report():
         crms_darboux(form, standard_complex_structure(1))
     assert excinfo.value.report is not None
     assert not excinfo.value.report.horizontal.ok
+
+
+def test_frame_guard_runs_under_python_O(tmp_path):
+    # The frame's complex-linearity is an explicit check, not an assert, so
+    # python -O keeps it: a fiber basis that breaks a2 = I a1 makes darboux
+    # exit 1 with one error line.
+    script = textwrap.dedent(
+        """
+        import sys
+        import crms.darboux
+        from crms.cli import main
+
+        crps_darboux = crms.darboux.crps_darboux
+
+        def broken(pair):
+            basis = crps_darboux(pair).copy()
+            basis[:, 1] *= 2.0
+            return basis
+
+        crms.darboux.crps_darboux = broken
+        sys.exit(main(["darboux", "--out", sys.argv[1], "--quiet"]))
+        """
+    )
+    src = str(Path(crms.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script, str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 1
+    assert run.stderr == "error: Darboux frame is not complex-linear\n"
 
 
 def test_splitting_contractions_form_a_crps_pair():
