@@ -270,12 +270,16 @@ def _output(out: Path, name: str) -> Path:
 
 
 def _write_report(out: Path, name: str, command: str, cfg: ExperimentConfig, **fields) -> Path:
-    """Write the JSON report ``name``: the run header, ``fields`` and a timestamp."""
+    """Write the JSON report ``name``: the run header, ``fields`` and a timestamp, as strict JSON."""
     path = _output(out, name)
     timestamp = datetime.now(timezone.utc).isoformat()
     payload = {"command": command, "n": cfg.n, "seed": cfg.seed, **fields, "timestamp": timestamp}
     # One line: without indent, json runs its C encoder.
-    path.write_text(json.dumps(payload, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(payload, sort_keys=True, allow_nan=False)
+    except ValueError:  # strict JSON has no NaN or Infinity: write each, at any depth, as null
+        text = json.dumps(json.loads(json.dumps(payload), parse_constant=lambda _: None), sort_keys=True)
+    path.write_text(text + "\n")
     return path
 
 

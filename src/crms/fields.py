@@ -7,7 +7,9 @@ gradient formula J1 ∂1 Z + J2 ∂2 Z - ∇H the *exact* gradient of the discre
 action, so the gradient check is a machine-precision test rather than an
 O(h^2) one.  The fiber structure is the standard pair (J1, J2) =
 standard_fiber_forms(n), which follows from n alone; the conformal factor is
-fixed to 1 and the connection is the trivial product connection.
+fixed to 1 and the connection is the trivial product connection.  One private
+field operator holds the pair and evaluates J1 ∂1 Z + J2 ∂2 Z, the action and
+the gradient for this module and the flow.
 
 Grid sums use numpy's pairwise reductions, so results are deterministic for
 a fixed shape regardless of threading.
@@ -47,6 +49,8 @@ class TorusGrid:
             raise ValueError("grid resolution must be at least 4 in each direction")
         if not (0.0 < self.l1 < np.inf and 0.0 < self.l2 < np.inf):
             raise ValueError("periods must be positive and finite")
+        if not np.finfo(float).tiny <= self.cell_area < np.inf:  # h1 h2 weights the L² product
+            raise ValueError(f"cell area h1 h2 = {self.cell_area!r} is not a finite normal double")
 
     @property
     def h1(self) -> float:
@@ -243,50 +247,60 @@ def _require_fiber_match(state_dim: int, ham: HamiltonianSpec) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _bridges_operator(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """J1 ∂1 Z + J2 ∂2 Z (Bridges' principal part): the action, gradient and flow use it.
+@dataclass(frozen=True)
+class _FieldOperator:
+    """J1 ∂1 + J2 ∂2 with the pair standard_fiber_forms(n) on one grid; action and gradient take its image."""
 
-    (J1, J2) is the standard pair for the fiber dimension 4n of ``values``.
-    """
-    j1, j2 = _standard_forms(values.shape[-1] // 4)
-    out = diff(values, grid, 1) @ j1.T
-    out += diff(values, grid, 2) @ j2.T
-    return out
+    grid: TorusGrid
+    j1: np.ndarray = field(repr=False)
+    j2: np.ndarray = field(repr=False)
 
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """J1 ∂1 Z + J2 ∂2 Z, the principal part of Bridges' field equations."""
+        out = diff(values, self.grid, 1) @ self.j1.T
+        out += diff(values, self.grid, 2) @ self.j2.T
+        return out
 
-def _action_value(grid: TorusGrid, values: np.ndarray, bridges: np.ndarray, density: np.ndarray) -> float:
-    """h1 h2 sum[1/2 Z·bridges - H] for bridges = _bridges_operator(Z) and H = density."""
-    return float(grid.cell_area * np.sum(0.5 * np.sum(values * bridges, axis=-1) - density))
+    def gradient(self, values: np.ndarray, ham: HamiltonianSpec, bridges: np.ndarray) -> np.ndarray:
+        """The L² gradient of the action, J1 ∂1 Z + J2 ∂2 Z - ∇H(Z), for bridges = apply(values)."""
+        return bridges - ham.gradient(values)
+
+    def action(self, values: np.ndarray, ham: HamiltonianSpec, bridges: np.ndarray) -> float:
+        """The action h1 h2 sum[1/2 Z·bridges - H(Z)] for bridges = apply(values)."""
+        return float(self.grid.cell_area * np.sum(0.5 * np.sum(values * bridges, axis=-1) - ham.value(values)))
 
 
 @functools.cache
-def _standard_forms(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """standard_fiber_forms(n), built once per n and read-only."""
-    forms = standard_fiber_forms(n)
-    for w in forms:
-        w.setflags(write=False)
-    return forms
+def _operator_on(grid: TorusGrid, n: int) -> _FieldOperator:
+    j1, j2 = standard_fiber_forms(n)
+    j1.setflags(write=False)
+    j2.setflags(write=False)
+    return _FieldOperator(grid, j1, j2)
+
+
+def _field_operator(state: FieldState, ham: HamiltonianSpec) -> _FieldOperator:
+    """The operator of ``state``'s grid and n, built once per (grid, n); ``ham`` must act on the same fiber."""
+    _require_fiber_match(state.fiber_dim, ham)
+    return _operator_on(state.grid, state.n)
 
 
 def action(state: FieldState, ham: HamiltonianSpec) -> float:
     """Discrete multisymplectic action h1 h2 sum[1/2 Z·(J1 ∂1 Z + J2 ∂2 Z) - H(Z)].
 
-    (J1, J2) = standard_fiber_forms(n).  Centered differences are skew-adjoint
-    and the J_i antisymmetric, so each J_i ∂_i is self-adjoint and the exact
-    gradient is J1 ∂1 Z + J2 ∂2 Z - ∇H (l2_gradient).  Summed over the grid,
-    the quadratic term is the theta-form sum P1 ∂1 q1 + P2 ∂1 q2 + P1 ∂2 q2 - P2 ∂2 q1.
+    The field operator's action, (J1, J2) = standard_fiber_forms(n).  Centered
+    differences are skew-adjoint and the J_i antisymmetric, so each J_i ∂_i is
+    self-adjoint and the exact gradient is J1 ∂1 Z + J2 ∂2 Z - ∇H (l2_gradient).
+    Summed over the grid, the quadratic term is the theta-form sum P1 ∂1 q1 + P2 ∂1 q2 + P1 ∂2 q2 - P2 ∂2 q1.
     """
-    _require_fiber_match(state.fiber_dim, ham)
-    v = state.values
-    bridges = _bridges_operator(v, state.grid)
-    return _action_value(state.grid, v, bridges, ham.value(v))
+    op = _field_operator(state, ham)
+    return op.action(state.values, ham, op.apply(state.values))
 
 
 def bridges_residual(state: FieldState, ham: HamiltonianSpec) -> np.ndarray:
     """Pointwise residual of the first-order elliptic field equations.
 
     Zero exactly at critical points of the discrete action; equal to minus
-    l2_gradient.  Written out by components, apart from _bridges_operator and
+    l2_gradient.  Written out by components, without the field operator or
     the standard pair, as the reference for the gradient.
     """
     _require_fiber_match(state.fiber_dim, ham)
@@ -305,11 +319,10 @@ def bridges_residual(state: FieldState, ham: HamiltonianSpec) -> np.ndarray:
 def l2_gradient(state: FieldState, ham: HamiltonianSpec) -> np.ndarray:
     """Exact gradient of the discrete action: J1 ∂1 Z + J2 ∂2 Z - ∇H(Z).
 
-    (J1, J2) = standard_fiber_forms(n), the pair the action is built from.
+    The field operator's gradient: (J1, J2) = standard_fiber_forms(n), as for the action.
     """
-    _require_fiber_match(state.fiber_dim, ham)
-    v = state.values
-    return _bridges_operator(v, state.grid) - ham.gradient(v)
+    op = _field_operator(state, ham)
+    return op.gradient(state.values, ham, op.apply(state.values))
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, FlowDivergenceError
-from .fields import FieldState, HamiltonianSpec, TorusGrid
-from .fields import _action_value, _bridges_operator, _require_fiber_match
+from .fields import FieldState, HamiltonianSpec, TorusGrid, _field_operator
 
 INTEGRATORS = ("explicit_euler", "rk4")
 
@@ -98,12 +97,6 @@ class FlowTrace:
         return self.steps[:, 2]
 
 
-def _check_finite(values: np.ndarray, step: int | None) -> None:
-    if not np.all(np.isfinite(values)):
-        where = "" if step is None else f" at step {step}"
-        raise FlowDivergenceError(f"flow produced non-finite values{where}", step=step)
-
-
 def flow_step(
     state: FieldState,
     ham: HamiltonianSpec,
@@ -116,22 +109,21 @@ def flow_step(
     """One step of Z <- Z - ds grad A(Z) (Euler) or the RK4 update.
 
     ``gradient`` is the L² gradient at ``state``, ``l2_gradient(state, ham)``.
-    The step takes its negation as the first stage, so it evaluates the
-    operator J1 ∂1 + J2 ∂2 and ∇H 0 times (Euler) or 3 times (RK4).
+    The step takes its negation as the first stage, so it evaluates the field
+    operator's gradient 0 times (Euler) or 3 times (RK4), on raw arrays.
 
     Raises FlowDivergenceError when the update produces non-finite values.
     """
     if integrator not in INTEGRATORS:
         raise ConfigError(f"unknown integrator '{integrator}'")
-    _require_fiber_match(state.fiber_dim, ham)
-    grid = state.grid
+    op = _field_operator(state, ham)
     v = state.values
     if np.shape(gradient) != v.shape:
         raise DimensionMismatchError(f"gradient shape {np.shape(gradient)} does not match the state {v.shape}")
 
     def rhs(values: np.ndarray) -> np.ndarray:
-        # Stages stay raw arrays: an overflowing stage reaches _check_finite.
-        return -(_bridges_operator(values, grid) - ham.gradient(values))
+        # Stages stay raw arrays: an overflowing stage reaches the finiteness check.
+        return -op.gradient(values, ham, op.apply(values))
 
     with np.errstate(over="ignore", invalid="ignore"):
         k1 = -gradient
@@ -142,7 +134,9 @@ def flow_step(
             k3 = rhs(v + 0.5 * ds * k2)
             k4 = rhs(v + ds * k3)
             new = v + (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    _check_finite(new, step)
+    if not np.all(np.isfinite(new)):
+        where = "" if step is None else f" at step {step}"
+        raise FlowDivergenceError(f"flow produced non-finite values{where}", step=step)
     return state.with_values(new)
 
 
@@ -150,8 +144,8 @@ def run_flow(initial: FieldState, ham: HamiltonianSpec, config: FlowConfig) -> F
     """Iterate flow_step until the gradient sup-norm drops below tolerance.
 
     Each state's gradient is evaluated once, for its trace row, and handed to
-    flow_step: a run of K steps evaluates the operator J1 ∂1 + J2 ∂2 and ∇H
-    K + 1 times (Euler) or 4K + 1 times (RK4).
+    flow_step: a run of K steps applies the field operator K + 1 (Euler) or
+    4K + 1 (RK4) times, and a trace row's gradient and action share one application.
 
     Convergence certifies an approximate solution of the field equations:
     the gradient equals minus the equation residual pointwise.  The run
@@ -160,9 +154,8 @@ def run_flow(initial: FieldState, ham: HamiltonianSpec, config: FlowConfig) -> F
     modes grow until a FlowDivergenceError is raised carrying the partial
     trace.
     """
-    grid = initial.grid
-    config.check_stability(grid)
-    _require_fiber_match(initial.fiber_dim, ham)
+    config.check_stability(initial.grid)
+    op = _field_operator(initial, ham)
     state = initial
     rows: list[tuple[float, float, float]] = []
     recorded: list[FieldState] = []
@@ -170,10 +163,10 @@ def run_flow(initial: FieldState, ham: HamiltonianSpec, config: FlowConfig) -> F
     def observe(k: int, st: FieldState) -> tuple[float, np.ndarray]:
         v = st.values
         with np.errstate(over="ignore", invalid="ignore"):
-            bridges = _bridges_operator(v, grid)
-            grad = bridges - ham.gradient(v)
+            bridges = op.apply(v)
+            grad = op.gradient(v, ham, bridges)
             gnorm = float(np.max(np.abs(grad)))
-            act = _action_value(grid, v, bridges, ham.value(v))
+            act = op.action(v, ham, bridges)
         if not (np.isfinite(gnorm) and np.isfinite(act)):
             raise FlowDivergenceError(f"flow diagnostics became non-finite at step {k}", step=k)
         rows.append((k * config.ds, act, gnorm))
@@ -211,7 +204,7 @@ def fueter_residual(
     Evaluates I ∂s Z + I J1 ∂1 Z + I J2 ∂2 Z - I ∇H(Z) with a centered
     difference in s at the interior trajectory points; small values certify
     the trajectory solves the three-direction Cauchy-Riemann system.  The
-    gradient at each point is l2_gradient's.  I = fiber_complex_matrix(n)
+    gradient at each point is the field operator's.  I = fiber_complex_matrix(n)
     is a signed permutation and leaves the sup-norm unchanged, so it is not
     applied.
 
@@ -226,12 +219,12 @@ def fueter_residual(
     grid, shape = states[0].grid, states[0].values.shape
     if any(st.grid != grid or st.values.shape != shape for st in states):
         raise DimensionMismatchError("trajectory states differ in grid or shape")
-    _require_fiber_match(shape[2], ham)
+    op = _field_operator(states[0], ham)
     worst = 0.0
     for k in range(1, len(states) - 1):
         v = states[k].values
         dzds = (states[k + 1].values - states[k - 1].values) / (2.0 * ds)
-        grad = _bridges_operator(v, grid) - ham.gradient(v)
+        grad = op.gradient(v, ham, op.apply(v))
         worst = max(worst, float(np.max(np.abs(dzds + grad))))
     return worst
 

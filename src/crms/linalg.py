@@ -14,7 +14,7 @@ coordinates a quadruple reads (q1, q2, P1, P2).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -335,14 +335,6 @@ def standard_crms_form(n: int, nu: np.ndarray | None = None) -> AlternatingThree
 # ---------------------------------------------------------------------------
 
 
-def _json_safe(value):
-    if isinstance(value, float) and not np.isfinite(value):
-        return None  # strict JSON has no Infinity/NaN
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    return value
-
-
 @dataclass(frozen=True)
 class ConditionCheck:
     ok: bool
@@ -350,11 +342,7 @@ class ConditionCheck:
     witness: dict | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "max_defect": _json_safe(self.max_defect),
-            "witness": _json_safe(self.witness) if self.witness is not None else None,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,9 @@ def test_injection_breaks_the_configured_form(tmp_path, n, inject, injection):
     run_cli(tmp_path, "validate", {"n": n, "seed": 3, "output_dir": str(out), "form": form})
     configured, structure = random_crms_form(n, np.random.default_rng(3), nu_scale=0.5)
     expected = validate_crms(injection(configured), structure).as_dict()
-    assert read_json(out / "validate.json")["report"] == json.loads(json.dumps(expected))
+    # The report holds each non-finite float of the check (NaN, Infinity) as null.
+    expected = json.loads(json.dumps(expected), parse_constant=lambda token: None)
+    assert read_json(out / "validate.json")["report"] == expected
 
 
 def test_validate_random_conjugate_passes(tmp_path):
@@ -106,6 +108,9 @@ def test_kind_mismatch_is_a_usage_error(tmp_path):
         {"flow": {"integrator": "rk5"}},
         {"n": None},
         {"flow": {"tolerance": None}},
+        # Cell areas h1 h2 of 0 and inf leave the L² product undefined.
+        {"grid": {"l1": 1e-170, "l2": 1e-170}},
+        {"grid": {"l1": 1.7e308, "l2": 1.7e308}},
     ],
 )
 def test_bad_config_values_are_usage_errors(tmp_path, config):
@@ -563,6 +568,19 @@ def test_gradcheck_corrupted_gradient_fails(tmp_path):
     report = read_json(out / "gradcheck.json")
     assert report["max_relative_error"] > 1e-6
     assert report["max_error_to_bound"] > 1.0
+
+
+def test_gradcheck_report_is_strict_json_when_the_differences_overflow(tmp_path):
+    # Periods of 1e153 leave a finite cell area, but some Richardson differences overflow.
+    out = tmp_path / "out"
+    cfg = {"n": 2, "output_dir": str(out), "grid": {"l1": 1e153, "l2": 1e153}, "hamiltonian": {"name": "cosine"}}
+    assert run_cli(tmp_path, "gradcheck", cfg, "--grid", "16x16")[0] == 1
+
+    def reject(token):
+        raise ValueError(f"bare {token} token")
+
+    report = json.loads((out / "gradcheck.json").read_text(), parse_constant=reject)
+    assert report["max_relative_error"] is None and None in report["relative_errors"]
 
 
 @pytest.mark.parametrize("command", ["flow", "gradcheck"])

@@ -254,10 +254,14 @@ def test_gradient_nonzero_off_criticality():
     assert grid.cell_area * np.sum(g * g) > 0.0
 
 
-def test_gradient_is_minus_bridges_residual():
-    grid = TorusGrid(16, 16)
-    state = random_state(grid, 2, seed=103)
-    ham = make_hamiltonian("quartic", 2, {"lambda": 0.3})
+@pytest.mark.parametrize("grid", [TorusGrid(16, 16), TorusGrid(15, 15), TorusGrid(7, 11, 1.3, 2.9)],
+                         ids=["16x16", "15x15", "7x11"])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("name", BUILTIN_HAMILTONIANS)
+def test_gradient_is_minus_bridges_residual(grid, n, name):
+    # h1 != h2 on the 7x11 torus, so a swapped step would show.
+    state = random_state(grid, n, seed=103)
+    ham = make_hamiltonian(name, n, {"lambda": 0.3})
     g = l2_gradient(state, ham)
     r = bridges_residual(state, ham)
     assert np.max(np.abs(g + r)) < 1e-13

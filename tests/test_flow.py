@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-import crms.flow
 from crms.compatible import standard_triple
 from crms.errors import ConfigError, DimensionMismatchError, FlowDivergenceError
 from crms.fields import FieldState, TorusGrid, action, l2_gradient, make_hamiltonian
-from crms.fields import _bridges_operator, _standard_forms
+from crms.fields import _FieldOperator, _field_operator
 from crms.linalg import standard_fiber_forms
 from crms.flow import STABILITY_KAPPA, FlowConfig, flow_step, fueter_residual, run_flow, write_trace_csv
 from crms.sampling import random_smooth_state
@@ -213,12 +212,13 @@ def test_flow_step_with_the_known_gradient_is_bitwise_the_same(n, integrator):
 def test_run_flow_evaluates_the_operator_once_per_stage(monkeypatch, integrator, per_step):
     # One evaluation per trace row, reused as the step's first stage.
     calls = []
+    apply = _FieldOperator.apply
 
     def counted(*args):
         calls.append(1)
-        return _bridges_operator(*args)
+        return apply(*args)
 
-    monkeypatch.setattr(crms.flow, "_bridges_operator", counted)
+    monkeypatch.setattr(_FieldOperator, "apply", counted)
     steps = 6
     cfg = FlowConfig(ds=0.25 * STABILITY_KAPPA[integrator] * GRID.h1, max_steps=steps,
                      grad_tolerance=1e-30, integrator=integrator)
@@ -242,9 +242,13 @@ def test_every_field_entry_rejects_a_hamiltonian_of_another_fiber():
             call()
 
 
-def test_standard_forms_are_cached_read_only_and_the_public_forms_fresh():
-    cached = _standard_forms(2)
-    assert _standard_forms(2) is cached
+def test_field_operator_is_cached_per_grid_and_n_with_a_read_only_pair():
+    ham = make_hamiltonian("zero", 2)
+    op = _field_operator(smooth(1, n=2), ham)
+    # An equal grid built anew and other values share the operator.
+    assert _field_operator(smooth(2, grid=TorusGrid(16, 16), n=2), ham) is op
+    assert _field_operator(smooth(1), make_hamiltonian("zero", 1)) is not op
+    cached = (op.j1, op.j2)
     assert not any(w.flags.writeable for w in cached)
     fresh = standard_fiber_forms(2)
     assert all(w.flags.writeable for w in fresh)
