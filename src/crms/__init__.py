@@ -16,7 +16,6 @@ from .linalg import (
     standard_complex_structure,
     standard_crms_form,
     standard_fiber_forms,
-    fiber_complex_matrix,
     validate_crms,
     wedge3,
 )
@@ -26,7 +25,6 @@ from .darboux import (
     crms_darboux,
     crps_darboux,
     darboux_reconstruction_error,
-    standard_crps_pair,
 )
 from .compatible import CompatibleTriple, build_compatible, standard_triple
 from .fields import (

@@ -264,7 +264,7 @@ def _output(out: Path, name: str) -> Path:
     """
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
+    except (OSError, ValueError) as err:  # ValueError: a NUL byte in the path
         raise ConfigError(f"cannot make output directory: {err}") from None
     return out / name
 
@@ -515,8 +515,8 @@ def main(argv: list[str] | None = None) -> int:
         raw = {}
         if args.config is not None:
             try:
-                raw = json.loads(Path(args.config).read_text())
-            except (OSError, json.JSONDecodeError) as err:
+                raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            except (OSError, ValueError, RecursionError) as err:  # ValueError: bad JSON or not UTF-8
                 raise ConfigError(f"cannot read config: {err}") from None
         # The flags are config entries; --grid keeps the document's l1 and l2.
         if isinstance(raw, dict):  # parse_config rejects any other document

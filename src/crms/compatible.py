@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .darboux import CrpsPair, standard_crps_pair
+from .darboux import CrpsPair
 from .errors import DimensionMismatchError
-from .linalg import TAU_ALG, SpdMatrix
+from .linalg import TAU_ALG, SpdMatrix, standard_complex_structure, standard_fiber_forms
 
 
 @dataclass(frozen=True)
@@ -133,5 +133,4 @@ def build_compatible(
 
 def standard_triple(n: int) -> CompatibleTriple:
     """Compatible triple of the standard CRPS pair with identity reference."""
-    pair = standard_crps_pair(n)
-    return build_compatible(pair.omega1, pair.omega2, pair.i_fiber)
+    return build_compatible(*standard_fiber_forms(n), standard_complex_structure(n).fiber_part)

@@ -21,8 +21,6 @@ from .linalg import (
     contraction_matrix,
     pull_back,
     require_invertible,
-    standard_fiber_forms,
-    fiber_complex_matrix,
     validate_crms,
 )
 
@@ -67,11 +65,6 @@ class CrpsPair:
     @property
     def n(self) -> int:
         return self.dim // 4
-
-
-def standard_crps_pair(n: int) -> CrpsPair:
-    w1, w2 = standard_fiber_forms(n)
-    return CrpsPair(w1, w2, fiber_complex_matrix(n))
 
 
 def _symplectic_complement(built: list[np.ndarray], w1: np.ndarray) -> np.ndarray:

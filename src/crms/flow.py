@@ -204,9 +204,9 @@ def fueter_residual(
     Evaluates I ∂s Z + I J1 ∂1 Z + I J2 ∂2 Z - I ∇H(Z) with a centered
     difference in s at the interior trajectory points; small values certify
     the trajectory solves the three-direction Cauchy-Riemann system.  The
-    gradient at each point is the field operator's.  I = fiber_complex_matrix(n)
-    is a signed permutation and leaves the sup-norm unchanged, so it is not
-    applied.
+    gradient at each point is the field operator's.  The fiber complex
+    structure I = standard_complex_structure(n).fiber_part is a signed
+    permutation and leaves the sup-norm unchanged, so it is not applied.
 
     Raises DimensionMismatchError unless every state has the first state's
     grid and shape.

@@ -268,40 +268,33 @@ def _block_diagonal(n: int, block: np.ndarray) -> np.ndarray:
     return (np.eye(n)[:, None, :, None] * block[None, :, None, :]).reshape(4 * n, 4 * n)
 
 
-def fiber_complex_matrix(n: int) -> np.ndarray:
-    """Standard complex structure on the 4n-dimensional fiber."""
-    return _block_diagonal(n, _I_BLOCK)
-
-
+@functools.cache
 def standard_fiber_forms(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrices of the standard fiber 2-form pair (omega1, omega2)."""
-    return _block_diagonal(n, _W1_BLOCK), _block_diagonal(n, _W2_BLOCK)
+    """Gram matrices of the standard fiber 2-form pair (omega1, omega2), built once per n and read-only."""
+    return _readonly(_block_diagonal(n, _W1_BLOCK)), _readonly(_block_diagonal(n, _W2_BLOCK))
 
 
 @functools.cache
 def standard_complex_structure(n: int) -> LinearComplexStructure:
-    """Product complex structure diag(j, I_fiber) on T ⊕ V, built once per n."""
+    """Product complex structure diag(j, I) on T ⊕ V, built once per n; ``fiber_part`` is the standard I."""
     m = np.zeros((2 + 4 * n, 2 + 4 * n))
     m[:2, :2] = BASE_ROTATION
-    m[2:, 2:] = fiber_complex_matrix(n)
+    m[2:, 2:] = _block_diagonal(n, _I_BLOCK)
     return LinearComplexStructure(m)
 
 
 @functools.cache
 def _normal_form_base(n: int) -> np.ndarray:
-    """Coefficients of omega1∧eps2 - omega2∧eps1, built once per n and read-only."""
+    """Coefficients of omega1∧eps2 - omega2∧eps1, built once per n and read-only.
+
+    Scatters the nonzero entries w[i, j], i < j, of omega1 against eps2 and
+    of -omega2 against eps1.
+    """
     coeffs = np.zeros((2 + 4 * n,) * 3)
-    a1 = 2 + 4 * np.arange(n)
-    a2, b1, b2 = a1 + 1, a1 + 2, a1 + 3
-    # omega1 ∧ eps2 with omega1 = beta1∧alpha1 + beta2∧alpha2, and
-    # -omega2 ∧ eps1 with omega2 = beta1∧alpha2 - beta2∧alpha1.
-    _put_alternating(
-        coeffs,
-        np.concatenate([b1, b2, b1, b2]),
-        np.concatenate([a1, a2, a2, a1]),
-        np.repeat([1, 1, 0, 0], n),
-        np.repeat([1.0, 1.0, -1.0, 1.0], n),
-    )
+    w1, w2 = standard_fiber_forms(n)
+    for eps, w in ((1, w1), (0, -w2)):
+        i, j = np.nonzero(np.triu(w))
+        _put_alternating(coeffs, 2 + i, 2 + j, eps, w[i, j])
     coeffs.setflags(write=False)
     return coeffs
 

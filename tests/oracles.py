@@ -4,7 +4,19 @@ import numpy as np
 
 from crms.darboux import CrpsPair, _symplectic_complement
 from crms.fields import FieldState, diff
-from crms.linalg import BASE_ROTATION, TAU_ALG, AlternatingThreeForm, LinearComplexStructure, fiber_complex_matrix
+from crms.linalg import (
+    BASE_ROTATION,
+    TAU_ALG,
+    AlternatingThreeForm,
+    LinearComplexStructure,
+    standard_complex_structure,
+    standard_fiber_forms,
+)
+
+
+def standard_pair(n: int) -> CrpsPair:
+    """The standard CRPS pair: the cached (omega1, omega2) and I."""
+    return CrpsPair(*standard_fiber_forms(n), standard_complex_structure(n).fiber_part)
 
 
 def momenta_from_positions(state: FieldState) -> FieldState:
@@ -31,7 +43,7 @@ def structure_with_coupling(n: int, rng: np.random.Generator, spread: float = 0.
     conditions are insensitive to A, so the standard form stays CRMS for the
     returned structure.
     """
-    i_fib = fiber_complex_matrix(n)
+    i_fib = standard_complex_structure(n).fiber_part
     x = rng.normal(size=(4 * n, 2)) * spread
     a = 0.5 * (x + i_fib @ x @ BASE_ROTATION)
     d = 2 + 4 * n

@@ -87,6 +87,19 @@ def test_malformed_json_is_a_usage_error(tmp_path):
     assert main(["validate", "--config", str(bad), "--quiet"]) == 2
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe" + '{"n": 1}'.encode("utf-16-le"), b"[" * 100_000 + b"]" * 100_000],
+    ids=["not_utf8", "nested_100000_deep"],
+)
+def test_undecodable_config_is_a_usage_error(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main(["validate", "--config", str(bad), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read config") and err.count("\n") == 1
+
+
 def test_unknown_config_key_is_a_usage_error(tmp_path):
     assert run_cli(tmp_path, "validate", {"grids": {}})[0] == 2
 
@@ -323,6 +336,17 @@ def test_symbol_sweep(tmp_path, n):
         assert int(row["bridges_kernel_dim"]) == 0
         assert int(row["ddw_kernel_dim"]) >= 1
         assert abs(abs(float(row["bridges_det"])) - 1.0) < 1e-10
+
+
+def test_warm_symbol_run_builds_no_fiber_block(tmp_path, monkeypatch):
+    # After one run the standard pair and I are cached: a second run builds neither.
+    cfg = {"n": 3, "output_dir": str(tmp_path / "out")}
+    assert run_cli(tmp_path, "symbol", cfg)[0] == 0
+    calls = []
+    build = crms.linalg._block_diagonal
+    monkeypatch.setattr(crms.linalg, "_block_diagonal", lambda *a: calls.append(a) or build(*a))
+    assert run_cli(tmp_path, "symbol", cfg)[0] == 0
+    assert calls == []
 
 
 def test_symbol_zero_covector_rejected(tmp_path):
@@ -620,8 +644,9 @@ def test_gradcheck_bound_absorbs_oracle_roundoff(tmp_path):
     [
         ("validate", {}, "a_file"),
         ("flow", {"hamiltonian": {"name": "zero"}, "flow": {"max_steps": 3}}, "a_file/sub"),
+        ("validate", {}, "o\u0000x"),
     ],
-    ids=["validate", "flow"],
+    ids=["validate", "flow", "nul_byte"],
 )
 def test_output_path_that_is_not_a_directory_is_config_error(tmp_path, capsys, monkeypatch, command, config, out):
     # The output path is resolved before the flow starts.
@@ -630,6 +655,7 @@ def test_output_path_that_is_not_a_directory_is_config_error(tmp_path, capsys, m
     assert run_cli(tmp_path, command, config, "--grid", "8x8", "--out", str(tmp_path / out))[0] == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file", f"{command}.json"]
 
 
 @pytest.mark.parametrize(

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from crms.compatible import build_compatible, standard_triple
-from crms.darboux import standard_crps_pair
 from crms.errors import DegenerateFormError, DimensionMismatchError
-from crms.linalg import SpdMatrix, standard_fiber_forms, fiber_complex_matrix
+from crms.linalg import SpdMatrix, standard_complex_structure, standard_fiber_forms
 from crms.sampling import compatible_reference, random_crps_pair
+from oracles import standard_pair
 
 
 def triple_invariant_defect(triple, omega1, omega2) -> float:
@@ -25,7 +25,8 @@ def triple_invariant_defect(triple, omega1, omega2) -> float:
 
 def test_standard_pair_gives_identity_metric():
     # The field layer reads (J1, J2) = standard_fiber_forms(n) and I =
-    # fiber_complex_matrix(n) directly: they must be the standard triple's.
+    # standard_complex_structure(n).fiber_part directly: they must be the
+    # standard triple's.
     for n in range(1, 9):
         triple = standard_triple(n)
         w1, w2 = standard_fiber_forms(n)
@@ -33,11 +34,11 @@ def test_standard_pair_gives_identity_metric():
         assert np.max(np.abs(triple.b.matrix - np.eye(4 * n))) < 1e-12
         assert np.array_equal(triple.j1, w1)
         assert np.array_equal(triple.j2, w2)
-        assert np.array_equal(triple.i_fiber, fiber_complex_matrix(n))
+        assert np.array_equal(triple.i_fiber, standard_complex_structure(n).fiber_part)
 
 
 def test_scaling_moves_into_the_metric():
-    pair = standard_crps_pair(1)
+    pair = standard_pair(1)
     triple = build_compatible(2.0 * pair.omega1, 2.0 * pair.omega2, pair.i_fiber)
     base = standard_triple(1)
     assert np.max(np.abs(triple.g.matrix - 2.0 * np.eye(4))) < 1e-12
@@ -98,20 +99,20 @@ def test_hundred_seeded_unit_directions():
 
 
 def test_rejects_incompatible_reference():
-    pair = standard_crps_pair(1)
+    pair = standard_pair(1)
     bad = SpdMatrix(np.diag([1.0, 2.0, 3.0, 4.0]))  # not I-compatible
     with pytest.raises(ValueError):
         build_compatible(pair.omega1, pair.omega2, pair.i_fiber, bad)
 
 
 def test_rejects_inconsistent_omega2():
-    pair = standard_crps_pair(1)
+    pair = standard_pair(1)
     with pytest.raises(ValueError):
         build_compatible(pair.omega1, 0.5 * pair.omega2, pair.i_fiber)
 
 
 def test_rejects_singular_omega1():
-    pair = standard_crps_pair(1)
+    pair = standard_pair(1)
     singular = pair.omega1.copy()
     singular[0, :] = 0.0
     singular[:, 0] = 0.0
@@ -120,6 +121,6 @@ def test_rejects_singular_omega1():
 
 
 def test_rejects_shape_mismatch():
-    pair = standard_crps_pair(1)
+    pair = standard_pair(1)
     with pytest.raises(DimensionMismatchError):
-        build_compatible(pair.omega1, pair.omega2, fiber_complex_matrix(2))
+        build_compatible(pair.omega1, pair.omega2, standard_complex_structure(2).fiber_part)

@@ -18,7 +18,6 @@ from crms.darboux import (
     crms_darboux,
     crps_darboux,
     darboux_reconstruction_error,
-    standard_crps_pair,
 )
 from crms.errors import CrmsValidationError, DegenerateFormError, DimensionMismatchError
 from crms.linalg import (
@@ -27,7 +26,6 @@ from crms.linalg import (
     standard_complex_structure,
     standard_crms_form,
     standard_fiber_forms,
-    fiber_complex_matrix,
 )
 from crms.sampling import (
     commuting_fiber_map,
@@ -35,7 +33,7 @@ from crms.sampling import (
     random_crms_form,
     random_crps_pair,
 )
-from oracles import darboux_basis_by_loop, normal_form_gap, structure_with_coupling
+from oracles import darboux_basis_by_loop, normal_form_gap, standard_pair, structure_with_coupling
 
 
 def normal_form_defects(pair: CrpsPair, basis: np.ndarray) -> float:
@@ -51,7 +49,7 @@ def normal_form_defects(pair: CrpsPair, basis: np.ndarray) -> float:
 
 
 def test_standard_pair_yields_identity_basis():
-    basis = crps_darboux(standard_crps_pair(1))
+    basis = crps_darboux(standard_pair(1))
     assert np.max(np.abs(basis - np.eye(4))) < 1e-12
 
 
@@ -60,13 +58,13 @@ def test_conjugated_pair_roundtrip(n):
     rng = np.random.default_rng(100 + n)
     m = commuting_fiber_map(n, rng)
     w1s, w2s = standard_fiber_forms(n)
-    pair = CrpsPair(m.T @ w1s @ m, m.T @ w2s @ m, fiber_complex_matrix(n))
+    pair = CrpsPair(m.T @ w1s @ m, m.T @ w2s @ m, standard_complex_structure(n).fiber_part)
     basis = crps_darboux(pair)
     assert normal_form_defects(pair, basis) < 1e-9
 
 
 def test_scaled_pair_recovers_standard_normal_form():
-    p = standard_crps_pair(1)
+    p = standard_pair(1)
     pair = CrpsPair(2.0 * p.omega1, 2.0 * p.omega2, p.i_fiber)
     basis = crps_darboux(pair)
     assert normal_form_defects(pair, basis) < 1e-9
@@ -78,7 +76,7 @@ def test_basis_respects_complex_structure():
     rng = np.random.default_rng(17)
     m = commuting_fiber_map(2, rng)
     w1s, w2s = standard_fiber_forms(2)
-    pair = CrpsPair(m.T @ w1s @ m, m.T @ w2s @ m, fiber_complex_matrix(2))
+    pair = CrpsPair(m.T @ w1s @ m, m.T @ w2s @ m, standard_complex_structure(2).fiber_part)
     basis = crps_darboux(pair)
     for k in range(2):
         c = 4 * k
@@ -91,7 +89,7 @@ def test_pairings_by_direct_assertion():
     rng = np.random.default_rng(23)
     m = commuting_fiber_map(3, rng)
     w1s, w2s = standard_fiber_forms(3)
-    pair = CrpsPair(m.T @ w1s @ m, m.T @ w2s @ m, fiber_complex_matrix(3))
+    pair = CrpsPair(m.T @ w1s @ m, m.T @ w2s @ m, standard_complex_structure(3).fiber_part)
     basis = crps_darboux(pair)
     a_cols = [basis[:, 4 * k + i] for k in range(3) for i in (0, 1)]
     b_cols = [basis[:, 4 * k + i] for k in range(3) for i in (2, 3)]
@@ -134,13 +132,13 @@ def test_degenerate_omega_is_rejected():
     singular[:, 0] = 0.0
     singular[0, :] = 0.0
     with pytest.raises((DegenerateFormError, ValueError)):
-        CrpsPair(singular, w2s, fiber_complex_matrix(1))
+        CrpsPair(singular, w2s, standard_complex_structure(1).fiber_part)
 
 
 def test_pair_rejects_mismatched_partner():
     w1s, _ = standard_fiber_forms(1)
     with pytest.raises(ValueError):
-        CrpsPair(w1s, 2.0 * w1s, fiber_complex_matrix(1))
+        CrpsPair(w1s, 2.0 * w1s, standard_complex_structure(1).fiber_part)
 
 
 # --- crms_darboux ------------------------------------------------------------

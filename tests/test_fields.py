@@ -122,6 +122,15 @@ def test_overflowing_finite_difference_rejected_at_construction():
         make_hamiltonian("quartic", 1, {"lambda": 1e308})
 
 
+@pytest.mark.parametrize("name, lam, n", [("quartic", 1e4, 2), ("quadratic", 1e6, 1), ("cosine", 1e5, 2)])
+def test_exact_gradient_at_large_lambda_passes_construction(name, lam, n):
+    # The P entries of the differences lose u |H| / eps to cancellation, which
+    # the roundoff floor forgives; a corrupted gradient stays rejected.
+    assert make_hamiltonian(name, n, {"lambda": lam}).fiber_dim == 4 * n
+    with pytest.raises(ValueError, match="disagrees with finite differences"):
+        make_hamiltonian(name, n, {"lambda": lam}, gradient_scale=1.001)
+
+
 def test_subtly_corrupted_gradient_passes_construction():
     # Below the construction tolerance but above the gradcheck tolerance.
     ham = make_hamiltonian("quadratic", 1, gradient_scale=1.0 + 3e-6)

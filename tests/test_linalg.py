@@ -22,7 +22,6 @@ from crms.linalg import (
     standard_complex_structure,
     standard_crms_form,
     standard_fiber_forms,
-    fiber_complex_matrix,
     validate_crms,
     wedge3,
 )
@@ -146,11 +145,12 @@ def _wedge_standard_form(n: int, nu=None) -> np.ndarray:
     return coeffs
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", range(1, 9))
 @pytest.mark.parametrize("with_nu", [False, True])
 def test_standard_form_equals_wedge_sum(n, with_nu):
+    # Compared as bytes, so a negative zero or a stray entry fails too.
     nu = np.random.default_rng(n).normal(size=4 * n) if with_nu else None
-    assert np.array_equal(standard_crms_form(n, nu=nu).coeffs, _wedge_standard_form(n, nu))
+    assert standard_crms_form(n, nu=nu).coeffs.tobytes() == _wedge_standard_form(n, nu).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -366,8 +366,13 @@ def test_per_n_constants_are_built_once_and_read_only(n):
     plain = standard_crms_form(n)
     assert not np.any(plain.coeffs[2:, 0, 1])
     assert np.array_equal(plain.coeffs, base)
-    # The public fiber matrices stay fresh and writable.
-    assert fiber_complex_matrix(n).flags.writeable
+    # The fiber pair is one cached read-only pair per n.
+    pair = standard_fiber_forms(n)
+    assert standard_fiber_forms(n) is pair
+    for w in pair:
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0, 0] = 1.0
 
 
 def test_validate_rejects_mismatched_spaces():
@@ -402,7 +407,8 @@ def test_pull_back_equals_the_optimized_einsum_bitwise(n):
 def test_standard_blocks_equal_kron_bitwise(n):
     # Compared as integers, so a sign of zero that differs fails too.
     w1, w2 = standard_fiber_forms(n)
-    for got, block in ((fiber_complex_matrix(n), _I_BLOCK), (w1, _W1_BLOCK), (w2, _W2_BLOCK)):
+    i_fib = standard_complex_structure(n).fiber_part
+    for got, block in ((i_fib, _I_BLOCK), (w1, _W1_BLOCK), (w2, _W2_BLOCK)):
         assert np.array_equal(got.view(np.int64), np.kron(np.eye(n), block).view(np.int64))
 
 
@@ -420,7 +426,7 @@ def test_cached_index_triples_are_read_only():
 
 def test_standard_fiber_forms_pairing():
     w1, w2 = standard_fiber_forms(1)
-    i_fib = fiber_complex_matrix(1)
+    i_fib = standard_complex_structure(1).fiber_part
     # omega2 = -omega1(., I.) and anti-invariance under I.
     assert np.max(np.abs(w2 + w1 @ i_fib)) == 0.0
     assert np.max(np.abs(i_fib.T @ w1 @ i_fib + w1)) == 0.0
