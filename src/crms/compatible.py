@@ -21,40 +21,16 @@ from .linalg import TAU_ALG, SpdMatrix, standard_complex_structure, standard_fib
 
 @dataclass(frozen=True)
 class CompatibleTriple:
-    """Metric g, generators J1 and J2 = I J1, and the polar factor B.
+    """Metric g and generators J1, J2 = I J1 of a CRPS pair.
 
-    ``b`` is the polar factor expressed in orthonormal coordinates of the
-    reference inner product (for reference = Id it is the factor itself);
-    acceptance criterion 3 reads it to check that the polar factor does not
-    depend on the base direction.
+    A plain record that only build_compatible builds, after checking
+    J1² = J2² = -Id, J1 J2 = -J2 J1 and omega_i = g(·, J_i·); j1 and j2 are
+    read-only.
     """
 
     g: SpdMatrix
     j1: np.ndarray = field(repr=False)
     j2: np.ndarray = field(repr=False)
-    b: SpdMatrix
-    i_fiber: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        d = self.g.dim
-        j1 = np.array(self.j1, dtype=float)
-        j2 = np.array(self.j2, dtype=float)
-        i_fib = np.array(self.i_fiber, dtype=float)
-        for name, m in (("j1", j1), ("j2", j2), ("i_fiber", i_fib)):
-            if m.shape != (d, d):
-                raise DimensionMismatchError(f"{name} has shape {m.shape}, expected ({d}, {d})")
-        eye = np.eye(d)
-        if np.max(np.abs(j1 @ j1 + eye)) > TAU_ALG:
-            raise ValueError("j1 does not square to -Id")
-        if np.max(np.abs(j2 @ j2 + eye)) > TAU_ALG:
-            raise ValueError("j2 does not square to -Id")
-        if np.max(np.abs(j2 - i_fib @ j1)) > TAU_ALG:
-            raise ValueError("j2 != I j1")
-        if np.max(np.abs(j1 @ j2 + j2 @ j1)) > TAU_ALG:
-            raise ValueError("j1 and j2 do not anticommute")
-        for arr, attr in ((j1, "j1"), (j2, "j2"), (i_fib, "i_fiber")):
-            arr.setflags(write=False)
-            object.__setattr__(self, attr, arr)
 
 
 def build_compatible(
@@ -122,13 +98,21 @@ def build_compatible(
     j2 = i_fib @ j1
     g = SpdMatrix(chol @ b_hat @ chol.T)
 
-    triple = CompatibleTriple(g=g, j1=j1, j2=j2, b=SpdMatrix(b_hat), i_fiber=i_fib)
-    # The defining reconstruction identities, checked before returning.
+    # The defining identities of the triple, checked before returning.
+    eye = np.eye(pair.dim)
+    if np.max(np.abs(j1 @ j1 + eye)) > TAU_ALG:
+        raise ValueError("j1 does not square to -Id")
+    if np.max(np.abs(j2 @ j2 + eye)) > TAU_ALG:
+        raise ValueError("j2 does not square to -Id")
+    if np.max(np.abs(j1 @ j2 + j2 @ j1)) > TAU_ALG:
+        raise ValueError("j1 and j2 do not anticommute")
     if np.max(np.abs(g.matrix @ j1 - w1)) > TAU_ALG * scale:
         raise ValueError("construction failed: omega1 != g(·, J1·)")
     if np.max(np.abs(g.matrix @ j2 - w2)) > TAU_ALG * scale:
         raise ValueError("construction failed: omega2 != g(·, J2·)")
-    return triple
+    j1.setflags(write=False)
+    j2.setflags(write=False)
+    return CompatibleTriple(g=g, j1=j1, j2=j2)
 
 
 def standard_triple(n: int) -> CompatibleTriple:

@@ -44,7 +44,7 @@ class CrpsPair:
             raise DimensionMismatchError("omega1, omega2 and i_fiber must be square of equal size")
         if d < 4 or d % 4 != 0:
             raise DimensionMismatchError(f"fiber dimension must be a positive multiple of 4, got {d}")
-        scale = max(1.0, float(np.max(np.abs(w1))), float(np.max(np.abs(w2))))
+        scale = max(float(np.max(np.abs(w1))), float(np.max(np.abs(w2))))
         for name, w in (("omega1", w1), ("omega2", w2)):
             if np.max(np.abs(w + w.T)) > TAU_ALG * scale:
                 raise ValueError(f"{name} is not antisymmetric")
@@ -139,6 +139,7 @@ def crps_darboux(pair: CrpsPair) -> np.ndarray:
 class DarbouxFrame:
     """Change of basis to Darboux coordinates plus the residual 1-form nu.
 
+    A plain record that only crms_darboux builds, with read-only arrays.
     Columns are ordered (e1, e2, a1^k, a2^k, b1^k, b2^k); nu holds the
     coefficients of the vertical 1-form in the dual Darboux coframe, and
     reconstruction_error the darboux_reconstruction_error of the pull-back that gave nu.
@@ -147,26 +148,6 @@ class DarbouxFrame:
     basis: np.ndarray = field(repr=False)
     nu: np.ndarray = field(repr=False)
     reconstruction_error: float
-
-    def __post_init__(self):
-        b = np.array(self.basis, dtype=float)
-        nu = np.array(self.nu, dtype=float)
-        d = b.shape[0]
-        if b.shape != (d, d):
-            raise DimensionMismatchError("basis must be square")
-        if nu.shape != (d - 2,):
-            raise DimensionMismatchError(f"nu must have shape ({d - 2},), got {nu.shape}")
-        require_invertible(b, "frame basis")
-        scale = max(1.0, float(np.max(np.abs(b))))
-        # Columns 0, 1 must project onto a basis of T; the rest must span V.
-        if abs(np.linalg.det(b[:2, :2])) < 1e-12 * scale * scale:
-            raise ValueError("first two columns do not project onto a basis of the base")
-        if np.max(np.abs(b[:2, 2:])) > TAU_ALG * scale:
-            raise ValueError("vertical frame columns have nonzero base components")
-        b.setflags(write=False)
-        nu.setflags(write=False)
-        object.__setattr__(self, "basis", b)
-        object.__setattr__(self, "nu", nu)
 
 
 def crms_darboux(form: AlternatingThreeForm, structure: LinearComplexStructure) -> DarbouxFrame:
@@ -183,7 +164,8 @@ def crms_darboux(form: AlternatingThreeForm, structure: LinearComplexStructure) 
         If (form, structure) fails validate_crms.
     DegenerateFormError
         If the frame is not complex-linear: I e1 = e2 within TAU_ALG, and
-        I a1 = a2, I b1 = -b2 within 1e-8 for every quadruple.
+        I a1 = a2, I b1 = -b2 within 1e-8 for every quadruple; or if the
+        frame basis is numerically singular.
     """
     report = validate_crms(form, structure)
     if not report.passed:
@@ -215,7 +197,10 @@ def crms_darboux(form: AlternatingThreeForm, structure: LinearComplexStructure) 
 
     pulled = pull_back(form, frame)
     nu = pulled.coeffs[2:, 0, 1]
-    return DarbouxFrame(frame, nu, darboux_reconstruction_error(pulled, nu))
+    error = darboux_reconstruction_error(pulled, nu)
+    require_invertible(frame, "frame basis")
+    frame.setflags(write=False)
+    return DarbouxFrame(frame, nu, error)
 
 
 def darboux_reconstruction_error(pulled: AlternatingThreeForm, nu: np.ndarray) -> float:

@@ -130,9 +130,8 @@ class AlternatingThreeForm:
         if not np.isfinite(peak):
             raise ValueError("coefficient tensor has non-finite entries")
         if not _exact:
-            scale = max(1.0, peak)
             for axes in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):
-                if np.max(np.abs(c + np.transpose(c, axes))) > TAU_ALG * scale:
+                if np.max(np.abs(c + np.transpose(c, axes))) > TAU_ALG * peak:
                     raise ValueError("coefficient tensor is not totally antisymmetric")
         object.__setattr__(self, "coeffs", c)
 
@@ -385,7 +384,7 @@ def validate_crms(form: AlternatingThreeForm, structure: LinearComplexStructure)
     c = form.coeffs
     # The checks read only (., V, V) coefficients, so the nu∧eps1∧eps2
     # entries, however large, must not set the scale.
-    tol = TAU_ALG * max(1.0, float(np.max(np.abs(c[:, 2:, 2:]))))
+    tol = TAU_ALG * float(np.max(np.abs(c[:, 2:, 2:])))
 
     vert = c[2:, 2:, 2:]
     h_defect = float(np.max(np.abs(vert)))

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .darboux import CrpsPair
+from .fields import FieldState
 from .linalg import (
     AlternatingThreeForm,
     LinearComplexStructure,
@@ -102,8 +103,6 @@ def random_smooth_state(grid, n: int, amplitude: float, rng: np.random.Generator
     Coefficients are drawn per mode, so refining the grid samples the same
     underlying smooth field (important for convergence-order studies).
     """
-    from .fields import FieldState
-
     t1, t2 = grid.coordinates()
     dim = 4 * n
     # Component-major, so each product below runs over a whole grid.

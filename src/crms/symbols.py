@@ -11,7 +11,7 @@ symbol has an n-dimensional kernel for every nonzero covector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,14 +25,10 @@ _KERNEL_REL_TOL = 1e-10  # singular values below this fraction of the largest co
 
 @dataclass(frozen=True)
 class SymbolReport:
-    symbol_matrix: np.ndarray = field(repr=False)
+    """Kernel dimension and determinant of a principal symbol."""
+
     kernel_dim: int
     determinant: float
-
-    def __post_init__(self):
-        a = np.array(self.symbol_matrix, dtype=float)
-        a.setflags(write=False)
-        object.__setattr__(self, "symbol_matrix", a)
 
 
 def _ddw_block(x1: float, x2: float) -> np.ndarray:
@@ -47,7 +43,7 @@ def _ddw_block(x1: float, x2: float) -> np.ndarray:
 
 
 def principal_symbol(operator_tag: str, xi: np.ndarray, n: int) -> SymbolReport:
-    """Assemble the first-order symbol matrix and report its kernel.
+    """Assemble the first-order symbol matrix and report its kernel and determinant.
 
     Parameters
     ----------
@@ -71,9 +67,5 @@ def principal_symbol(operator_tag: str, xi: np.ndarray, n: int) -> SymbolReport:
         matrix = np.kron(np.eye(n), _ddw_block(*xi))
     sv = np.linalg.svd(matrix, compute_uv=False)
     kernel_dim = int(np.sum(sv < _KERNEL_REL_TOL * sv[0])) if sv[0] > 0.0 else matrix.shape[0]
-    return SymbolReport(
-        symbol_matrix=matrix,
-        kernel_dim=kernel_dim,
-        determinant=float(np.linalg.det(matrix)),
-    )
+    return SymbolReport(kernel_dim=kernel_dim, determinant=float(np.linalg.det(matrix)))
 

@@ -134,7 +134,7 @@ def test_criterion_2_darboux_roundtrip():
 def test_criterion_3_compatibility_construction():
     with Criterion(3, "compatible-triple construction", budget_s=10.0) as c:
         worst_inv = 0.0
-        worst_b = 0.0
+        worst_g = 0.0
         for n in (1, 2, 3):
             rng = np.random.default_rng(2000 + n)
             eye = np.eye(4 * n)
@@ -145,16 +145,17 @@ def test_criterion_3_compatibility_construction():
                     worst_inv,
                     float(np.max(np.abs(t.j1 @ t.j1 + eye))),
                     float(np.max(np.abs(t.j2 @ t.j2 + eye))),
-                    float(np.max(np.abs(t.j2 - t.i_fiber @ t.j1))),
+                    float(np.max(np.abs(t.j2 - pair.i_fiber @ t.j1))),
                     float(np.max(np.abs(t.j1 @ t.j2 + t.j2 @ t.j1))),
                     float(np.max(np.abs(t.g.matrix @ t.j1 - pair.omega1))),
                     float(np.max(np.abs(t.g.matrix @ t.j2 - pair.omega2))),
                 )
+                # With the identity reference g is the polar factor B itself.
                 t_rot = build_compatible(pair.omega2, -pair.omega1, pair.i_fiber)
-                worst_b = max(worst_b, float(np.max(np.abs(t.b.matrix - t_rot.b.matrix))))
+                worst_g = max(worst_g, float(np.max(np.abs(t.g.matrix - t_rot.g.matrix))))
         c.check(worst_inv < 1e-8, f"triple invariant defect {worst_inv:.3e} >= 1e-8")
-        c.check(worst_b < 1e-9, f"polar-factor direction dependence {worst_b:.3e} >= 1e-9")
-        c.detail = f"150 pairs; invariants {worst_inv:.2e}, B direction gap {worst_b:.2e}"
+        c.check(worst_g < 1e-9, f"polar-factor direction dependence {worst_g:.3e} >= 1e-9")
+        c.detail = f"150 pairs; invariants {worst_inv:.2e}, B direction gap {worst_g:.2e}"
 
 
 def _richardson(state: FieldState, ham, delta: np.ndarray) -> float:

@@ -14,13 +14,13 @@ from hypothesis import strategies as st
 import crms
 from crms.darboux import (
     CrpsPair,
-    DarbouxFrame,
     crms_darboux,
     crps_darboux,
     darboux_reconstruction_error,
 )
 from crms.errors import CrmsValidationError, DegenerateFormError, DimensionMismatchError
 from crms.linalg import (
+    AlternatingThreeForm,
     contraction_matrix,
     pull_back,
     standard_complex_structure,
@@ -139,6 +139,20 @@ def test_pair_rejects_mismatched_partner():
     w1s, _ = standard_fiber_forms(1)
     with pytest.raises(ValueError):
         CrpsPair(w1s, 2.0 * w1s, standard_complex_structure(1).fiber_part)
+
+
+def test_pair_tolerance_follows_a_small_pair():
+    # Scaled by 1e-9 the mismatch 2 omega2 - omega2 is about 1e-9: within an
+    # absolute 1e-9 tolerance, far outside one relative to the pair's size.
+    w1s, w2s = standard_fiber_forms(1)
+    i_fib = standard_complex_structure(1).fiber_part
+    CrpsPair(1e-9 * w1s, 1e-9 * w2s, i_fib)
+    with pytest.raises(ValueError, match="omega2 = -omega1"):
+        CrpsPair(1e-9 * w1s, 2e-9 * w2s, i_fib)
+    for n in (1, 2, 4):
+        pair = random_crps_pair(n, np.random.default_rng(n))
+        for scale in (1e-12, 1e12):
+            CrpsPair(scale * pair.omega1, scale * pair.omega2, pair.i_fiber)
 
 
 # --- crms_darboux ------------------------------------------------------------
@@ -277,6 +291,12 @@ def test_roundtrip_property(n, seed):
     assert normal_form_gap(form, frame.basis, frame.nu) < 1e-8
 
 
-def test_frame_validation_rejects_garbage():
-    with pytest.raises(ValueError):
-        DarbouxFrame(np.zeros((6, 6)), np.zeros(4), 0.0)
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("s", [1e-6, 1e6])
+def test_scaled_forms_get_a_frame(n, s):
+    # The b-columns of the frame grow like 1/s while its base block stays the
+    # identity's; the frame is checked for invertibility, not for entry size.
+    form, structure = random_crms_form(n, np.random.default_rng(3))
+    frame = crms_darboux(AlternatingThreeForm(s * form.coeffs), structure)
+    assert frame.reconstruction_error < 1e-8
+    assert not (frame.basis.flags.writeable or frame.nu.flags.writeable)

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from crms.compatible import standard_triple
 from crms.errors import ConfigError, DimensionMismatchError, FlowDivergenceError
 from crms.fields import FieldState, TorusGrid, action, l2_gradient, make_hamiltonian
 from crms.fields import _FieldOperator, _field_operator
-from crms.linalg import standard_fiber_forms
+from crms.linalg import standard_complex_structure, standard_fiber_forms
 from crms.flow import STABILITY_KAPPA, FlowConfig, flow_step, fueter_residual, run_flow, write_trace_csv
 from crms.sampling import random_smooth_state
 
@@ -327,8 +326,8 @@ def test_fueter_residual_equals_the_per_state_loop_bitwise(integrator, record_ev
     cfg = FlowConfig(ds=ds, max_steps=9, grad_tolerance=1e-30, integrator=integrator, record_every=record_every)
     trace = run_flow(smooth(21, amplitude=0.3, grid=grid, n=2), ham, cfg)
     stride_ds = ds * record_every
-    # The compatible triple's I, built apart from the forms fueter_residual reads.
-    expected = per_state_fueter_residual(trace.states, stride_ds, ham, standard_triple(2).i_fiber)
+    # The standard complex structure's I, built apart from the forms fueter_residual reads.
+    expected = per_state_fueter_residual(trace.states, stride_ds, ham, standard_complex_structure(2).fiber_part)
     assert expected > 0.0
     assert fueter_residual(trace.states, stride_ds, ham) == expected
 

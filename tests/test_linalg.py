@@ -230,6 +230,14 @@ def test_alternating_form_rejects_symmetric_tensor():
         AlternatingThreeForm(t)
 
 
+def test_antisymmetry_tolerance_follows_a_small_tensor():
+    # At 1e-12 every entry is within an absolute 1e-9 tolerance; the tolerance
+    # is relative to the tensor's own size, so only the alternating one passes.
+    AlternatingThreeForm(1e-12 * standard_crms_form(1).coeffs)
+    with pytest.raises(ValueError, match="antisymmetric"):
+        AlternatingThreeForm(1e-12 * np.random.default_rng(5).normal(size=(6, 6, 6)))
+
+
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
 def test_alternating_form_rejects_non_finite_coefficients(value):
     # Written antisymmetrically, inf + (-inf) and NaN pass any comparison
@@ -300,6 +308,24 @@ def test_large_nu_sets_no_tolerance(n):
     assert validate_crms(form, structure).passed
     for inject in (inject_vertical_triple, drop_quadruple_block, break_i_compatibility):
         assert not validate_crms(inject(form), structure).passed, inject.__name__
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_small_forms_set_their_own_tolerance(n):
+    # Scaled by 1e-9 the injected entries are 1e-9 and 5e-10: an absolute
+    # 1e-9 tolerance would pass them, one relative to the form's scale does not.
+    structure = standard_complex_structure(n)
+    assert validate_crms(AlternatingThreeForm(1e-9 * standard_crms_form(n).coeffs), structure).passed
+    for inject in (inject_vertical_triple, break_i_compatibility):
+        form = AlternatingThreeForm(1e-9 * inject(standard_crms_form(n)).coeffs)
+        assert not validate_crms(form, structure).passed, inject.__name__
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_scaled_random_forms_stay_valid(n):
+    form, structure = random_crms_form(n, np.random.default_rng(n))
+    for scale in (1e-12, 1e12):
+        assert validate_crms(AlternatingThreeForm(scale * form.coeffs), structure).passed
 
 
 def test_compatibility_extends_to_random_vectors_by_linearity():
