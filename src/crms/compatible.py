@@ -82,19 +82,12 @@ def build_compatible(
     if np.max(np.abs(a_hat @ i_hat + i_hat @ a_hat)) > TAU_ALG * scale:
         raise ValueError("musical operator of omega1 does not anticommute with I")
 
-    gram = -a_hat @ a_hat  # A A^T for antisymmetric A
-    gram = 0.5 * (gram + gram.T)
-    w, v = np.linalg.eigh(gram)
-    if w[0] <= 0.0:
-        raise ValueError(f"polar factor is not positive definite (min eigenvalue {w[0]:.3e})")
-    sqrt_w = np.sqrt(w)
-    b_hat = (v * sqrt_w) @ v.T
-    b_hat = 0.5 * (b_hat + b_hat.T)
-    b_inv = (v / sqrt_w) @ v.T  # same eigendecomposition as the square root
-    j1_hat = b_inv @ a_hat
+    # Polar factors from one SVD: a_hat = (U S U^T)(U V^T) = B_hat J1_hat.
+    u, sv, vt = np.linalg.svd(a_hat)
+    j1_hat = u @ vt
+    b_hat = (u * sv) @ u.T
 
-    lt_inv = np.linalg.inv(chol.T)
-    j1 = lt_inv @ j1_hat @ chol.T
+    j1 = np.linalg.solve(chol.T, j1_hat @ chol.T)
     j2 = i_fib @ j1
     g = SpdMatrix(chol @ b_hat @ chol.T)
 

@@ -1,9 +1,10 @@
 """Constructive linear normal forms.
 
 Two constructions: a Darboux basis for a pair of fiber symplectic forms
-coupled through a complex structure (iterative symplectic Gram-Schmidt), and
-the full split-space frame in which a validated 3-form becomes the standard
-normal form plus a residual vertical 1-form nu.
+coupled through a complex structure (symplectic Gram-Schmidt with one
+omega1-orthogonal projector and a closed-form partner vector), and the full
+split-space frame in which a validated 3-form becomes the standard normal
+form plus a residual vertical 1-form nu.
 """
 
 from __future__ import annotations
@@ -18,13 +19,12 @@ from .linalg import (
     AlternatingThreeForm,
     LinearComplexStructure,
     _normal_form_coeffs,
+    _readonly,
     contraction_matrix,
     pull_back,
     require_invertible,
     validate_crms,
 )
-
-_RANK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -36,9 +36,9 @@ class CrpsPair:
     i_fiber: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        w1 = np.array(self.omega1, dtype=float)
-        w2 = np.array(self.omega2, dtype=float)
-        ic = np.array(self.i_fiber, dtype=float)
+        w1 = _readonly(self.omega1, "omega1")
+        w2 = _readonly(self.omega2, "omega2")
+        ic = _readonly(self.i_fiber, "i_fiber")
         d = w1.shape[0]
         if w1.shape != (d, d) or w2.shape != (d, d) or ic.shape != (d, d):
             raise DimensionMismatchError("omega1, omega2 and i_fiber must be square of equal size")
@@ -54,9 +54,9 @@ class CrpsPair:
             raise ValueError("pair violates omega2 = -omega1(·, I·)")
         require_invertible(w1, "omega1")
         require_invertible(w2, "omega2")
-        for arr, attr in ((w1, "omega1"), (w2, "omega2"), (ic, "i_fiber")):
-            arr.setflags(write=False)
-            object.__setattr__(self, attr, arr)
+        object.__setattr__(self, "omega1", w1)
+        object.__setattr__(self, "omega2", w2)
+        object.__setattr__(self, "i_fiber", ic)
 
     @property
     def dim(self) -> int:
@@ -67,72 +67,54 @@ class CrpsPair:
         return self.dim // 4
 
 
-def _symplectic_complement(built: list[np.ndarray], w1: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of {v : omega1(q, v) = 0 for built q}."""
-    d = w1.shape[0]
-    if not built:
-        return np.eye(d)
-    constraints = np.stack(built) @ w1
-    _, sv, vh = np.linalg.svd(constraints)
-    rank = int(np.sum(sv > _RANK_TOL * sv[0]))
-    if rank != len(built):
-        raise DegenerateFormError("constructed quadruples are omega1-degenerate")
-    return vh[rank:].T
-
-
 def crps_darboux(pair: CrpsPair) -> np.ndarray:
     """Darboux basis for a CRPS pair via symplectic Gram-Schmidt.
 
     Returns a 4n x 4n matrix whose columns (a1, a2, b1, b2) per quadruple
     pull the pair back to the standard forms: omega1(b_i, a_j) = delta_ij
     within each quadruple, all other pairings zero, and the complex structure
-    acts as a1 -> a2, b1 -> -b2.
+    acts as a1 -> a2, b1 -> -b2.  The a- and b-columns of a quadruple have
+    the same size, so every step is relative to the pair's own scale.
 
     Raises
     ------
-    DegenerateFormError
-        If no admissible b1 exists (degenerate omega1).
+    Nothing: CrpsPair's invertibility check on omega1 makes every step well
+    defined, since omega1(u, a1) = |omega1 a1|^2 > 0 below.
     """
     w1 = pair.omega1
     i_fib = pair.i_fiber
-    d = pair.dim
-    eye = np.eye(d)
-    built: list[np.ndarray] = []
-    columns: list[np.ndarray] = []
+    p = np.eye(pair.dim)
+    quadruples: list[np.ndarray] = []
     for _ in range(pair.n):
-        comp = _symplectic_complement(built, w1)
-        if comp.shape[1] != d - len(built):
-            raise DegenerateFormError("symplectic complement has unexpected dimension")
-        # Pivot: project every original basis vector into the complement at
-        # once and score it by the sup norm of its omega1 row.  Candidates
-        # within a relative TAU_ALG of the best are ties, and the lowest index
-        # wins, so roundoff does not decide between them.
-        proj = comp @ comp.T
-        norms = np.linalg.norm(proj, axis=0)
-        usable = norms >= 1e-8
-        scores = np.max(np.abs(w1.T @ (proj / np.where(usable, norms, 1.0))), axis=0)
-        scores[~usable] = -1.0
-        best_score = float(np.max(scores))
-        if best_score < 1e-10:
-            raise DegenerateFormError("no usable pivot for the next quadruple")
-        i = int(np.argmax(scores >= best_score * (1.0 - TAU_ALG)))
-        a1 = comp @ (comp.T @ eye[i])
-        a1 = a1 / np.linalg.norm(a1)
+        # The columns of p are the basis vectors projected into the
+        # omega1-complement of the quadruples built so far.  Pivot: the
+        # column whose unit vector has the largest sup norm of its omega1
+        # row.  Candidates within a relative TAU_ALG of the best are ties,
+        # and the lowest index wins, so roundoff does not decide between them.
+        norms = np.linalg.norm(p, axis=0)
+        usable = norms > TAU_ALG * np.max(norms)
+        scores = np.max(np.abs(w1.T @ (p / np.where(usable, norms, 1.0))), axis=0)
+        scores[~usable] = 0.0
+        i = int(np.argmax(scores >= np.max(scores) * (1.0 - TAU_ALG)))
+        # |a1| = score^(-1/2), read off the chosen column alone, so b1, which
+        # pairs to 1 with a1, has its size.
+        a1 = p[:, i] / np.sqrt(np.linalg.norm(p[:, i]) * np.max(np.abs(w1.T @ p[:, i])))
         a2 = i_fib @ a1
-        # b1 lives in the complement and satisfies omega1(b1, a1) = 1,
-        # omega1(b1, a2) = 0; the remaining normal-form pairings follow from
-        # the CRPS relation once b2 = -I b1.
-        rows = np.stack([comp.T @ (w1 @ a1), comp.T @ (w1 @ a2)])
-        rhs = np.array([1.0, 0.0])
-        x, _, rank, sv = np.linalg.lstsq(rows, rhs, rcond=None)
-        if rank < 2 or float(np.linalg.norm(rows @ x - rhs)) > 1e-8:
-            raise DegenerateFormError("no vector pairs to 1 with the pivot (degenerate omega1)")
-        b1 = comp @ x
-        b2 = -(i_fib @ b1)
-        for v in (a1, a2, b1, b2):
-            built.append(v)
-        columns.extend((a1, a2, b1, b2))
-    return np.column_stack(columns)
+        # u lies in the complement with omega1(u, a1) = |omega1 a1|^2 > 0, and
+        # omega1(I x, I y) = -omega1(x, y) makes b1 pair to 1 with a1 and to
+        # 0 with a2; the other normal-form pairings follow once b2 = -I b1.
+        u = p @ (w1 @ a1)
+        s, t = u @ w1 @ a1, u @ w1 @ a2
+        b1 = (s * u + t * (i_fib @ u)) / (s * s + t * t)
+        q = np.column_stack((a1, a2, b1, -(i_fib @ b1)))
+        quadruples.append(q)
+        # p <- p - q (q^T omega1 q)^-1 q^T omega1 p, applied twice so that
+        # roundoff left by the first pass does not build up over quadruples.
+        qw = q.T @ w1
+        k = np.linalg.solve(qw @ q, qw)
+        for _ in range(2):
+            p = p - q @ (k @ p)
+    return np.hstack(quadruples)
 
 
 @dataclass(frozen=True)

@@ -38,8 +38,15 @@ _PERM_SIGNS = (
 )
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
+def _readonly(a: np.ndarray, name: str) -> np.ndarray:
+    """A read-only float copy; ValueError if an entry is NaN or infinite.
+
+    NaN fails every tolerance comparison and inf breaks the decompositions,
+    so each input type checks finiteness here before anything else.
+    """
     out = np.array(a, dtype=float, copy=True)
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{name} has non-finite entries")
     out.setflags(write=False)
     return out
 
@@ -123,13 +130,10 @@ class AlternatingThreeForm:
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self, *, _exact: bool = False):
-        c = _readonly(self.coeffs)
+        c = _readonly(self.coeffs, "coefficient tensor")
         _split_dim(c.shape, 3)
-        peak = float(np.max(np.abs(c)))
-        # NaN fails every comparison below, and inf + (-inf) is NaN.
-        if not np.isfinite(peak):
-            raise ValueError("coefficient tensor has non-finite entries")
         if not _exact:
+            peak = float(np.max(np.abs(c)))
             for axes in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):
                 if np.max(np.abs(c + np.transpose(c, axes))) > TAU_ALG * peak:
                     raise ValueError("coefficient tensor is not totally antisymmetric")
@@ -190,7 +194,7 @@ class LinearComplexStructure:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m = _readonly(self.matrix)
+        m = _readonly(self.matrix, "matrix")
         d = _split_dim(m.shape, 2)
         scale = max(1.0, float(np.max(np.abs(m))))
         if np.max(np.abs(m[:2, 2:])) > TAU_ALG * scale:
@@ -211,7 +215,7 @@ class SpdMatrix:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m = _readonly(self.matrix)
+        m = _readonly(self.matrix, "matrix")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
         scale = max(1.0, float(np.max(np.abs(m))))
@@ -270,7 +274,7 @@ def _block_diagonal(n: int, block: np.ndarray) -> np.ndarray:
 @functools.cache
 def standard_fiber_forms(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gram matrices of the standard fiber 2-form pair (omega1, omega2), built once per n and read-only."""
-    return _readonly(_block_diagonal(n, _W1_BLOCK)), _readonly(_block_diagonal(n, _W2_BLOCK))
+    return _readonly(_block_diagonal(n, _W1_BLOCK), "omega1"), _readonly(_block_diagonal(n, _W2_BLOCK), "omega2")
 
 
 @functools.cache

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from crms.darboux import CrpsPair, _symplectic_complement
+from crms.darboux import CrpsPair
 from crms.fields import FieldState, diff
 from crms.linalg import (
     BASE_ROTATION,
@@ -57,32 +57,35 @@ def structure_with_coupling(n: int, rng: np.random.Generator, spread: float = 0.
 def darboux_basis_by_loop(pair: CrpsPair) -> np.ndarray:
     """crps_darboux with its pivot scored one candidate at a time.
 
-    Each original basis vector is projected into the symplectic complement
-    and scored by the sup norm of its omega1 row in its own loop iteration.
-    The pivot is the lowest-index candidate within a relative TAU_ALG of the
-    best score; the rest of the construction is crps_darboux's.
+    Each column of the omega1-projector, normalised, is scored by the sup
+    norm of its omega1 row in its own loop iteration.  The pivot is the
+    lowest-index candidate within a relative TAU_ALG of the best score; the
+    rest of the construction is crps_darboux's.
     """
     w1, i_fib, d = pair.omega1, pair.i_fiber, pair.dim
-    eye = np.eye(d)
+    p = np.eye(d)
     built: list[np.ndarray] = []
     for _ in range(pair.n):
-        comp = _symplectic_complement(built, w1)
-        scores, vectors = [], []
+        floor = TAU_ALG * max(float(np.linalg.norm(p[:, i])) for i in range(d))
+        scores = {}
         for i in range(d):
-            v = comp @ (comp.T @ eye[i])
-            norm = float(np.linalg.norm(v))
-            if norm >= 1e-8:
-                v = v / norm
-                scores.append(float(np.max(np.abs(w1.T @ v))))
-                vectors.append(v)
-        best = max(scores)
-        a1 = next(v for s, v in zip(scores, vectors) if s >= best * (1.0 - TAU_ALG))
+            norm = float(np.linalg.norm(p[:, i]))
+            if norm > floor:
+                scores[i] = float(np.max(np.abs(w1.T @ (p[:, i] / norm))))
+        best = max(scores.values())
+        i = next(i for i, score in scores.items() if score >= best * (1.0 - TAU_ALG))
+        a1 = p[:, i] / np.sqrt(np.linalg.norm(p[:, i]) * np.max(np.abs(w1.T @ p[:, i])))
         a2 = i_fib @ a1
-        rows = np.stack([comp.T @ (w1 @ a1), comp.T @ (w1 @ a2)])
-        x = np.linalg.lstsq(rows, np.array([1.0, 0.0]), rcond=None)[0]
-        b1 = comp @ x
-        built.extend((a1, a2, b1, -(i_fib @ b1)))
-    return np.column_stack(built)
+        u = p @ (w1 @ a1)
+        s, t = u @ w1 @ a1, u @ w1 @ a2
+        b1 = (s * u + t * (i_fib @ u)) / (s * s + t * t)
+        q = np.column_stack((a1, a2, b1, -(i_fib @ b1)))
+        built.append(q)
+        qw = q.T @ w1
+        k = np.linalg.solve(qw @ q, qw)
+        for _ in range(2):
+            p = p - q @ (k @ p)
+    return np.hstack(built)
 
 
 def _wedge_one_form(omega: np.ndarray, eps: np.ndarray) -> np.ndarray:

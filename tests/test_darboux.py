@@ -68,8 +68,9 @@ def test_scaled_pair_recovers_standard_normal_form():
     pair = CrpsPair(2.0 * p.omega1, 2.0 * p.omega2, p.i_fiber)
     basis = crps_darboux(pair)
     assert normal_form_defects(pair, basis) < 1e-9
-    # The b-columns absorb the scaling.
-    assert np.linalg.norm(basis[:, 2]) == pytest.approx(0.5, rel=1e-9)
+    # The a- and b-columns share the scaling: each has norm 2^(-1/2).
+    for c in range(4):
+        assert np.linalg.norm(basis[:, c]) == pytest.approx(2.0**-0.5, rel=1e-9)
 
 
 def test_basis_respects_complex_structure():
@@ -103,6 +104,18 @@ def test_pairings_by_direct_assertion():
     for i, x in enumerate(b_cols):
         for y in b_cols[i + 1 :]:
             assert x @ pair.omega1 @ y == pytest.approx(0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("scale", [1e-12, 1e12])
+def test_scaled_pair_gets_the_scaled_basis(n, scale):
+    # Every step is relative to the pair's own size: scaling the pair by s
+    # scales its basis by s^(-1/2) and keeps the pull-back the standard pair.
+    pair = random_crps_pair(n, np.random.default_rng(n))
+    scaled = CrpsPair(scale * pair.omega1, scale * pair.omega2, pair.i_fiber)
+    basis = crps_darboux(scaled)
+    assert normal_form_defects(scaled, basis) < 1e-12
+    assert np.max(np.abs(np.sqrt(scale) * basis - crps_darboux(pair))) < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -292,10 +305,11 @@ def test_roundtrip_property(n, seed):
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
-@pytest.mark.parametrize("s", [1e-6, 1e6])
+@pytest.mark.parametrize("s", [1e-12, 1e-9, 1e-6, 1e6, 1e9, 1e12])
 def test_scaled_forms_get_a_frame(n, s):
-    # The b-columns of the frame grow like 1/s while its base block stays the
-    # identity's; the frame is checked for invertibility, not for entry size.
+    # The fiber columns of the frame grow like s^(-1/2) while its base block
+    # stays the identity's; the frame is checked for invertibility, not for
+    # entry size.
     form, structure = random_crms_form(n, np.random.default_rng(3))
     frame = crms_darboux(AlternatingThreeForm(s * form.coeffs), structure)
     assert frame.reconstruction_error < 1e-8

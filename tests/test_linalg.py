@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from crms.cli import FORM_INJECTIONS, FORM_SOURCES, _build_form, parse_config
+from crms.darboux import CrpsPair
 from crms.errors import DimensionMismatchError
 from crms.linalg import (
     AlternatingThreeForm,
@@ -247,6 +248,34 @@ def test_alternating_form_rejects_non_finite_coefficients(value):
         t[i, j, k] = sign * value
     with pytest.raises(ValueError, match="non-finite"):
         AlternatingThreeForm(t)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", ["form", "structure", "spd", "pair"])
+def test_input_types_reject_non_finite_entries(kind, value):
+    # NaN passes no tolerance test and inf breaks the decompositions, so all
+    # four input types reject either in any argument with a ValueError.
+    w1, w2 = standard_fiber_forms(1)
+    i_fib = standard_complex_structure(1).fiber_part
+
+    def poisoned(a):
+        out = np.array(a)
+        out.flat[out.size // 2] = value
+        return out
+
+    builds = {
+        "form": [lambda: AlternatingThreeForm(poisoned(standard_crms_form(1).coeffs))],
+        "structure": [lambda: LinearComplexStructure(poisoned(standard_complex_structure(1).matrix))],
+        "spd": [lambda: SpdMatrix(poisoned(np.eye(4)))],
+        "pair": [
+            lambda: CrpsPair(poisoned(w1), w2, i_fib),
+            lambda: CrpsPair(w1, poisoned(w2), i_fib),
+            lambda: CrpsPair(w1, w2, poisoned(i_fib)),
+        ],
+    }[kind]
+    for build in builds:
+        with pytest.raises(ValueError, match="non-finite"):
+            build()
 
 
 # --- validate_crms -----------------------------------------------------------
