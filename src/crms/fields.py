@@ -105,10 +105,10 @@ class FieldState:
 def diff(values: np.ndarray, grid: TorusGrid, direction: int) -> np.ndarray:
     """Centered difference with periodic wraparound along a torus direction.
 
-    (v[i+1] - v[i-1]) / (2h) as a slice stencil: the interior rows and the
-    two wrapped rows are subtracted into one new array, which is then divided
-    in place.  These are the operations of the np.roll form
-    (roll(v, -1) - roll(v, 1)) / (2h), so the result is bitwise the same.
+    (v[i+1] - v[i-1]) / (2h) as a flat stencil: one contiguous subtraction
+    v[p + s] - v[p - s] over the flat array (s the direction's stride), the two
+    wrapped rows or columns subtracted over it, one division in place.  Each entry
+    is the one subtraction of (roll(v, -1) - roll(v, 1)) / (2h), so bitwise the same.
     The operator is skew-adjoint for the grid inner product
     <u, v> = h1 h2 sum(u v).
     """
@@ -118,10 +118,11 @@ def diff(values: np.ndarray, grid: TorusGrid, direction: int) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.shape[:2] != (grid.n1, grid.n2):
         raise DimensionMismatchError("values do not match the grid")
-    out = np.empty_like(v)
+    out, flat = np.empty(v.shape), v.ravel()
+    s = out.strides[direction - 1] // out.itemsize
+    np.subtract(flat[2 * s :], flat[: -2 * s], out=out.reshape(-1)[s:-s])
     # Views with the differenced axis first.
     src, dst = (v, out) if direction == 1 else (v.swapaxes(0, 1), out.swapaxes(0, 1))
-    np.subtract(src[2:], src[:-2], out=dst[1:-1])
     np.subtract(src[1], src[-1], out=dst[0])
     np.subtract(src[0], src[-2], out=dst[-1])
     out /= 2.0 * h
@@ -256,17 +257,23 @@ def _require_fiber_match(state_dim: int, ham: HamiltonianSpec) -> None:
 
 @dataclass(frozen=True)
 class _FieldOperator:
-    """J1 ∂1 + J2 ∂2 with the pair standard_fiber_forms(n) on one grid; action and gradient take its image."""
+    """J1 ∂1 + J2 ∂2 with the pair standard_fiber_forms(n) on one grid; action and gradient take its image.
+
+    One 2-D GEMM per direction against jit, Ji.T copied C-contiguous.  Ji.T has one ±1 per row and
+    column, so each entry is one exact product plus exact zeros, whatever the GEMM's order or threads.
+    """
 
     grid: TorusGrid
     j1: np.ndarray = field(repr=False)
     j2: np.ndarray = field(repr=False)
+    j1t: np.ndarray = field(repr=False)
+    j2t: np.ndarray = field(repr=False)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """J1 ∂1 Z + J2 ∂2 Z, the principal part of Bridges' field equations."""
-        out = diff(values, self.grid, 1) @ self.j1.T
-        out += diff(values, self.grid, 2) @ self.j2.T
-        return out
+        out = diff(values, self.grid, 1).reshape(-1, values.shape[-1]) @ self.j1t
+        out += diff(values, self.grid, 2).reshape(-1, values.shape[-1]) @ self.j2t
+        return out.reshape(values.shape)
 
     def gradient(self, values: np.ndarray, ham: HamiltonianSpec, bridges: np.ndarray) -> np.ndarray:
         """The L² gradient of the action, J1 ∂1 Z + J2 ∂2 Z - ∇H(Z), for bridges = apply(values)."""
@@ -279,7 +286,8 @@ class _FieldOperator:
 
 @functools.cache
 def _operator_on(grid: TorusGrid, n: int) -> _FieldOperator:
-    return _FieldOperator(grid, *standard_fiber_forms(n))
+    j1, j2 = standard_fiber_forms(n)
+    return _FieldOperator(grid, j1, j2, j1.T.copy(), j2.T.copy())
 
 
 def _field_operator(state: FieldState, ham: HamiltonianSpec) -> _FieldOperator:

@@ -3,7 +3,7 @@
 import numpy as np
 
 from crms.darboux import CrpsPair
-from crms.fields import FieldState, diff
+from crms.fields import FieldState, TorusGrid, diff
 from crms.linalg import (
     BASE_ROTATION,
     TAU_ALG,
@@ -17,6 +17,21 @@ from crms.linalg import (
 def standard_pair(n: int) -> CrpsPair:
     """The standard CRPS pair: the cached (omega1, omega2) and I."""
     return CrpsPair(*standard_fiber_forms(n), standard_complex_structure(n).fiber_part)
+
+
+def roll_diff(values: np.ndarray, grid: TorusGrid, direction: int) -> np.ndarray:
+    """The np.roll form of the centered periodic difference, (roll(v, -1) - roll(v, 1)) / (2h)."""
+    axis = direction - 1
+    h = grid.h1 if direction == 1 else grid.h2
+    return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * h)
+
+
+def stacked_bridges_operator(values: np.ndarray, grid: TorusGrid, j1: np.ndarray, j2: np.ndarray) -> np.ndarray:
+    """J1 ∂1 Z + J2 ∂2 Z as first written: stacked matmuls of the (n1, n2, 4n) differences against the j.T views.
+
+    The differences are the np.roll form, which diff equals bitwise.
+    """
+    return roll_diff(values, grid, 1) @ j1.T + roll_diff(values, grid, 2) @ j2.T
 
 
 def momenta_from_positions(state: FieldState) -> FieldState:

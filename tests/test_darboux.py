@@ -26,9 +26,12 @@ from crms.linalg import (
     standard_complex_structure,
     standard_crms_form,
     standard_fiber_forms,
+    validate_crms,
 )
 from crms.sampling import (
+    break_i_compatibility,
     commuting_fiber_map,
+    drop_quadruple_block,
     inject_vertical_triple,
     random_crms_form,
     random_crps_pair,
@@ -314,3 +317,63 @@ def test_scaled_forms_get_a_frame(n, s):
     frame = crms_darboux(AlternatingThreeForm(s * form.coeffs), structure)
     assert frame.reconstruction_error < 1e-8
     assert not (frame.basis.flags.writeable or frame.nu.flags.writeable)
+
+
+_WITNESS_POSITIONS = ("triple", "lift", "xi_index", "v1_index", "v2_index")
+
+
+def _verdicts(form: AlternatingThreeForm, structure) -> list:
+    # Each condition's verdict with the positions its witness names.
+    report = validate_crms(form, structure)
+    return [
+        (check.ok, {key: value for key, value in (check.witness or {}).items() if key in _WITNESS_POSITIONS})
+        for check in (report.horizontal, report.nondegenerate, report.i_compatible)
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+@pytest.mark.parametrize("k", [40, -40, 100, -100, 200, -200])
+def test_forms_scaled_by_powers_of_four_get_the_scaled_frame_bitwise(n, k):
+    # Scaling by 4^k = 2^(2k) is exact, and so is every step of the frame: the
+    # fiber columns scale by 2^-k and nu by 2^k, and each verdict is taken
+    # relative to the form's or a column's own size, so none of them moves.
+    for seed in range(3):
+        form, structure = random_crms_form(n, np.random.default_rng(seed))
+        frame = crms_darboux(form, structure)
+        scaled = crms_darboux(AlternatingThreeForm(4.0**k * form.coeffs), structure)
+        expected = frame.basis.copy()
+        expected[:, 2:] *= 2.0**-k
+        assert scaled.basis.tobytes() == expected.tobytes()
+        assert scaled.nu.tobytes() == (2.0**k * frame.nu).tobytes()
+        assert scaled.reconstruction_error == frame.reconstruction_error
+        for case in (form, inject_vertical_triple(form), drop_quadruple_block(form), break_i_compatibility(form)):
+            assert _verdicts(AlternatingThreeForm(4.0**k * case.coeffs), structure) == _verdicts(case, structure)
+
+
+def _public_pair_accepts(form: AlternatingThreeForm, structure) -> bool:
+    # Whether CrpsPair, with all its checks, takes crms_darboux's two contractions.
+    e1 = np.eye(form.dim)[0]
+    try:
+        CrpsPair(contraction_matrix(form, structure.matrix @ e1), -contraction_matrix(form, e1), structure.fiber_part)
+    except DegenerateFormError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_public_pair_invertibility_is_the_nondegeneracy_verdict(n):
+    # crms_darboux builds its pair without CrpsPair's two SVDs, because
+    # validate_crms has just judged the same contractions.  Besides random and
+    # dropped-block forms, one quadruple scaled by eps gives contractions of
+    # condition number 1/eps^2 on both sides of COND_LIMIT = 1e12.
+    structure = standard_complex_structure(n)
+    forms = [random_crms_form(n, np.random.default_rng(seed))[0] for seed in range(5)]
+    forms.append(drop_quadruple_block(standard_crms_form(n)))
+    for exponent in np.linspace(11.8, 12.2, 9):
+        # At n = 1 the scaled quadruple is the whole fiber, which only scales the form.
+        basis = np.eye(2 + 4 * n)
+        basis[:, 2:6] *= 10.0 ** (-exponent / 2)
+        forms.append(pull_back(standard_crms_form(n), basis))
+    verdicts = [(validate_crms(form, structure).nondegenerate.ok, _public_pair_accepts(form, structure)) for form in forms]
+    assert all(nondegenerate == accepted for nondegenerate, accepted in verdicts)
+    assert {accepted for _, accepted in verdicts} == {True, False}

@@ -11,6 +11,7 @@ from crms.fields import (
     FieldState,
     HamiltonianSpec,
     TorusGrid,
+    _operator_on,
     action,
     bridges_residual,
     diff,
@@ -19,8 +20,9 @@ from crms.fields import (
     read_state,
     write_state,
 )
+from crms.linalg import standard_fiber_forms
 from crms.sampling import random_smooth_state
-from oracles import momenta_from_positions
+from oracles import momenta_from_positions, roll_diff, stacked_bridges_operator
 
 
 def random_state(grid: TorusGrid, n: int, seed: int, scale: float = 1.0) -> FieldState:
@@ -69,16 +71,14 @@ def test_diff_is_skew_adjoint():
             assert abs(lhs + rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
-def roll_diff(values: np.ndarray, grid: TorusGrid, direction: int) -> np.ndarray:
-    # The np.roll form of the centered periodic difference.
-    axis = direction - 1
-    h = grid.h1 if direction == 1 else grid.h2
-    return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * h)
-
-
-@pytest.mark.parametrize("shape", [(4, 4), (5, 7), (17, 33), (32, 32)])
-@pytest.mark.parametrize("fiber", [None, 8, "strided"], ids=["2d", "3d", "3d-strided"])
+@pytest.mark.parametrize("shape", [(4, 4), (5, 7), (17, 33), (32, 32), (9, 4), (4, 9)])
+@pytest.mark.parametrize(
+    "fiber", [None, 8, "strided", "transposed", "row-sliced"],
+    ids=["2d", "3d", "3d-strided", "3d-transposed", "3d-row-sliced"],
+)
 def test_diff_equals_the_roll_form_bitwise(shape, fiber):
+    # 4 points is the smallest resolution in either direction; the flat
+    # stencil reads the non-contiguous inputs through a C-ordered copy.
     grid = TorusGrid(*shape, l1=1.3, l2=2.9)
     rng = np.random.default_rng(shape[0] * shape[1])
     if fiber is None:
@@ -86,6 +86,10 @@ def test_diff_equals_the_roll_form_bitwise(shape, fiber):
     elif fiber == "strided":
         # A q-component view such as oracles.momenta_from_positions passes.
         values = rng.normal(size=(*shape, 8))[..., 0::4]
+    elif fiber == "transposed":
+        values = rng.normal(size=(shape[1], shape[0], 8)).swapaxes(0, 1)
+    elif fiber == "row-sliced":
+        values = rng.normal(size=(2 * shape[0], shape[1], 8))[::2]
     else:
         values = rng.normal(size=(*shape, fiber))
     values.setflags(write=False)
@@ -94,6 +98,37 @@ def test_diff_equals_the_roll_form_bitwise(shape, fiber):
         got, expected = diff(values, grid, direction), roll_diff(values, grid, direction)
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
     assert np.array_equal(values, before)
+
+
+def _operator_input(kind: str, shape: tuple[int, int, int], seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.normal(size=shape)
+    if kind == "signed-zeros":
+        # Random entries with about a third of them +0.0 or -0.0, so zero
+        # differences and zero products of either sign meet in one sum.
+        v = rng.normal(size=shape)
+        v[rng.random(shape) < 0.35] = 0.0
+        return np.copysign(v, rng.normal(size=shape))
+    return np.full(shape, {"+0.0": 0.0, "-0.0": -0.0, "constant": -0.375}[kind])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize(
+    "grid",
+    [TorusGrid(4, 4), TorusGrid(7, 11), TorusGrid(16, 16), TorusGrid(17, 12, l1=3.0, l2=5.0)],
+    ids=["4x4", "7x11", "16x16", "17x12"],
+)
+@pytest.mark.parametrize("kind", ["random", "signed-zeros", "+0.0", "-0.0", "constant"])
+def test_field_operator_is_the_stacked_matmul_form_bitwise(n, grid, kind):
+    # Each entry of the two 2-D GEMMs is one product with ±1 plus exact zeros,
+    # so the image equals the stacked form's, signed zeros included.
+    values = _operator_input(kind, (grid.n1, grid.n2, 4 * n), seed=grid.n1 * grid.n2 + n)
+    op = _operator_on(grid, n)
+    got = op.apply(values)
+    expected = stacked_bridges_operator(values, grid, *standard_fiber_forms(n))
+    assert got.shape == expected.shape
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 # --- Hamiltonians ------------------------------------------------------------
