@@ -35,7 +35,7 @@ class CrpsPair:
     omega2: np.ndarray = field(repr=False)
     i_fiber: np.ndarray = field(repr=False)
 
-    def __post_init__(self, *, _nondegenerate: bool = False):
+    def __post_init__(self):
         w1 = _readonly(self.omega1, "omega1")
         w2 = _readonly(self.omega2, "omega2")
         ic = _readonly(self.i_fiber, "i_fiber")
@@ -52,9 +52,8 @@ class CrpsPair:
             raise ValueError("i_fiber does not square to -Id")
         if np.max(np.abs(w2 + w1 @ ic)) > TAU_ALG * scale:
             raise ValueError("pair violates omega2 = -omega1(·, I·)")
-        if not _nondegenerate:  # crms_darboux's pair: validate_crms has checked both contractions
-            require_invertible(w1, "omega1")
-            require_invertible(w2, "omega2")
+        require_invertible(w1, "omega1")
+        require_invertible(w2, "omega2")
         object.__setattr__(self, "omega1", w1)
         object.__setattr__(self, "omega2", w2)
         object.__setattr__(self, "i_fiber", ic)
@@ -158,10 +157,7 @@ def crms_darboux(form: AlternatingThreeForm, structure: LinearComplexStructure) 
     e1[0] = 1.0
     e2 = structure.matrix @ e1
 
-    pair = object.__new__(CrpsPair)
-    vars(pair).update(omega1=contraction_matrix(form, e2), omega2=-contraction_matrix(form, e1),
-                      i_fiber=structure.fiber_part)
-    pair.__post_init__(_nondegenerate=True)
+    pair = CrpsPair(contraction_matrix(form, e2), -contraction_matrix(form, e1), structure.fiber_part)
     fiber_basis = crps_darboux(pair)
 
     frame = np.zeros((d, d))

@@ -349,31 +349,3 @@ def test_forms_scaled_by_powers_of_four_get_the_scaled_frame_bitwise(n, k):
         for case in (form, inject_vertical_triple(form), drop_quadruple_block(form), break_i_compatibility(form)):
             assert _verdicts(AlternatingThreeForm(4.0**k * case.coeffs), structure) == _verdicts(case, structure)
 
-
-def _public_pair_accepts(form: AlternatingThreeForm, structure) -> bool:
-    # Whether CrpsPair, with all its checks, takes crms_darboux's two contractions.
-    e1 = np.eye(form.dim)[0]
-    try:
-        CrpsPair(contraction_matrix(form, structure.matrix @ e1), -contraction_matrix(form, e1), structure.fiber_part)
-    except DegenerateFormError:
-        return False
-    return True
-
-
-@pytest.mark.parametrize("n", [1, 2, 4])
-def test_public_pair_invertibility_is_the_nondegeneracy_verdict(n):
-    # crms_darboux builds its pair without CrpsPair's two SVDs, because
-    # validate_crms has just judged the same contractions.  Besides random and
-    # dropped-block forms, one quadruple scaled by eps gives contractions of
-    # condition number 1/eps^2 on both sides of COND_LIMIT = 1e12.
-    structure = standard_complex_structure(n)
-    forms = [random_crms_form(n, np.random.default_rng(seed))[0] for seed in range(5)]
-    forms.append(drop_quadruple_block(standard_crms_form(n)))
-    for exponent in np.linspace(11.8, 12.2, 9):
-        # At n = 1 the scaled quadruple is the whole fiber, which only scales the form.
-        basis = np.eye(2 + 4 * n)
-        basis[:, 2:6] *= 10.0 ** (-exponent / 2)
-        forms.append(pull_back(standard_crms_form(n), basis))
-    verdicts = [(validate_crms(form, structure).nondegenerate.ok, _public_pair_accepts(form, structure)) for form in forms]
-    assert all(nondegenerate == accepted for nondegenerate, accepted in verdicts)
-    assert {accepted for _, accepted in verdicts} == {True, False}

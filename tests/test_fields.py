@@ -1,6 +1,7 @@
 """Torus calculus: differences, action, residuals, gradient, serialization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +99,22 @@ def test_diff_equals_the_roll_form_bitwise(shape, fiber):
         got, expected = diff(values, grid, direction), roll_diff(values, grid, direction)
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
     assert np.array_equal(values, before)
+
+
+@pytest.mark.parametrize("ends", [(np.inf, np.inf), (1e308, -1e308)], ids=["inf", "overflow"])
+def test_diff_raises_no_warning_from_pairs_across_row_ends(ends):
+    # In direction 2 the flat pass also subtracts v[i+1, 0] - v[i, n2-2] and
+    # v[i, 1] - v[i-1, n2-1]; the wrapped columns overwrite both.  Here those
+    # pairs give inf - inf or overflow, while no pair of the roll form does.
+    grid = TorusGrid(5, 6)
+    values = np.zeros((5, 6, 4))
+    values[2, 0], values[1, 4] = ends
+    values[3, 1], values[2, 5] = ends
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = roll_diff(values, grid, 2)
+        got = diff(values, grid, 2)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 def _operator_input(kind: str, shape: tuple[int, int, int], seed: int) -> np.ndarray:
