@@ -8,9 +8,9 @@ action, so the gradient check is a machine-precision test rather than an
 O(h^2) one.  The fiber structure is the standard pair (J1, J2) =
 standard_fiber_forms(n), which follows from n alone and is cached read-only;
 the conformal factor is fixed to 1 and the connection is the trivial product
-connection.  One private field operator per grid and n holds those same
-arrays and evaluates J1 ∂1 Z + J2 ∂2 Z, the action and the gradient for this
-module and the flow.
+connection.  One private field operator per grid and n holds read-only
+transposed copies of that pair and evaluates J1 ∂1 Z + J2 ∂2 Z, the action
+and the gradient for this module and the flow.
 
 Grid sums use numpy's pairwise reductions, so results are deterministic for
 a fixed shape regardless of threading.
@@ -28,7 +28,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import standard_fiber_forms
+from .linalg import _readonly, standard_fiber_forms
 
 GRADIENT_CHECK_TOL = 1e-5  # relative, enforced when a Hamiltonian is built
 
@@ -79,17 +79,14 @@ class FieldState:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float)
-        if v.ndim != 3 or v.shape[:2] != (self.grid.n1, self.grid.n2):
+        shape = np.shape(self.values)
+        if len(shape) != 3 or shape[:2] != (self.grid.n1, self.grid.n2):
             raise DimensionMismatchError(
-                f"values shape {v.shape} does not match grid ({self.grid.n1}, {self.grid.n2}, 4n)"
+                f"values shape {shape} does not match grid ({self.grid.n1}, {self.grid.n2}, 4n)"
             )
-        if v.shape[2] < 4 or v.shape[2] % 4 != 0:
+        if shape[2] < 4 or shape[2] % 4 != 0:
             raise DimensionMismatchError("fiber dimension must be a positive multiple of 4")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("field values must be finite")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _readonly(self.values, "field values"))
 
     @property
     def n(self) -> int:
@@ -262,14 +259,12 @@ def _require_fiber_match(state_dim: int, ham: HamiltonianSpec) -> None:
 class _FieldOperator:
     """J1 ∂1 + J2 ∂2 with the pair standard_fiber_forms(n) on one grid; action and gradient take its image.
 
-    One 2-D GEMM per direction against jit, Ji.T copied C-contiguous (the transposed view measured
-    ~20% slower per apply at n = 2, N = 32, 64).  Ji.T has one ±1 per row and column, so each entry
-    is one exact product plus exact zeros, whatever the GEMM's order or threads.
+    One 2-D GEMM per direction against jit, a read-only C-contiguous copy of Ji.T (the transposed
+    view measured ~20% slower per apply at n = 2, N = 32, 64).  Ji.T has one ±1 per row and column,
+    so each entry is one exact product plus exact zeros, whatever the GEMM's order or threads.
     """
 
     grid: TorusGrid
-    j1: np.ndarray = field(repr=False)
-    j2: np.ndarray = field(repr=False)
     j1t: np.ndarray = field(repr=False)
     j2t: np.ndarray = field(repr=False)
 
@@ -290,8 +285,10 @@ class _FieldOperator:
 
 @functools.cache
 def _operator_on(grid: TorusGrid, n: int) -> _FieldOperator:
-    j1, j2 = standard_fiber_forms(n)
-    return _FieldOperator(grid, j1, j2, j1.T.copy(), j2.T.copy())
+    transposed = [j.T.copy(order="C") for j in standard_fiber_forms(n)]
+    for jt in transposed:
+        jt.setflags(write=False)
+    return _FieldOperator(grid, *transposed)
 
 
 def _field_operator(state: FieldState, ham: HamiltonianSpec) -> _FieldOperator:
@@ -372,5 +369,5 @@ def read_state(path: str | Path) -> FieldState:
     if len(raw) != expected:
         raise ValueError(f"container has {len(raw)} bytes, expected {expected}")
     values = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(n1, n2, 4 * n)
-    return FieldState(TorusGrid(n1, n2, l1, l2), values.astype(float))
+    return FieldState(TorusGrid(n1, n2, l1, l2), values)
 

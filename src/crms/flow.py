@@ -70,23 +70,17 @@ class FlowConfig:
 class FlowTrace:
     """Per-step diagnostics of a flow run.
 
-    ``steps`` has one row (s, action, grad_norm) per evaluated state, step k
-    at s = k ds; ``states`` holds the trajectory sampled every
-    ``FlowConfig.record_every`` steps.  For step sizes inside the stability
-    bound the action column is non-increasing up to 1e-10 (1 + |action_0|).
+    A plain record that only run_flow builds.  ``steps`` is read-only and has
+    one row (s, action, grad_norm) per evaluated state, step k at s = k ds;
+    ``states`` holds the trajectory sampled every ``FlowConfig.record_every``
+    steps.  For step sizes inside the stability bound the action column is
+    non-increasing up to 1e-10 (1 + |action_0|).
     """
 
     steps: np.ndarray = field(repr=False)
     final_state: FieldState
     converged: bool
     states: tuple[FieldState, ...]
-
-    def __post_init__(self):
-        s = np.array(self.steps, dtype=float)
-        if s.ndim != 2 or s.shape[1] != 3:
-            raise DimensionMismatchError("steps must have shape (k, 3)")
-        s.setflags(write=False)
-        object.__setattr__(self, "steps", s)
 
     @property
     def actions(self) -> np.ndarray:
@@ -175,12 +169,9 @@ def run_flow(initial: FieldState, ham: HamiltonianSpec, config: FlowConfig) -> F
         return gnorm, grad
 
     def trace(converged: bool) -> FlowTrace:
-        return FlowTrace(
-            steps=np.array(rows, dtype=float).reshape(-1, 3),
-            final_state=state,
-            converged=converged,
-            states=tuple(recorded),
-        )
+        steps = np.array(rows, dtype=float).reshape(-1, 3)
+        steps.setflags(write=False)
+        return FlowTrace(steps, state, converged, tuple(recorded))
 
     try:
         gnorm, grad = observe(0, state)

@@ -235,34 +235,38 @@ class SpdMatrix:
 # standard structures
 # ---------------------------------------------------------------------------
 
-# 2x2 rotation j with j e1 = e2.
-BASE_ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
+# 2x2 rotation j with j e1 = e2.  The blocks below are read-only: every
+# standard structure, seeded pair and seeded form is built from them.
+BASE_ROTATION = _readonly([[0.0, -1.0], [1.0, 0.0]], "BASE_ROTATION")
 
 # 4x4 fiber blocks in (q1, q2, P1, P2) order: I q1 = q2, I P1 = -P2,
 # omega1 = dP1∧dq1 + dP2∧dq2, omega2 = dP1∧dq2 - dP2∧dq1.
-_I_BLOCK = np.array(
+_I_BLOCK = _readonly(
     [
         [0.0, -1.0, 0.0, 0.0],
         [1.0, 0.0, 0.0, 0.0],
         [0.0, 0.0, 0.0, 1.0],
         [0.0, 0.0, -1.0, 0.0],
-    ]
+    ],
+    "_I_BLOCK",
 )
-_W1_BLOCK = np.array(
+_W1_BLOCK = _readonly(
     [
         [0.0, 0.0, -1.0, 0.0],
         [0.0, 0.0, 0.0, -1.0],
         [1.0, 0.0, 0.0, 0.0],
         [0.0, 1.0, 0.0, 0.0],
-    ]
+    ],
+    "_W1_BLOCK",
 )
-_W2_BLOCK = np.array(
+_W2_BLOCK = _readonly(
     [
         [0.0, 0.0, 0.0, 1.0],
         [0.0, 0.0, -1.0, 0.0],
         [0.0, 1.0, 0.0, 0.0],
         [-1.0, 0.0, 0.0, 0.0],
-    ]
+    ],
+    "_W2_BLOCK",
 )
 
 

@@ -4,12 +4,19 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crms
 import crms.cli
 import crms.darboux
+import crms.fields
 import crms.linalg
 from crms.cli import COMMANDS, ExperimentConfig, _check_size, main, parse_config
 from crms.errors import ConfigError
@@ -537,14 +544,23 @@ def test_flow_from_file_initial(tmp_path):
     assert code == 0  # zero section is the critical point
 
 
-@pytest.mark.parametrize("content", [None, b"CRMS\x01"], ids=["missing", "truncated"])
+# A well-formed 16 x 16, n = 1 container whose payload holds one NaN.
+NAN_PAYLOAD = crms.fields._HEADER.pack(b"CRMS", 1, 16, 16, 1, 2 * np.pi, 2 * np.pi) + np.concatenate(
+    [[np.nan], np.zeros(16 * 16 * 4 - 1)]
+).astype("<f8").tobytes()
+
+
+@pytest.mark.parametrize("content", [None, b"CRMS\x01", NAN_PAYLOAD], ids=["missing", "truncated", "nan-payload"])
 def test_flow_unreadable_initial_file_is_config_error(tmp_path, capsys, content):
     state_path = tmp_path / "init.crms"
     if content is not None:
         state_path.write_bytes(content)
-    cfg = {"output_dir": str(tmp_path / "out"), "flow": {"initial": {"mode": "file", "path": str(state_path)}}}
+    out = tmp_path / "out"
+    cfg = {"output_dir": str(out), "flow": {"initial": {"mode": "file", "path": str(state_path)}}}
     assert run_cli(tmp_path, "flow", cfg)[0] == 2
-    assert capsys.readouterr().err.startswith("config error: cannot read initial state")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read initial state") and err.count("\n") == 1
+    assert not out.exists()
 
 
 # --- gradcheck ---------------------------------------------------------------
@@ -730,6 +746,41 @@ def test_reports_are_deterministic_apart_from_timestamp(tmp_path):
         return payload
 
     assert one_run("a") == one_run("b")
+
+
+def test_outputs_are_byte_identical_across_hash_seeds(tmp_path):
+    # Each verb in its own interpreter under PYTHONHASHSEED 0 and 1: no output
+    # may depend on set or dict order.  JSON reports differ only in timestamp.
+    runs = {
+        "flow": (["--grid", "16x16"], {"n": 2, "hamiltonian": {"name": "cosine"},
+                                      "flow": {"integrator": "rk4", "max_steps": 20}}, 1),
+        "validate": (["--seed", "3"], {"n": 4, "form": {"source": "seeded_random_conjugate"}}, 0),
+        "darboux": (["--seed", "3"], {"n": 4, "form": {"source": "seeded_random_conjugate"}}, 0),
+        "symbol": ([], {"n": 2}, 0),
+        "gradcheck": (["--grid", "12x12"], {}, 0),
+    }
+    src = str(Path(crms.__file__).resolve().parents[1])
+    outputs = {}
+    for verb, (extra, config, expected) in runs.items():
+        cfg_path = tmp_path / f"{verb}.json"
+        cfg_path.write_text(json.dumps(config))
+        procs = {}
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            out = tmp_path / seed / verb
+            cmd = [sys.executable, "-m", "crms.cli", verb, "--config", str(cfg_path), "--out", str(out), "--quiet",
+                   *extra]
+            procs[seed] = subprocess.Popen(cmd, env=env, cwd=tmp_path, stderr=subprocess.PIPE)
+        errors = {seed: proc.communicate(timeout=60)[1] for seed, proc in procs.items()}
+        for seed, proc in procs.items():
+            assert proc.returncode == expected, (verb, seed, errors[seed])
+            outputs[seed, verb] = {
+                f.name: re.sub(rb'"timestamp": "[^"]*"', b'"timestamp": ""', f.read_bytes())
+                for f in (tmp_path / seed / verb).iterdir()
+            }
+        assert outputs["0", verb] == outputs["1", verb], verb
+    assert sum(len(files) for files in outputs.values()) == 2 * 7
 
 
 def test_symbol_csv_bytes_are_reproducible(tmp_path):

@@ -1,5 +1,7 @@
 """Gradient-flow stepping, traces, and Fueter-residual diagnostics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,17 @@ def test_rk4_stage_overflow_is_a_divergence():
     assert np.all(np.isfinite(err.trace.final_state.values))
 
 
+def test_traces_hold_read_only_rows_on_every_path():
+    ham = make_hamiltonian("quadratic", 1)
+    finished = run_flow(smooth(3), ham, FlowConfig(ds=0.01, max_steps=4))
+    # A state of 1e200 diverges in the step-0 diagnostics: no rows.
+    with pytest.raises(FlowDivergenceError) as excinfo:
+        run_flow(FieldState(GRID, np.full((16, 16, 4), 1e200)), ham, FlowConfig(ds=0.01, max_steps=4))
+    for trace, k in ((finished, 5), (excinfo.value.trace, 0)):
+        assert trace.steps.shape == (k, 3) and trace.steps.dtype == float
+        assert not trace.steps.flags.writeable
+
+
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("integrator", ["explicit_euler", "rk4"])
 @pytest.mark.parametrize("record_every", [1, 3])
@@ -247,10 +260,12 @@ def test_field_operator_is_cached_per_grid_and_n_with_a_read_only_pair():
     # An equal grid built anew and other values share the operator.
     assert _field_operator(smooth(2, grid=TorusGrid(16, 16), n=2), ham) is op
     assert _field_operator(smooth(1), make_hamiltonian("zero", 1)) is not op
-    # The operator holds the cached read-only pair itself, not a copy.
-    j1, j2 = standard_fiber_forms(2)
-    assert op.j1 is j1 and op.j2 is j2
-    assert not (j1.flags.writeable or j2.flags.writeable)
+    # The operator holds only its grid and the GEMM operands: read-only,
+    # C-contiguous copies of the cached pair's transposes, bit for bit.
+    assert [f.name for f in dataclasses.fields(op)] == ["grid", "j1t", "j2t"]
+    for jt, j in zip((op.j1t, op.j2t), standard_fiber_forms(2)):
+        assert not jt.flags.writeable and jt.flags.c_contiguous
+        assert np.array_equal(jt.view(np.int64), j.T.view(np.int64))
 
 
 def test_fixed_point_soundness_of_converged_traces():

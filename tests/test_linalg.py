@@ -1,13 +1,18 @@
 """Single-point linear algebra: tensors, complex structures, CRMS validation."""
 
+import dataclasses
+import importlib
 import itertools
+import pkgutil
 
 import numpy as np
 import pytest
 
+import crms
 from crms.cli import FORM_INJECTIONS, FORM_SOURCES, _build_form, parse_config
 from crms.darboux import CrpsPair
 from crms.errors import DimensionMismatchError
+from crms.fields import TorusGrid, _operator_on
 from crms.linalg import (
     AlternatingThreeForm,
     LinearComplexStructure,
@@ -477,6 +482,37 @@ def test_cached_index_triples_are_read_only():
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a.flat[0] = 0
+
+
+def _arrays(label, obj):
+    """(label, array) for every array ``obj`` is or holds, through tuples and dataclass fields."""
+    if isinstance(obj, np.ndarray):
+        yield label, obj
+    elif isinstance(obj, tuple):
+        for k, item in enumerate(obj):
+            yield from _arrays(f"{label}[{k}]", item)
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        for f in dataclasses.fields(obj):
+            yield from _arrays(f"{label}.{f.name}", getattr(obj, f.name))
+
+
+def test_shared_arrays_are_read_only():
+    # One write to a module constant or a cached array would silently change
+    # every later structure, form, pair and flow built from it.
+    arrays = []
+    for info in pkgutil.iter_modules(crms.__path__):
+        module = importlib.import_module(f"crms.{info.name}")
+        for name, value in vars(module).items():
+            arrays += _arrays(f"crms.{info.name}.{name}", value)
+    module_level = len(arrays)
+    for n in (1, 2):
+        arrays += _arrays(f"standard_fiber_forms({n})", standard_fiber_forms(n))
+        arrays += _arrays(f"standard_complex_structure({n})", standard_complex_structure(n))
+        arrays += _arrays(f"_normal_form_base({n})", _normal_form_base(n))
+        arrays += _arrays(f"_alternation_index({2 + 4 * n})", _alternation_index(2 + 4 * n))
+        arrays += _arrays(f"_operator_on(4x5, {n})", _operator_on(TorusGrid(4, 5), n))
+    assert module_level >= 4 and len(arrays) - module_level >= 18
+    assert [label for label, a in arrays if a.flags.writeable] == []
 
 
 def test_standard_fiber_forms_pairing():
