@@ -116,7 +116,6 @@ class ExperimentConfig:
     grid: TorusGrid = field(default_factory=lambda: TorusGrid(32, 32))
     ham_name: str = "quadratic"
     ham_parameters: dict = field(default_factory=dict)
-    gradient_scale: float = 1.0
     flow: FlowConfig | None = None  # parse_config builds it for the final grid
     initial_mode: str = "random_smooth"
     initial_amplitude: float = 0.1
@@ -162,7 +161,7 @@ def parse_config(raw: dict, command: str) -> ExperimentConfig:
     except ValueError as err:
         raise ConfigError(str(err)) from None
 
-    ham = _section(raw, "hamiltonian", ("name", "parameters", "gradient_scale"))
+    ham = _section(raw, "hamiltonian", ("name", "parameters"))
     cfg.ham_name = _expect(ham, "name", str, cfg.ham_name)
     if cfg.ham_name not in BUILTIN_HAMILTONIANS:
         raise ConfigError(f"unknown Hamiltonian '{cfg.ham_name}'; built-ins: {BUILTIN_HAMILTONIANS}")
@@ -170,7 +169,6 @@ def parse_config(raw: dict, command: str) -> ExperimentConfig:
     cfg.ham_parameters = {k: _finite_float(v) for k, v in params.items()}
     if None in cfg.ham_parameters.values():
         raise ConfigError("'hamiltonian.parameters' must map names to finite numbers")
-    cfg.gradient_scale = _expect(ham, "gradient_scale", float, cfg.gradient_scale)
 
     flow = _section(raw, "flow", ("ds", "max_steps", "tolerance", "integrator", "record_every", "initial"))
     integrator = _expect(flow, "integrator", str, FlowConfig.integrator)
@@ -393,7 +391,7 @@ def _initial_state(cfg: ExperimentConfig) -> FieldState:
 def _hamiltonian(cfg: ExperimentConfig):
     """The configured Hamiltonian; one that fails its construction check is a config error."""
     try:
-        return make_hamiltonian(cfg.ham_name, cfg.n, cfg.ham_parameters, cfg.gradient_scale)
+        return make_hamiltonian(cfg.ham_name, cfg.n, cfg.ham_parameters)
     except ValueError as err:
         raise ConfigError(str(err)) from None
 
@@ -479,7 +477,6 @@ def cmd_gradcheck(cfg: ExperimentConfig, out: Path) -> tuple[int, str]:
     _write_report(
         out, "gradcheck.json", "gradcheck", cfg,
         hamiltonian=cfg.ham_name,
-        gradient_scale=cfg.gradient_scale,
         directions=cfg.gradcheck_directions,
         max_relative_error=max_err,
         max_error_to_bound=max_ratio,

@@ -145,8 +145,10 @@ class HamiltonianSpec:
     H depends on the fiber value only, not on the base point.  Consistency of
     the pair is asserted at construction against central finite differences
     at seeded sample points, so user extensions cannot silently decouple the
-    two.  The relative error is taken above each difference's roundoff floor
-    u max|H(z ± eps)| / eps, so a large H is not rejected for cancellation.
+    two.  The error is taken above each difference's roundoff floor
+    u max|H(z ± eps)| / eps, so a large H is not rejected for cancellation,
+    and is relative to the differences' own size max|fd|, with no floor at 1,
+    so a scaled-down H is held to the same bound.
     """
 
     name: str
@@ -173,12 +175,12 @@ class HamiltonianSpec:
             # Each value carries a roundoff of about u |H|, which the difference
             # divides by eps: a large H would fail a purely relative bound.
             floor[:, c] = np.finfo(float).eps * np.maximum(np.abs(hp), np.abs(hm)) / eps
-        scale = np.maximum(np.abs(fd), 1.0)
-        rel = float(np.max((np.abs(grad - fd) - floor) / scale))
-        if not rel <= GRADIENT_CHECK_TOL:  # an overflow makes rel NaN, which fails too
+        err = float(np.max(np.abs(grad - fd) - floor))
+        scale = float(np.max(np.abs(fd)))
+        if not err <= GRADIENT_CHECK_TOL * scale:  # an overflow makes err NaN, which fails too
             raise ValueError(
                 f"gradient of '{self.name}' disagrees with finite differences "
-                f"(relative error {rel:.2e} > {GRADIENT_CHECK_TOL:.0e})"
+                f"(error {err:.2e} > {GRADIENT_CHECK_TOL:.0e} max|fd| = {GRADIENT_CHECK_TOL * scale:.2e})"
             )
 
 
@@ -193,17 +195,13 @@ def make_hamiltonian(
     name: str,
     n: int,
     parameters: Mapping[str, float] | None = None,
-    gradient_scale: float = 1.0,
 ) -> HamiltonianSpec:
     """Build one of the built-in Hamiltonians on a 4n-dimensional fiber.
 
     Built-ins: ``zero``; ``quadratic_p`` = |P|^2/2; ``quadratic`` =
     |P|^2/2 + lam |q|^2/2; ``quartic`` = |P|^2/2 + lam sum(q_c^4);
-    ``cosine`` = |P|^2/2 + lam sum(cos q_c).  Unknown names are rejected.
-
-    ``gradient_scale`` multiplies the returned gradient only; it exists as a
-    diagnostic knob for negative controls of gradient-consistency checks and
-    must stay within the construction tolerance.
+    ``cosine`` = |P|^2/2 + lam sum(cos q_c).  Unknown names are rejected, and
+    so is a lam whose Hamiltonian fails HamiltonianSpec's construction check.
     """
     lam = float((parameters or {}).get("lambda", 1.0))
     dim = 4 * n
@@ -233,10 +231,6 @@ def make_hamiltonian(
         grad = lambda z: p_with_q(z, lambda q: -lam * np.sin(q))
     else:
         raise ValueError(f"unknown Hamiltonian '{name}'")
-
-    if gradient_scale != 1.0:
-        inner = grad
-        grad = lambda z: gradient_scale * inner(z)
     return HamiltonianSpec(name=name, fiber_dim=dim, value=value, gradient=grad)
 
 

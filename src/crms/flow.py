@@ -205,8 +205,8 @@ def fueter_residual(
     states = list(trajectory)
     if len(states) < 3:
         raise ValueError("fueter_residual needs at least 3 trajectory states")
-    if ds <= 0.0:
-        raise ValueError("ds must be positive")
+    if not 0.0 < ds < np.inf:
+        raise ValueError("ds must be positive and finite")
     grid, shape = states[0].grid, states[0].values.shape
     if any(st.grid != grid or st.values.shape != shape for st in states):
         raise DimensionMismatchError("trajectory states differ in grid or shape")

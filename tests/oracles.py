@@ -3,7 +3,7 @@
 import numpy as np
 
 from crms.darboux import CrpsPair
-from crms.fields import FieldState, TorusGrid, diff
+from crms.fields import FieldState, HamiltonianSpec, TorusGrid, diff
 from crms.linalg import (
     BASE_ROTATION,
     TAU_ALG,
@@ -17,6 +17,15 @@ from crms.linalg import (
 def standard_pair(n: int) -> CrpsPair:
     """The standard CRPS pair: the cached (omega1, omega2) and I."""
     return CrpsPair(*standard_fiber_forms(n), standard_complex_structure(n).fiber_part)
+
+
+def with_scaled_gradient(ham: HamiltonianSpec, scale: float) -> HamiltonianSpec:
+    """ham with its gradient times scale: the negative control of the gradient checks.
+
+    The construction check runs on the result, so a scale outside its
+    tolerance raises ValueError here.
+    """
+    return HamiltonianSpec(ham.name, ham.fiber_dim, ham.value, lambda z: scale * ham.gradient(z))
 
 
 def roll_diff(values: np.ndarray, grid: TorusGrid, direction: int) -> np.ndarray:

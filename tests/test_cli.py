@@ -24,6 +24,7 @@ from crms.fields import FieldState, TorusGrid, read_state, write_state
 from crms.flow import FlowConfig
 from crms.linalg import validate_crms
 from crms.sampling import break_i_compatibility, drop_quadruple_block, random_crms_form
+from oracles import with_scaled_gradient
 
 
 @pytest.fixture(autouse=True)
@@ -73,7 +74,7 @@ def test_validate_injected_triple_fails_with_witness(tmp_path):
 def test_injection_breaks_the_configured_form(tmp_path, n, inject, injection):
     out = tmp_path / "out"
     form = {"source": "seeded_random_conjugate", "inject": inject}
-    run_cli(tmp_path, "validate", {"n": n, "seed": 3, "output_dir": str(out), "form": form})
+    assert run_cli(tmp_path, "validate", {"n": n, "seed": 3, "output_dir": str(out), "form": form})[0] == 1
     configured, structure = random_crms_form(n, np.random.default_rng(3), nu_scale=0.5)
     expected = validate_crms(injection(configured), structure).as_dict()
     # The report holds each non-finite float of the check (NaN, Infinity) as null.
@@ -105,6 +106,7 @@ def test_undecodable_config_is_a_usage_error(tmp_path, capsys, content):
     assert main(["validate", "--config", str(bad), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: cannot read config") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
 
 def test_unknown_config_key_is_a_usage_error(tmp_path):
@@ -133,11 +135,13 @@ def test_kind_mismatch_is_a_usage_error(tmp_path):
         {"grid": {"l1": 1.7e308, "l2": 1.7e308}},
     ],
 )
-def test_bad_config_values_are_usage_errors(tmp_path, config):
+def test_bad_config_values_are_usage_errors(tmp_path, capsys, config):
     # json.dumps writes bool, nan and inf as true, NaN and Infinity, which
     # json.loads reads back; 10**400 is an int no float can hold.
     assert run_cli(tmp_path, "flow", {"output_dir": str(tmp_path / "out"), **config})[0] == 2
-    assert not (tmp_path / "out" / "flow_summary.json").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -151,6 +155,7 @@ def test_bad_config_values_are_usage_errors(tmp_path, config):
         ("validate", "form", {"form": {"sources": "standard"}}),
         ("symbol", "symbol", {"symbol": {"angle": 8}}),
         ("gradcheck", "gradcheck", {"gradcheck": {"direction": 2}}),
+        ("gradcheck", "hamiltonian", {"hamiltonian": {"gradient_scale": 1.0}}),
     ],
 )
 def test_misspelled_section_keys_are_usage_errors(tmp_path, capsys, command, path, config):
@@ -580,28 +585,34 @@ def test_gradcheck_quadratic_is_machine_exact(tmp_path):
     assert read_json(out / "gradcheck.json")["max_relative_error"] < 1e-9
 
 
-def test_gradcheck_cosine(tmp_path):
+@pytest.mark.parametrize(
+    "n, ham",
+    [
+        (1, {"name": "cosine", "parameters": {"lambda": 0.8}}),
+        # The construction check's roundoff floor lets this exact gradient through.
+        (2, {"name": "quartic", "parameters": {"lambda": 1e4}}),
+    ],
+    ids=["cosine", "quartic_lambda_1e4"],
+)
+def test_gradcheck_passes_on_nonlinear_hamiltonians(tmp_path, n, ham):
     out = tmp_path / "out"
-    cfg = {
-        "n": 1,
-        "seed": 4,
-        "output_dir": str(out),
-        "grid": {"n1": 16, "n2": 16},
-        "hamiltonian": {"name": "cosine", "parameters": {"lambda": 0.8}},
-    }
+    cfg = {"n": n, "seed": 4, "output_dir": str(out), "grid": {"n1": 16, "n2": 16}, "hamiltonian": ham}
     code, _ = run_cli(tmp_path, "gradcheck", cfg)
     assert code == 0
     assert read_json(out / "gradcheck.json")["max_relative_error"] < 1e-6
 
 
-def test_gradcheck_corrupted_gradient_fails(tmp_path):
+def test_gradcheck_corrupted_gradient_fails(tmp_path, monkeypatch):
+    # 1 + 3e-6 passes the construction check but not the gradient check.
+    make = crms.cli.make_hamiltonian
+    monkeypatch.setattr(crms.cli, "make_hamiltonian", lambda *args: with_scaled_gradient(make(*args), 1.000003))
     out = tmp_path / "out"
     cfg = {
         "n": 1,
         "seed": 5,
         "output_dir": str(out),
         "grid": {"n1": 16, "n2": 16},
-        "hamiltonian": {"name": "quadratic", "gradient_scale": 1.000003},
+        "hamiltonian": {"name": "quadratic"},
     }
     code, _ = run_cli(tmp_path, "gradcheck", cfg)
     assert code == 1
@@ -624,13 +635,14 @@ def test_gradcheck_report_is_strict_json_when_the_differences_overflow(tmp_path)
 
 
 @pytest.mark.parametrize("command", ["flow", "gradcheck"])
-def test_gradient_scale_outside_the_tolerance_is_config_error(tmp_path, capsys, command):
-    # 1.001 fails the finite-difference check that builds the Hamiltonian;
-    # lambda = 1e308 overflows it to a NaN error, which fails it too.
-    for ham in (
-        {"name": "cosine", "gradient_scale": 1.001},
-        {"name": "quartic", "parameters": {"lambda": 1e308}},
-    ):
+def test_hamiltonian_that_fails_its_construction_check_is_config_error(tmp_path, capsys, monkeypatch, command):
+    # A gradient 1.001 times cosine's fails the finite-difference check that
+    # builds the Hamiltonian; lambda = 1e308 overflows it to a NaN error,
+    # which fails it too.
+    make = crms.cli.make_hamiltonian
+    corrupted = lambda *args: with_scaled_gradient(make(*args), 1.001)
+    for ham, build in (({"name": "cosine"}, corrupted), ({"name": "quartic", "parameters": {"lambda": 1e308}}, make)):
+        monkeypatch.setattr(crms.cli, "make_hamiltonian", build)
         out = tmp_path / "out"
         cfg = {"n": 1, "output_dir": str(out), "grid": {"n1": 16, "n2": 16}, "hamiltonian": ham}
         assert run_cli(tmp_path, command, cfg)[0] == 2

@@ -23,7 +23,7 @@ from crms.fields import (
 )
 from crms.linalg import standard_fiber_forms
 from crms.sampling import random_smooth_state
-from oracles import momenta_from_positions, roll_diff, stacked_bridges_operator
+from oracles import momenta_from_positions, roll_diff, stacked_bridges_operator, with_scaled_gradient
 
 
 def random_state(grid: TorusGrid, n: int, seed: int, scale: float = 1.0) -> FieldState:
@@ -152,9 +152,12 @@ def test_field_operator_is_the_stacked_matmul_form_bitwise(n, grid, kind):
 
 
 def test_builtin_hamiltonians_construct():
+    # The construction check's tolerance is relative to the differences' own
+    # size, with no floor at 1, so a small lambda passes it as a large one does.
     for name in BUILTIN_HAMILTONIANS:
-        ham = make_hamiltonian(name, 2, {"lambda": 0.7})
-        assert ham.fiber_dim == 8
+        for n in (1, 2):
+            for lam in [0.7] + [10.0**k for k in range(-12, 13)]:
+                assert make_hamiltonian(name, n, {"lambda": lam}).fiber_dim == 4 * n
 
 
 def test_unknown_hamiltonian_rejected():
@@ -164,7 +167,7 @@ def test_unknown_hamiltonian_rejected():
 
 def test_grossly_corrupted_gradient_rejected_at_construction():
     with pytest.raises(ValueError):
-        make_hamiltonian("quadratic", 1, gradient_scale=1.001)
+        with_scaled_gradient(make_hamiltonian("quadratic", 1), 1.001)
 
 
 def test_overflowing_finite_difference_rejected_at_construction():
@@ -180,23 +183,25 @@ def test_exact_gradient_at_large_lambda_passes_construction(name, lam, n):
     # the roundoff floor forgives; a corrupted gradient stays rejected.
     assert make_hamiltonian(name, n, {"lambda": lam}).fiber_dim == 4 * n
     with pytest.raises(ValueError, match="disagrees with finite differences"):
-        make_hamiltonian(name, n, {"lambda": lam}, gradient_scale=1.001)
+        with_scaled_gradient(make_hamiltonian(name, n, {"lambda": lam}), 1.001)
 
 
 def test_subtly_corrupted_gradient_passes_construction():
     # Below the construction tolerance but above the gradcheck tolerance.
-    ham = make_hamiltonian("quadratic", 1, gradient_scale=1.0 + 3e-6)
+    ham = with_scaled_gradient(make_hamiltonian("quadratic", 1), 1.0 + 3e-6)
     assert ham.fiber_dim == 4
 
 
 def test_custom_hamiltonian_with_wrong_gradient_rejected():
-    with pytest.raises(ValueError):
-        HamiltonianSpec(
-            name="broken",
-            fiber_dim=4,
-            value=lambda z: np.sum(z**2, axis=-1),
-            gradient=lambda z: z,  # off by a factor 2
-        )
+    # The check has no floor at 1: the half gradient of a small H fails it too.
+    for s in (1.0, 1e-3, 1e-6, 1e-9, 1e-12):
+        with pytest.raises(ValueError, match="disagrees with finite differences"):
+            HamiltonianSpec(
+                name="broken",
+                fiber_dim=4,
+                value=lambda z: s * np.sum(z**2, axis=-1),
+                gradient=lambda z: s * z,  # off by a factor 2
+            )
 
 
 def where_gradient(name: str, n: int, lam: float):
@@ -216,7 +221,9 @@ def where_gradient(name: str, n: int, lam: float):
 @pytest.mark.parametrize("scale", [1.0, 1.0 + 3e-6])
 @pytest.mark.parametrize("n", [1, 2])
 def test_builtin_gradients_equal_the_where_formula_bitwise(name, scale, n):
-    ham = make_hamiltonian(name, n, {"lambda": 0.7}, gradient_scale=scale)
+    ham = make_hamiltonian(name, n, {"lambda": 0.7})
+    if scale != 1.0:
+        ham = with_scaled_gradient(ham, scale)
     oracle = where_gradient(name, n, 0.7)
     rng = np.random.default_rng(31)
     for shape in [(6, 4 * n), (7, 11, 4 * n)]:

@@ -305,6 +305,14 @@ def test_short_trajectory_rejected():
         fueter_residual([state, state], 0.01, make_hamiltonian("zero", 1))
 
 
+@pytest.mark.parametrize("ds", [0.0, -0.01, float("nan"), float("inf")])
+def test_step_that_is_not_positive_and_finite_rejected(ds):
+    # A NaN step made every difference NaN, which max() skipped: a residual of 0.
+    state = FieldState(GRID, np.zeros((16, 16, 4)))
+    with pytest.raises(ValueError, match="ds must be positive and finite"):
+        fueter_residual([state] * 3, ds, make_hamiltonian("zero", 1))
+
+
 @pytest.mark.parametrize(
     "other",
     [TorusGrid(16, 16, l1=3.0), TorusGrid(16, 20), None],
