@@ -69,9 +69,10 @@ def build_compatible(
     if reference.dim != pair.dim:
         raise DimensionMismatchError("reference dimension does not match the forms")
 
-    scale = max(1.0, float(np.max(np.abs(w1))))
+    # Each check is relative to the size of what it compares, with no floor.
+    scale = float(np.max(np.abs(w1)))
     r = reference.matrix
-    if np.max(np.abs(i_fib.T @ r @ i_fib - r)) > TAU_ALG * max(1.0, float(np.max(np.abs(r)))):
+    if np.max(np.abs(i_fib.T @ r @ i_fib - r)) > TAU_ALG * float(np.max(np.abs(r))):
         raise ValueError("reference inner product is not compatible with i_fiber")
 
     # Orthonormal coordinates of the reference metric: x_hat = L^T x, so an
@@ -79,7 +80,7 @@ def build_compatible(
     chol = np.linalg.cholesky(r)
     a_hat = np.linalg.solve(chol, np.linalg.solve(chol, w1).T).T  # L^{-1} W1 L^{-T}
     i_hat = chol.T @ np.linalg.solve(chol, i_fib.T).T  # L^T I L^{-T}
-    if np.max(np.abs(a_hat @ i_hat + i_hat @ a_hat)) > TAU_ALG * scale:
+    if np.max(np.abs(a_hat @ i_hat + i_hat @ a_hat)) > TAU_ALG * float(np.max(np.abs(a_hat))):
         raise ValueError("musical operator of omega1 does not anticommute with I")
 
     # Polar factors from one SVD: a_hat = (U S U^T)(U V^T) = B_hat J1_hat.

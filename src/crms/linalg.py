@@ -68,21 +68,6 @@ def _split_dim(shape: tuple[int, ...], rank: int) -> int:
     return d
 
 
-def _put_alternating(c: np.ndarray, i, j, k, v) -> None:
-    """Write v at the even permutations of (i, j, k) and -v at the odd ones.
-
-    The indices and values may be arrays of one common shape; index triples
-    must be pairwise distinct as sets, or later writes overwrite earlier ones.
-    """
-    v = np.asarray(v, dtype=float)
-    c[i, j, k] = v
-    c[j, k, i] = v
-    c[k, i, j] = v
-    c[i, k, j] = -v
-    c[j, i, k] = -v
-    c[k, j, i] = -v
-
-
 @functools.cache
 def _alternation_index(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flat positions in a d x d x d tensor, built once per d and read-only.
@@ -102,12 +87,16 @@ def _alternation_index(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _alternation_from_canonical(raw: np.ndarray) -> np.ndarray:
-    """Rebuild a tensor from its i<j<k entries so antisymmetry is bitwise."""
+    """Rebuild a tensor from its i<j<k entries so antisymmetry is bitwise.
+
+    An entry v goes to the even permutations of its triple and 0.0 - v to
+    the odd ones: that is -v, except that +0.0 stays +0.0.
+    """
     canonical, even, odd = _alternation_index(raw.shape[0])
     v = raw.take(canonical)
     out = np.zeros(raw.size)
     out[even] = v
-    out[odd] = -v
+    out[odd] = 0.0 - v
     return out.reshape(raw.shape)
 
 
@@ -218,8 +207,7 @@ class SpdMatrix:
         m = _readonly(self.matrix, "matrix")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-        scale = max(1.0, float(np.max(np.abs(m))))
-        if np.max(np.abs(m - m.T)) > TAU_ALG * scale:
+        if np.max(np.abs(m - m.T)) > TAU_ALG * float(np.max(np.abs(m))):
             raise ValueError("matrix is not symmetric")
         smallest = float(np.linalg.eigvalsh(m)[0])
         if smallest <= 0.0:
@@ -294,26 +282,28 @@ def standard_complex_structure(n: int) -> LinearComplexStructure:
 def _normal_form_base(n: int) -> np.ndarray:
     """Coefficients of omega1∧eps2 - omega2∧eps1, built once per n and read-only.
 
-    Scatters the nonzero entries w[i, j], i < j, of omega1 against eps2 and
-    of -omega2 against eps1.
+    Alternated from the canonical entries (eps, 2 + i, 2 + j): the nonzero
+    entries w[i, j], i < j, of omega1 at eps = 1 and of -omega2 at eps = 0.
     """
-    coeffs = np.zeros((2 + 4 * n,) * 3)
+    raw = np.zeros((2 + 4 * n,) * 3)
     w1, w2 = standard_fiber_forms(n)
     for eps, w in ((1, w1), (0, -w2)):
         i, j = np.nonzero(np.triu(w))
-        _put_alternating(coeffs, 2 + i, 2 + j, eps, w[i, j])
+        raw[eps, 2 + i, 2 + j] = w[i, j]
+    coeffs = _alternation_from_canonical(raw)
     coeffs.setflags(write=False)
     return coeffs
 
 
 def _normal_form_coeffs(n: int, nu: np.ndarray | None) -> np.ndarray:
-    """A fresh copy of the normal-form coefficients with nu∧eps1∧eps2 written in."""
+    """A fresh copy of the normal-form coefficients, alternated with nu∧eps1∧eps2 at (0, 1, 2 + a)."""
     coeffs = _normal_form_base(n).copy()
     if nu is not None:
         nu = np.asarray(nu, dtype=float)
         if nu.shape != (4 * n,):
             raise DimensionMismatchError(f"nu must have shape ({4 * n},), got {nu.shape}")
-        _put_alternating(coeffs, 2 + np.arange(4 * n), 0, 1, nu)
+        coeffs[0, 1, 2:] = nu
+        coeffs = _alternation_from_canonical(coeffs)
     return coeffs
 
 

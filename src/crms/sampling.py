@@ -19,8 +19,9 @@ from .linalg import (
     standard_complex_structure,
     standard_crms_form,
     standard_fiber_forms,
+    _alternation_from_canonical,
     _condition_number,
-    _put_alternating,
+    _exact_form,
 )
 
 _COND_CAP = 200.0
@@ -121,10 +122,15 @@ def random_smooth_state(grid, n: int, amplitude: float, rng: np.random.Generator
 
 
 def inject_vertical_triple(form: AlternatingThreeForm) -> AlternatingThreeForm:
-    """The form with 1 added at the vertical triple (2, 3, 4): breaks 1-horizontality."""
+    """The form with 1 added at the vertical triple (2, 3, 4): breaks 1-horizontality.
+
+    Each injection edits a copy's canonical (i < j < k) entries and alternates
+    it, so a form antisymmetric only within TAU_ALG gets its other entries
+    rebuilt from those.
+    """
     c = form.coeffs.copy()
-    _put_alternating(c, 2, 3, 4, c[2, 3, 4] + 1.0)
-    return AlternatingThreeForm(c)
+    c[2, 3, 4] += 1.0
+    return _exact_form(_alternation_from_canonical(c))
 
 
 def drop_quadruple_block(form: AlternatingThreeForm) -> AlternatingThreeForm:
@@ -132,20 +138,22 @@ def drop_quadruple_block(form: AlternatingThreeForm) -> AlternatingThreeForm:
 
     Both contraction matrices become singular.  On the standard form,
     horizontality and I-compatibility survive: the removed part is
-    compatible on its own.
+    compatible on its own.  Alternated as in inject_vertical_triple.
     """
     c = form.coeffs.copy()
     c[2:6] = 0.0
     c[:, 2:6] = 0.0
     c[:, :, 2:6] = 0.0
-    return AlternatingThreeForm(c)
+    return _exact_form(_alternation_from_canonical(c))
 
 
 def break_i_compatibility(form: AlternatingThreeForm) -> AlternatingThreeForm:
     """The form plus 0.5 beta1 ∧ alpha1 ∧ eps1 of the first quadruple.
 
     On the standard form the term desynchronizes the two contractions.
+    Written as -0.5 at (0, 2, 4), an odd permutation of (4, 2, 0), and
+    alternated as in inject_vertical_triple.
     """
     c = form.coeffs.copy()
-    _put_alternating(c, 4, 2, 0, c[4, 2, 0] + 0.5)
-    return AlternatingThreeForm(c)
+    c[0, 2, 4] -= 0.5
+    return _exact_form(_alternation_from_canonical(c))

@@ -105,6 +105,32 @@ def test_rejects_incompatible_reference():
         build_compatible(pair.omega1, pair.omega2, pair.i_fiber, bad)
 
 
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_scaled_reference_gives_the_same_triple(n):
+    # Scaling the reference by s scales the musical operator by 1/s and
+    # leaves J1 and g unchanged.
+    rng = np.random.default_rng(80 + n)
+    pair = random_crps_pair(n, rng)
+    ref = compatible_reference(n, rng).matrix
+    base = build_compatible(pair.omega1, pair.omega2, pair.i_fiber, SpdMatrix(ref))
+    for s in (1e-12, 1e-9, 1e-6, 1e3, 1e6):
+        triple = build_compatible(pair.omega1, pair.omega2, pair.i_fiber, SpdMatrix(s * ref))
+        assert np.max(np.abs(triple.j1 - base.j1)) < 1e-13
+        assert np.max(np.abs(triple.g.matrix - base.g.matrix)) < 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_perturbed_reference_is_rejected_at_every_scale(n):
+    rng = np.random.default_rng(90 + n)
+    pair = random_crps_pair(n, rng)
+    ref = compatible_reference(n, rng).matrix
+    bump = np.zeros_like(ref)
+    bump[0, 0] = 1e-3 * np.max(np.abs(ref))  # I moves e0 to e1, so this is not I-compatible
+    for s in (1e-12, 1e-9, 1.0, 1e6):
+        with pytest.raises(ValueError, match="reference inner product is not compatible"):
+            build_compatible(pair.omega1, pair.omega2, pair.i_fiber, SpdMatrix(s * (ref + bump)))
+
+
 def test_rejects_inconsistent_omega2():
     pair = standard_pair(1)
     with pytest.raises(ValueError):

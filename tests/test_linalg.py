@@ -90,6 +90,9 @@ def test_constructor_tensors_are_exact_fixed_points(n):
     for c in (f.coeffs for f in forms):
         for axes in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):
             assert np.array_equal(c, -np.transpose(c, axes))
+        # Each route alternates its canonical entries once, with the one
+        # signed-zero policy: rebuilding it changes no byte.
+        assert c.tobytes() == _alternation_from_canonical(c).tobytes()
 
 
 def test_library_forms_keep_the_shape_and_finiteness_checks():
@@ -115,10 +118,11 @@ def test_wedge3_matches_determinant():
     assert got == pytest.approx(det, rel=1e-12, abs=1e-12)
 
 
-# --- the alternating scatter against the wedge3 construction ------------------
-# The constructors scatter their few nonzero coefficients directly; these
-# oracles build the same tensors with a per-triple loop, as sums of
-# wedge3 terms, and by adding the vertical triple's six signed permutations.
+# --- the alternation against the wedge3 construction --------------------------
+# The constructors write their few canonical (i < j < k) coefficients and
+# alternate them once; these oracles build the same tensors with a
+# per-triple loop, as sums of wedge3 terms, and by adding the vertical
+# triple's six signed permutations.
 
 
 @pytest.mark.parametrize("d", [3, 6, 10, 18, 34])
@@ -132,21 +136,22 @@ def test_alternation_equals_triple_loop(d):
     for i, j, k in itertools.combinations(range(d), 3):
         v = raw[i, j, k]
         expected[i, j, k] = expected[j, k, i] = expected[k, i, j] = v
-        expected[i, k, j] = expected[j, i, k] = expected[k, j, i] = -v
+        expected[i, k, j] = expected[j, i, k] = expected[k, j, i] = 0.0 - v
     assert _alternation_from_canonical(raw).tobytes() == expected.tobytes()
 
 
-def _wedge_standard_form(n: int, nu=None) -> np.ndarray:
+def _wedge_standard_form(n: int, nu=None, first: int = 0) -> np.ndarray:
+    # The terms of quadruples first .. n-1 only.
     d = 2 + 4 * n
     eye = np.eye(d)
     eps1, eps2 = eye[0], eye[1]
     coeffs = np.zeros((d, d, d))
-    for k in range(n):
+    for k in range(first, n):
         a1, a2, b1, b2 = (eye[2 + 4 * k + i] for i in range(4))
         coeffs += wedge3(b1, a1, eps2) + wedge3(b2, a2, eps2)
         coeffs -= wedge3(b1, a2, eps1) - wedge3(b2, a1, eps1)
     if nu is not None:
-        for j, c in enumerate(nu):
+        for j, c in enumerate(nu[4 * first :], start=4 * first):
             coeffs += c * wedge3(eye[2 + j], eps1, eps2)
     return coeffs
 
@@ -182,9 +187,27 @@ def test_broken_compatibility_equals_wedge_sum(n):
     assert np.array_equal(break_i_compatibility(standard_crms_form(n)).coeffs, expected)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_injections_on_nu_form_equal_wedge_sums(n):
+    # Compared as bytes; the oracle of the dropped block omits the first
+    # quadruple's terms and nu's entries on it.
+    nu = np.random.default_rng(n).normal(size=4 * n)
+    form = standard_crms_form(n, nu=nu)
+    eye = np.eye(form.dim)
+    vertical = _wedge_standard_form(n, nu) + wedge3(eye[2], eye[3], eye[4])
+    assert inject_vertical_triple(form).coeffs.tobytes() == vertical.tobytes()
+    assert drop_quadruple_block(form).coeffs.tobytes() == _wedge_standard_form(n, nu, first=1).tobytes()
+
+
 def test_spd_wrapper_validates():
     with pytest.raises(ValueError):
         SpdMatrix(np.diag([1.0, 0.0]))
+    with pytest.raises(ValueError, match="not positive definite"):
+        SpdMatrix(np.zeros((2, 2)))
+    # Symmetry is checked relative to the matrix's own size, at any scale.
+    for s in (1.0, 1e-9, 1e-12):
+        with pytest.raises(ValueError, match="not symmetric"):
+            SpdMatrix(s * np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 # --- structures --------------------------------------------------------------
