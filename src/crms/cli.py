@@ -417,7 +417,7 @@ def cmd_flow(cfg: ExperimentConfig, out: Path) -> tuple[int, str]:
     if diverged_step is None:
         residual = float(np.max(np.abs(bridges_residual(trace.final_state, ham))))
         if len(trace.states) >= 3:
-            fueter = fueter_residual(trace.states, cfg.flow.ds * cfg.flow.record_every, ham)
+            fueter = fueter_residual(trace.states, cfg.flow, ham)
     _write_report(
         out, "flow_summary.json", "flow", cfg,
         hamiltonian=cfg.ham_name,

@@ -48,7 +48,7 @@ class CrpsPair:
         for name, w in (("omega1", w1), ("omega2", w2)):
             if np.max(np.abs(w + w.T)) > TAU_ALG * scale:
                 raise ValueError(f"{name} is not antisymmetric")
-        if np.max(np.abs(ic @ ic + np.eye(d))) > TAU_ALG:
+        if np.max(np.abs(ic @ ic + np.eye(d))) > TAU_ALG * float(np.max(np.abs(ic))) ** 2:
             raise ValueError("i_fiber does not square to -Id")
         if np.max(np.abs(w2 + w1 @ ic)) > TAU_ALG * scale:
             raise ValueError("pair violates omega2 = -omega1(·, I·)")

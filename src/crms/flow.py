@@ -28,11 +28,10 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatchError, FlowDivergenceError
 from .fields import FieldState, HamiltonianSpec, TorusGrid, _field_operator
 
-INTEGRATORS = ("explicit_euler", "rk4")
-
 # Step-size cap ds <= kappa * min(h1, h2): the spatial operator is first
-# order, so its norm scales like 1/h.
+# order, so its norm scales like 1/h.  One entry per integrator.
 STABILITY_KAPPA = {"explicit_euler": 0.2, "rk4": 0.5}
+INTEGRATORS = tuple(STABILITY_KAPPA)
 
 
 @dataclass(frozen=True)
@@ -94,22 +93,20 @@ class FlowTrace:
 def flow_step(
     state: FieldState,
     ham: HamiltonianSpec,
-    ds: float,
-    integrator: str = "explicit_euler",
+    config: FlowConfig,
     step: int | None = None,
     *,
     gradient: np.ndarray,
 ) -> FieldState:
     """One step of Z <- Z - ds grad A(Z) (Euler) or the RK4 update.
 
+    ``config`` gives ds and the integrator, both checked when it was built.
     ``gradient`` is the L² gradient at ``state``, ``l2_gradient(state, ham)``.
     The step takes its negation as the first stage, so it evaluates the field
     operator's gradient 0 times (Euler) or 3 times (RK4), on raw arrays.
 
     Raises FlowDivergenceError when the update produces non-finite values.
     """
-    if integrator not in INTEGRATORS:
-        raise ConfigError(f"unknown integrator '{integrator}'")
     op = _field_operator(state, ham)
     v = state.values
     if np.shape(gradient) != v.shape:
@@ -119,9 +116,10 @@ def flow_step(
         # Stages stay raw arrays: an overflowing stage reaches the finiteness check.
         return -op.gradient(values, ham, op.apply(values))
 
+    ds = config.ds
     with np.errstate(over="ignore", invalid="ignore"):
         k1 = -gradient
-        if integrator == "explicit_euler":
+        if config.integrator == "explicit_euler":
             new = v + ds * k1
         else:
             k2 = rhs(v + 0.5 * ds * k1)
@@ -178,7 +176,7 @@ def run_flow(initial: FieldState, ham: HamiltonianSpec, config: FlowConfig) -> F
         for k in range(config.max_steps):
             if gnorm < config.grad_tolerance:
                 break
-            state = flow_step(state, ham, config.ds, config.integrator, step=k, gradient=grad)
+            state = flow_step(state, ham, config, step=k, gradient=grad)
             gnorm, grad = observe(k + 1, state)
     except FlowDivergenceError as err:
         raise FlowDivergenceError(str(err), step=err.step, trace=trace(False)) from None
@@ -187,13 +185,14 @@ def run_flow(initial: FieldState, ham: HamiltonianSpec, config: FlowConfig) -> F
 
 def fueter_residual(
     trajectory: list[FieldState] | tuple[FieldState, ...],
-    ds: float,
+    config: FlowConfig,
     ham: HamiltonianSpec,
 ) -> float:
     """Sup-norm defect of a trajectory as a discrete Fueter curve.
 
     Evaluates I ∂s Z + I J1 ∂1 Z + I J2 ∂2 Z - I ∇H(Z) with a centered
-    difference in s at the interior trajectory points; small values certify
+    difference in s at the interior trajectory points, which are the states
+    run_flow kept under ``config``: ds * record_every apart; small values certify
     the trajectory solves the three-direction Cauchy-Riemann system.  The
     gradient at each point is the field operator's.  The fiber complex
     structure I = standard_complex_structure(n).fiber_part is a signed
@@ -205,8 +204,7 @@ def fueter_residual(
     states = list(trajectory)
     if len(states) < 3:
         raise ValueError("fueter_residual needs at least 3 trajectory states")
-    if not 0.0 < ds < np.inf:
-        raise ValueError("ds must be positive and finite")
+    ds = config.ds * config.record_every
     grid, shape = states[0].grid, states[0].values.shape
     if any(st.grid != grid or st.values.shape != shape for st in states):
         raise DimensionMismatchError("trajectory states differ in grid or shape")

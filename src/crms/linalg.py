@@ -185,7 +185,7 @@ class LinearComplexStructure:
     def __post_init__(self):
         m = _readonly(self.matrix, "matrix")
         d = _split_dim(m.shape, 2)
-        scale = max(1.0, float(np.max(np.abs(m))))
+        scale = float(np.max(np.abs(m)))
         if np.max(np.abs(m[:2, 2:])) > TAU_ALG * scale:
             raise ValueError("top-right block must vanish (structure must cover the base)")
         if np.max(np.abs(m @ m + np.eye(d))) > TAU_ALG * scale * scale:
@@ -258,15 +258,10 @@ _W2_BLOCK = _readonly(
 )
 
 
-def _block_diagonal(n: int, block: np.ndarray) -> np.ndarray:
-    """np.kron(np.eye(n), block) for a 4 x 4 block, bit for bit, from one broadcast product."""
-    return (np.eye(n)[:, None, :, None] * block[None, :, None, :]).reshape(4 * n, 4 * n)
-
-
 @functools.cache
 def standard_fiber_forms(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gram matrices of the standard fiber 2-form pair (omega1, omega2), built once per n and read-only."""
-    return _readonly(_block_diagonal(n, _W1_BLOCK), "omega1"), _readonly(_block_diagonal(n, _W2_BLOCK), "omega2")
+    return _readonly(np.kron(np.eye(n), _W1_BLOCK), "omega1"), _readonly(np.kron(np.eye(n), _W2_BLOCK), "omega2")
 
 
 @functools.cache
@@ -274,7 +269,7 @@ def standard_complex_structure(n: int) -> LinearComplexStructure:
     """Product complex structure diag(j, I) on T ⊕ V, built once per n; ``fiber_part`` is the standard I."""
     m = np.zeros((2 + 4 * n, 2 + 4 * n))
     m[:2, :2] = BASE_ROTATION
-    m[2:, 2:] = _block_diagonal(n, _I_BLOCK)
+    m[2:, 2:] = np.kron(np.eye(n), _I_BLOCK)
     return LinearComplexStructure(m)
 
 

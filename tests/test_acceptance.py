@@ -344,7 +344,7 @@ def test_criterion_8_fueter_residual_convergence_order():
             cfg = FlowConfig(ds=ds, max_steps=int(round(0.4 / ds)), grad_tolerance=1e-30,
                              record_every=1)
             trace = run_flow(init, ham, cfg)
-            euler_res.append(fueter_residual(trace.states, ds, ham))
+            euler_res.append(fueter_residual(trace.states, cfg, ham))
         ratios = [b / a for a, b in zip(euler_res, euler_res[1:])]
         for r in ratios:
             c.check(0.4 < r < 0.6, f"Euler halving ratio {r:.3f} outside [0.4, 0.6]")
@@ -360,7 +360,7 @@ def test_criterion_8_fueter_residual_convergence_order():
             cfg = FlowConfig(ds=ds, max_steps=int(round(0.4 / ds)), grad_tolerance=1e-30,
                              integrator="rk4", record_every=1)
             trace = run_flow(init, ham, cfg)
-            rk4_res.append(fueter_residual(trace.states, ds, ham))
+            rk4_res.append(fueter_residual(trace.states, cfg, ham))
         rk4_ratio = rk4_res[0] / rk4_res[1]
         c.check(2.8 < rk4_ratio < 5.2, f"RK4 grid-doubling ratio {rk4_ratio:.3f} outside [2.8, 5.2]")
         c.detail = f"Euler ratios {[f'{r:.3f}' for r in ratios]}, RK4 ratio {rk4_ratio:.3f}"

@@ -350,15 +350,16 @@ def test_symbol_sweep(tmp_path, n):
         assert abs(abs(float(row["bridges_det"])) - 1.0) < 1e-10
 
 
-def test_warm_symbol_run_builds_no_fiber_block(tmp_path, monkeypatch):
-    # After one run the standard pair and I are cached: a second run builds neither.
+def test_warm_symbol_run_builds_no_fiber_block(tmp_path):
+    # After one run the standard pair and I are cached: a second run reads the pair and builds neither.
     cfg = {"n": 3, "output_dir": str(tmp_path / "out")}
     assert run_cli(tmp_path, "symbol", cfg)[0] == 0
-    calls = []
-    build = crms.linalg._block_diagonal
-    monkeypatch.setattr(crms.linalg, "_block_diagonal", lambda *a: calls.append(a) or build(*a))
+    caches = (crms.linalg.standard_fiber_forms, crms.linalg.standard_complex_structure)
+    before = [cache.cache_info() for cache in caches]
     assert run_cli(tmp_path, "symbol", cfg)[0] == 0
-    assert calls == []
+    after = [cache.cache_info() for cache in caches]
+    assert [info.misses for info in after] == [info.misses for info in before]
+    assert after[0].hits > before[0].hits
 
 
 def test_symbol_zero_covector_rejected(tmp_path):

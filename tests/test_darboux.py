@@ -21,6 +21,7 @@ from crms.darboux import (
 from crms.errors import CrmsValidationError, DegenerateFormError, DimensionMismatchError
 from crms.linalg import (
     AlternatingThreeForm,
+    LinearComplexStructure,
     contraction_matrix,
     pull_back,
     standard_complex_structure,
@@ -169,6 +170,27 @@ def test_pair_tolerance_follows_a_small_pair():
         pair = random_crps_pair(n, np.random.default_rng(n))
         for scale in (1e-12, 1e12):
             CrpsPair(scale * pair.omega1, scale * pair.omega2, pair.i_fiber)
+
+
+def test_structure_with_large_entries_gets_a_frame():
+    # B = diag(1_2, M) with M of condition number 1e5: the fiber part of the
+    # structure B^-1 J B has entries near 2e4, so "I squares to -Id" is judged
+    # relative to max|I|^2, as LinearComplexStructure judges it.
+    j = standard_complex_structure(2).matrix
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        q1, q2 = (np.linalg.qr(rng.normal(size=(8, 8)))[0] for _ in range(2))
+        b = np.eye(10)
+        b[2:, 2:] = q1 @ np.diag(np.geomspace(1.0, 1e5, 8)) @ q2
+        structure = LinearComplexStructure(np.linalg.solve(b, j @ b))
+        form = pull_back(standard_crms_form(2), b)
+        frame = crms_darboux(form, structure)
+        assert frame.reconstruction_error < 1e-11 * np.max(np.abs(form.coeffs))
+        # An I off by 1e-6 in every entry is still rejected.
+        w1, w2 = contraction_matrix(form, structure.matrix[:, 0]), -contraction_matrix(form, np.eye(10)[:, 0])
+        CrpsPair(w1, w2, structure.fiber_part)
+        with pytest.raises(ValueError):
+            CrpsPair(w1, w2, structure.fiber_part + 1e-6 * rng.choice([-1.0, 1.0], size=(8, 8)))
 
 
 # --- crms_darboux ------------------------------------------------------------

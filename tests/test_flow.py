@@ -20,6 +20,10 @@ def smooth(seed: int, amplitude: float = 0.1, grid: TorusGrid = GRID, n: int = 1
     return random_smooth_state(grid, n, amplitude, np.random.default_rng(seed))
 
 
+def one_step(ds: float, integrator: str = "explicit_euler") -> FlowConfig:
+    return FlowConfig(ds=ds, max_steps=1, integrator=integrator)
+
+
 # --- config ------------------------------------------------------------------
 
 
@@ -39,13 +43,39 @@ def test_stability_bound_rejects_large_steps():
     FlowConfig(ds=0.19 * GRID.h1, max_steps=10).check_stability(GRID)
 
 
+@pytest.mark.parametrize("ds", [0.0, -0.01, float("nan"), float("inf"), -float("inf")])
+def test_step_that_is_not_positive_and_finite_rejected(ds):
+    # A bare NaN step ended flow_step in a FlowDivergenceError and made every
+    # Fueter difference NaN, which max() skipped; a negative one raised the
+    # action.  Both read ds only from a FlowConfig, which rejects it first.
+    ham = make_hamiltonian("zero", 1)
+    state = FieldState(GRID, np.zeros((16, 16, 4)))
+    with pytest.raises(TypeError):
+        flow_step(state, ham, ds=ds, gradient=state.values)
+    with pytest.raises(ConfigError, match="ds must be positive and finite"):
+        flow_step(state, ham, one_step(ds), gradient=state.values)
+    with pytest.raises(ConfigError, match="ds must be positive and finite"):
+        fueter_residual([state] * 3, one_step(ds), ham)
+
+
+def test_unknown_integrator_rejected():
+    ham = make_hamiltonian("zero", 1)
+    state = FieldState(GRID, np.zeros((16, 16, 4)))
+    with pytest.raises(TypeError):
+        flow_step(state, ham, one_step(0.01), integrator="leapfrog", gradient=state.values)
+    with pytest.raises(ConfigError, match="integrator must be one of"):
+        flow_step(state, ham, one_step(0.01, "leapfrog"), gradient=state.values)
+    with pytest.raises(ConfigError, match="integrator must be one of"):
+        fueter_residual([state] * 3, one_step(0.01, "leapfrog"), ham)
+
+
 # --- flow_step ---------------------------------------------------------------
 
 
 def test_critical_state_is_a_fixed_point():
     ham = make_hamiltonian("quadratic", 1)
     state = FieldState(GRID, np.zeros((16, 16, 4)))
-    stepped = flow_step(state, ham, ds=0.01, gradient=l2_gradient(state, ham))
+    stepped = flow_step(state, ham, one_step(0.01), gradient=l2_gradient(state, ham))
     assert np.array_equal(stepped.values, state.values)
 
 
@@ -54,7 +84,7 @@ def test_euler_step_matches_definition():
     state = smooth(1)
     ds = 0.01
     gradient = l2_gradient(state, ham)
-    stepped = flow_step(state, ham, ds=ds, integrator="explicit_euler", gradient=gradient)
+    stepped = flow_step(state, ham, one_step(ds), gradient=gradient)
     expected = state.values - ds * gradient
     assert np.array_equal(stepped.values, expected)
 
@@ -63,7 +93,7 @@ def test_small_step_decreases_the_action():
     ham = make_hamiltonian("quadratic", 1)
     state = smooth(2)
     ds = 0.1 * GRID.h1
-    stepped = flow_step(state, ham, ds=ds, gradient=l2_gradient(state, ham))
+    stepped = flow_step(state, ham, one_step(ds), gradient=l2_gradient(state, ham))
     assert action(stepped, ham) < action(state, ham)
 
 
@@ -72,8 +102,8 @@ def test_rk4_step_differs_from_euler_at_higher_order():
     state = smooth(3)
     ds = 0.02
     gradient = l2_gradient(state, ham)
-    euler = flow_step(state, ham, ds=ds, integrator="explicit_euler", gradient=gradient)
-    rk4 = flow_step(state, ham, ds=ds, integrator="rk4", gradient=gradient)
+    euler = flow_step(state, ham, one_step(ds), gradient=gradient)
+    rk4 = flow_step(state, ham, one_step(ds, "rk4"), gradient=gradient)
     gap = np.max(np.abs(euler.values - rk4.values))
     assert 0.0 < gap < ds * ds
 
@@ -86,7 +116,7 @@ def test_divergent_values_raise(integrator):
     with np.errstate(over="ignore"):
         gradient = l2_gradient(huge, ham)
     with pytest.raises(FlowDivergenceError):
-        flow_step(huge, ham, ds=0.01, integrator=integrator, step=7, gradient=gradient)
+        flow_step(huge, ham, one_step(0.01, integrator), step=7, gradient=gradient)
 
 
 # --- run_flow ----------------------------------------------------------------
@@ -187,7 +217,7 @@ def test_run_flow_matches_a_loop_over_flow_step(n, integrator, record_every):
     trace = run_flow(states[0], ham, cfg)
     for k in range(cfg.max_steps):
         gradient = l2_gradient(states[-1], ham)
-        states.append(flow_step(states[-1], ham, ds, integrator, step=k, gradient=gradient))
+        states.append(flow_step(states[-1], ham, cfg, step=k, gradient=gradient))
     rows = [(k * ds, action(st, ham), float(np.max(np.abs(l2_gradient(st, ham)))))
             for k, st in enumerate(states)]
     assert np.array_equal(trace.steps, np.array(rows))
@@ -215,9 +245,9 @@ def test_flow_step_with_the_known_gradient_is_bitwise_the_same(n, integrator):
         k3 = -l2_gradient(state.with_values(v + 0.5 * ds * k2), ham)
         k4 = -l2_gradient(state.with_values(v + ds * k3), ham)
         expected = v + (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    assert np.array_equal(flow_step(state, ham, ds, integrator, gradient=gradient).values, expected)
+    assert np.array_equal(flow_step(state, ham, one_step(ds, integrator), gradient=gradient).values, expected)
     with pytest.raises(DimensionMismatchError):
-        flow_step(state, ham, ds, integrator, gradient=gradient[:-1])
+        flow_step(state, ham, one_step(ds, integrator), gradient=gradient[:-1])
 
 
 @pytest.mark.parametrize("integrator, per_step", [("explicit_euler", 1), ("rk4", 4)])
@@ -245,9 +275,9 @@ def test_every_field_entry_rejects_a_hamiltonian_of_another_fiber():
     calls = (
         lambda: action(state, ham),
         lambda: l2_gradient(state, ham),
-        lambda: flow_step(state, ham, 0.01, gradient=np.zeros_like(state.values)),
+        lambda: flow_step(state, ham, one_step(0.01), gradient=np.zeros_like(state.values)),
         lambda: run_flow(state, ham, FlowConfig(ds=0.01, max_steps=1)),
-        lambda: fueter_residual([state] * 3, 0.01, ham),
+        lambda: fueter_residual([state] * 3, one_step(0.01), ham),
     )
     for call in calls:
         with pytest.raises(DimensionMismatchError, match="Hamiltonian fiber dimension"):
@@ -295,22 +325,14 @@ def test_determinism_of_traces():
 def test_constant_trajectory_at_critical_point_has_zero_residual():
     ham = make_hamiltonian("quadratic", 1)
     state = FieldState(GRID, np.zeros((16, 16, 4)))
-    residual = fueter_residual([state, state, state], 0.01, ham)
+    residual = fueter_residual([state, state, state], one_step(0.01), ham)
     assert residual == 0.0
 
 
 def test_short_trajectory_rejected():
     state = FieldState(GRID, np.zeros((16, 16, 4)))
     with pytest.raises(ValueError):
-        fueter_residual([state, state], 0.01, make_hamiltonian("zero", 1))
-
-
-@pytest.mark.parametrize("ds", [0.0, -0.01, float("nan"), float("inf")])
-def test_step_that_is_not_positive_and_finite_rejected(ds):
-    # A NaN step made every difference NaN, which max() skipped: a residual of 0.
-    state = FieldState(GRID, np.zeros((16, 16, 4)))
-    with pytest.raises(ValueError, match="ds must be positive and finite"):
-        fueter_residual([state] * 3, ds, make_hamiltonian("zero", 1))
+        fueter_residual([state, state], one_step(0.01), make_hamiltonian("zero", 1))
 
 
 @pytest.mark.parametrize(
@@ -327,7 +349,7 @@ def test_mixed_trajectory_rejected(other):
     ham = make_hamiltonian("quadratic", 1)
     for trajectory in ([state, odd, state], [state, state, odd], [odd, state, state]):
         with pytest.raises(DimensionMismatchError):
-            fueter_residual(trajectory, 0.01, ham)
+            fueter_residual(trajectory, one_step(0.01), ham)
 
 
 def per_state_fueter_residual(states, ds, ham, i_fiber) -> float:
@@ -348,11 +370,11 @@ def test_fueter_residual_equals_the_per_state_loop_bitwise(integrator, record_ev
     ds = 0.5 * STABILITY_KAPPA[integrator] * min(grid.h1, grid.h2)
     cfg = FlowConfig(ds=ds, max_steps=9, grad_tolerance=1e-30, integrator=integrator, record_every=record_every)
     trace = run_flow(smooth(21, amplitude=0.3, grid=grid, n=2), ham, cfg)
-    stride_ds = ds * record_every
+    # The kept states are ds * record_every apart; fueter_residual reads that from cfg.
     # The standard complex structure's I, built apart from the forms fueter_residual reads.
-    expected = per_state_fueter_residual(trace.states, stride_ds, ham, standard_complex_structure(2).fiber_part)
+    expected = per_state_fueter_residual(trace.states, ds * record_every, ham, standard_complex_structure(2).fiber_part)
     assert expected > 0.0
-    assert fueter_residual(trace.states, stride_ds, ham) == expected
+    assert fueter_residual(trace.states, cfg, ham) == expected
 
 
 def test_euler_residual_is_first_order_in_ds():
@@ -362,7 +384,7 @@ def test_euler_residual_is_first_order_in_ds():
     for ds in (0.02, 0.01, 0.005):
         cfg = FlowConfig(ds=ds, max_steps=int(round(0.4 / ds)), grad_tolerance=1e-30, record_every=1)
         trace = run_flow(init, ham, cfg)
-        residuals.append(fueter_residual(trace.states, ds, ham))
+        residuals.append(fueter_residual(trace.states, cfg, ham))
     for coarse, fine in zip(residuals, residuals[1:]):
         assert 0.4 < fine / coarse < 0.6
 
@@ -379,7 +401,7 @@ def test_rk4_residual_scales_with_grid_under_coupled_steps():
         cfg = FlowConfig(ds=ds, max_steps=int(round(0.4 / ds)), grad_tolerance=1e-30,
                          integrator="rk4", record_every=1)
         trace = run_flow(init, ham, cfg)
-        residuals.append(fueter_residual(trace.states, ds, ham))
+        residuals.append(fueter_residual(trace.states, cfg, ham))
     assert 2.8 < residuals[0] / residuals[1] < 5.2
 
 
