@@ -23,7 +23,7 @@ import functools
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -145,10 +145,11 @@ class HamiltonianSpec:
     H depends on the fiber value only, not on the base point.  Consistency of
     the pair is asserted at construction against central finite differences
     at seeded sample points, so user extensions cannot silently decouple the
-    two.  The error is taken above each difference's roundoff floor
-    u max|H(z ± eps)| / eps, so a large H is not rejected for cancellation,
-    and is relative to the differences' own size max|fd|, with no floor at 1,
-    so a scaled-down H is held to the same bound.
+    two.  ``value`` is called once per side, on the points shifted along each
+    component and stacked as (dim, 6, dim).  The error is taken above each
+    difference's roundoff floor u max|H(z ± eps)| / eps, so a large H is not
+    rejected for cancellation, and is relative to the differences' own size
+    max|fd|, with no floor at 1, so a scaled-down H is held to the same bound.
     """
 
     name: str
@@ -164,17 +165,13 @@ class HamiltonianSpec:
         if grad.shape != z.shape:
             raise ValueError(f"gradient returned shape {grad.shape}, expected {z.shape}")
         eps = 1e-6
-        fd = np.empty_like(z)
-        floor = np.empty_like(z)
-        for c in range(self.fiber_dim):
-            zp, zm = z.copy(), z.copy()
-            zp[:, c] += eps
-            zm[:, c] -= eps
-            hp, hm = np.asarray(self.value(zp)), np.asarray(self.value(zm))
-            fd[:, c] = (hp - hm) / (2 * eps)
-            # Each value carries a roundoff of about u |H|, which the difference
-            # divides by eps: a large H would fail a purely relative bound.
-            floor[:, c] = np.finfo(float).eps * np.maximum(np.abs(hp), np.abs(hm)) / eps
+        # Row c of the batch is the six points with component c moved.
+        step = eps * np.eye(self.fiber_dim)[:, None, :]
+        hp, hm = np.asarray(self.value(z + step)), np.asarray(self.value(z - step))
+        fd = ((hp - hm) / (2 * eps)).T
+        # Each value carries a roundoff of about u |H|, which the difference
+        # divides by eps: a large H would fail a purely relative bound.
+        floor = (np.finfo(float).eps * np.maximum(np.abs(hp), np.abs(hm)) / eps).T
         err = float(np.max(np.abs(grad - fd) - floor))
         scale = float(np.max(np.abs(fd)))
         if not err <= GRADIENT_CHECK_TOL * scale:  # an overflow makes err NaN, which fails too
@@ -184,18 +181,19 @@ class HamiltonianSpec:
             )
 
 
-def _q_mask(dim: int) -> np.ndarray:
-    mask = np.zeros(dim, dtype=bool)
-    mask[0::4] = True
-    mask[1::4] = True
-    return mask
+# Each built-in is |P|^2/2 + lam sum_c f(q_c) over the q entries, given as (f, f');
+# zero alone has no |P|^2/2, and its f acts on every entry.
+_SEPARABLE = {
+    "zero": (np.zeros_like, np.zeros_like),
+    "quadratic_p": (np.zeros_like, np.zeros_like),
+    "quadratic": (lambda q: 0.5 * q**2, lambda q: q),
+    "quartic": (lambda q: q**4, lambda q: 4.0 * q**3),
+    "cosine": (np.cos, lambda q: -np.sin(q)),
+}
+BUILTIN_HAMILTONIANS = tuple(_SEPARABLE)
 
 
-def make_hamiltonian(
-    name: str,
-    n: int,
-    parameters: Mapping[str, float] | None = None,
-) -> HamiltonianSpec:
+def make_hamiltonian(name: str, n: int, lam: float = 1.0) -> HamiltonianSpec:
     """Build one of the built-in Hamiltonians on a 4n-dimensional fiber.
 
     Built-ins: ``zero``; ``quadratic_p`` = |P|^2/2; ``quadratic`` =
@@ -203,38 +201,27 @@ def make_hamiltonian(
     ``cosine`` = |P|^2/2 + lam sum(cos q_c).  Unknown names are rejected, and
     so is a lam whose Hamiltonian fails HamiltonianSpec's construction check.
     """
-    lam = float((parameters or {}).get("lambda", 1.0))
+    if name not in _SEPARABLE:
+        raise ValueError(f"unknown Hamiltonian '{name}'")
+    f, df = _SEPARABLE[name]
+    lam = float(lam)
+    if f is np.zeros_like:  # no q-part: with lam = 0, lam * f'(q) is +0.0 whatever the sign of lam
+        lam = 0.0
     dim = 4 * n
-    qm = _q_mask(dim)
+    qm = np.ones(dim, dtype=bool)
+    if name != "zero":
+        qm[2::4] = qm[3::4] = False
     pm = ~qm
 
-    def p_with_q(z: np.ndarray, q_part: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        # The P entries of z with q_part applied to the q entries only.
+    def value(z: np.ndarray) -> np.ndarray:
+        return 0.5 * np.sum(z[..., pm] ** 2, axis=-1) + lam * np.sum(f(z[..., qm]), axis=-1)
+
+    def gradient(z: np.ndarray) -> np.ndarray:
         g = np.array(z, dtype=float)
-        g[..., qm] = q_part(g[..., qm])
+        g[..., qm] = lam * df(g[..., qm])
         return g
 
-    if name == "zero":
-        value = lambda z: np.zeros(np.shape(z)[:-1])
-        grad = lambda z: np.zeros_like(z)
-    elif name == "quadratic_p":
-        value = lambda z: 0.5 * np.sum(z[..., pm] ** 2, axis=-1)
-        grad = lambda z: np.where(pm, z, 0.0)
-    elif name == "quadratic":
-        value = lambda z: 0.5 * np.sum(z[..., pm] ** 2, axis=-1) + 0.5 * lam * np.sum(z[..., qm] ** 2, axis=-1)
-        grad = lambda z: np.where(pm, z, lam * z)
-    elif name == "quartic":
-        value = lambda z: 0.5 * np.sum(z[..., pm] ** 2, axis=-1) + lam * np.sum(z[..., qm] ** 4, axis=-1)
-        grad = lambda z: p_with_q(z, lambda q: 4.0 * lam * q**3)
-    elif name == "cosine":
-        value = lambda z: 0.5 * np.sum(z[..., pm] ** 2, axis=-1) + lam * np.sum(np.cos(z[..., qm]), axis=-1)
-        grad = lambda z: p_with_q(z, lambda q: -lam * np.sin(q))
-    else:
-        raise ValueError(f"unknown Hamiltonian '{name}'")
-    return HamiltonianSpec(name=name, fiber_dim=dim, value=value, gradient=grad)
-
-
-BUILTIN_HAMILTONIANS = ("zero", "quadratic_p", "quadratic", "quartic", "cosine")
+    return HamiltonianSpec(name=name, fiber_dim=dim, value=value, gradient=gradient)
 
 
 def _require_fiber_match(state_dim: int, ham: HamiltonianSpec) -> None:

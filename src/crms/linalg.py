@@ -177,7 +177,9 @@ class LinearComplexStructure:
 
     The matrix squares to -Id and its top-right 2 x 4n block vanishes, so it
     covers the rotation j on T while possibly coupling T into V.  Together
-    these force the coupling block A to intertwine as A j + I' A = 0.
+    these force the coupling block A to intertwine as A j + I' A = 0.  Each
+    block of the square is judged against the blocks of m it involves, so a
+    large A cannot hide a j or I' that misses -Id.
     """
 
     matrix: np.ndarray = field(repr=False)
@@ -185,10 +187,16 @@ class LinearComplexStructure:
     def __post_init__(self):
         m = _readonly(self.matrix, "matrix")
         d = _split_dim(m.shape, 2)
-        scale = float(np.max(np.abs(m)))
-        if np.max(np.abs(m[:2, 2:])) > TAU_ALG * scale:
+        if np.max(np.abs(m[:2, 2:])) > TAU_ALG * float(np.max(np.abs(m))):
             raise ValueError("top-right block must vanish (structure must cover the base)")
-        if np.max(np.abs(m @ m + np.eye(d))) > TAU_ALG * scale * scale:
+        # Each block of m^2 + Id, j^2, A j + I' A and I'^2, against the blocks of m it involves.
+        sq = m @ m + np.eye(d)
+        j, a, i_fib = (float(np.max(np.abs(block))) for block in (m[:2, :2], m[2:, :2], m[2:, 2:]))
+        if (
+            np.max(np.abs(sq[:2, :2])) > TAU_ALG * j * j
+            or np.max(np.abs(sq[2:, :2])) > TAU_ALG * a * max(j, i_fib)
+            or np.max(np.abs(sq[2:, 2:])) > TAU_ALG * i_fib * i_fib
+        ):
             raise ValueError("matrix does not square to -Id")
         object.__setattr__(self, "matrix", m)
 

@@ -177,7 +177,7 @@ def test_criterion_4_exact_discrete_gradient():
         worst_ratio = 0.0
         for n in (1, 2):
             for name in ("zero", "quadratic", "quartic", "cosine"):
-                ham = make_hamiltonian(name, n, {"lambda": 0.6})
+                ham = make_hamiltonian(name, n, lam=0.6)
                 # Seeded from the name's bytes: hash() of a str changes with
                 # PYTHONHASHSEED, and so would the directions drawn.
                 rng = np.random.default_rng([n, *name.encode()])
@@ -225,7 +225,7 @@ def test_criterion_6_laplace_recovery():
         cases = [("quadratic", 0.9), ("quartic", 0.2)]
         for trial in range(20):
             name, lam = cases[trial % 2]
-            ham = make_hamiltonian(name, 1, {"lambda": lam})
+            ham = make_hamiltonian(name, 1, lam=lam)
             state = momenta_from_positions(random_smooth_state(grid, 1, 1.0, rng))
             grad = l2_gradient(state, ham)
             for comp in (0, 1):
@@ -262,7 +262,7 @@ def test_criterion_7_flow_convergence():
                    budget_s=60.0) as c:
         grid = TorusGrid(32, 32)
         lam = 1.0
-        ham = make_hamiltonian("quadratic", 1, {"lambda": lam})
+        ham = make_hamiltonian("quadratic", 1, lam=lam)
         triple = standard_triple(1)
         ds = 0.2 * min(grid.h1, grid.h2)
         tol = 1e-6
@@ -334,7 +334,7 @@ def test_criterion_7_flow_convergence():
 
 def test_criterion_8_fueter_residual_convergence_order():
     with Criterion(8, "Fueter-residual convergence order", budget_s=120.0) as c:
-        ham = make_hamiltonian("quadratic", 1, {"lambda": 1.0})
+        ham = make_hamiltonian("quadratic", 1, lam=1.0)
 
         # Euler: first order in ds at fixed grid.
         grid = TorusGrid(32, 32)

@@ -167,6 +167,19 @@ def test_misspelled_section_keys_are_usage_errors(tmp_path, capsys, command, pat
     assert not out.exists()
 
 
+
+@pytest.mark.parametrize("lam", ["x", None, True, float("nan")], ids=["str", "null", "bool", "nan"])
+@pytest.mark.parametrize("command", ["flow", "gradcheck", "validate"])
+def test_bad_lambda_is_a_usage_error_naming_the_entry(tmp_path, capsys, command, lam):
+    # lambda is read like every other number; null is a bad value, not an absent entry.
+    out = tmp_path / "out"
+    cfg = {"output_dir": str(out), "hamiltonian": {"parameters": {"lambda": lam}}}
+    assert run_cli(tmp_path, command, cfg)[0] == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config field 'lambda' must be a finite number, got ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
 @pytest.mark.parametrize(
     "command, config, extra",
     [

@@ -157,7 +157,7 @@ def test_builtin_hamiltonians_construct():
     for name in BUILTIN_HAMILTONIANS:
         for n in (1, 2):
             for lam in [0.7] + [10.0**k for k in range(-12, 13)]:
-                assert make_hamiltonian(name, n, {"lambda": lam}).fiber_dim == 4 * n
+                assert make_hamiltonian(name, n, lam=lam).fiber_dim == 4 * n
 
 
 def test_unknown_hamiltonian_rejected():
@@ -174,16 +174,16 @@ def test_overflowing_finite_difference_rejected_at_construction():
     # The check's error is NaN here, and fails it; the suite makes any
     # RuntimeWarning of the overflow an error.
     with pytest.raises(ValueError, match="nan"):
-        make_hamiltonian("quartic", 1, {"lambda": 1e308})
+        make_hamiltonian("quartic", 1, lam=1e308)
 
 
 @pytest.mark.parametrize("name, lam, n", [("quartic", 1e4, 2), ("quadratic", 1e6, 1), ("cosine", 1e5, 2)])
 def test_exact_gradient_at_large_lambda_passes_construction(name, lam, n):
     # The P entries of the differences lose u |H| / eps to cancellation, which
     # the roundoff floor forgives; a corrupted gradient stays rejected.
-    assert make_hamiltonian(name, n, {"lambda": lam}).fiber_dim == 4 * n
+    assert make_hamiltonian(name, n, lam=lam).fiber_dim == 4 * n
     with pytest.raises(ValueError, match="disagrees with finite differences"):
-        with_scaled_gradient(make_hamiltonian(name, n, {"lambda": lam}), 1.001)
+        with_scaled_gradient(make_hamiltonian(name, n, lam=lam), 1.001)
 
 
 def test_subtly_corrupted_gradient_passes_construction():
@@ -217,21 +217,62 @@ def where_gradient(name: str, n: int, lam: float):
     }[name]
 
 
+def written_value(name: str, n: int, lam: float):
+    # Each built-in value written out as the formula its docstring states.
+    pm = np.zeros(4 * n, dtype=bool)
+    pm[2::4] = pm[3::4] = True
+    kinetic = lambda z: 0.5 * np.sum(z[..., pm] ** 2, axis=-1)
+    return {
+        "zero": lambda z: np.zeros(np.shape(z)[:-1]),
+        "quadratic_p": kinetic,
+        "quadratic": lambda z: kinetic(z) + 0.5 * lam * np.sum(z[..., ~pm] ** 2, axis=-1),
+        "quartic": lambda z: kinetic(z) + lam * np.sum(z[..., ~pm] ** 4, axis=-1),
+        "cosine": lambda z: kinetic(z) + lam * np.sum(np.cos(z[..., ~pm]), axis=-1),
+    }[name]
+
+
 @pytest.mark.parametrize("name", BUILTIN_HAMILTONIANS)
+@pytest.mark.parametrize("lam", [0.7, -0.6])
 @pytest.mark.parametrize("scale", [1.0, 1.0 + 3e-6])
 @pytest.mark.parametrize("n", [1, 2])
-def test_builtin_gradients_equal_the_where_formula_bitwise(name, scale, n):
-    ham = make_hamiltonian(name, n, {"lambda": 0.7})
+def test_builtin_values_and_gradients_equal_the_written_formulas_bitwise(name, lam, scale, n):
+    # Signed zeros included: a negative lambda leaves the gradient of zero and quadratic_p at +0.0.
+    ham = make_hamiltonian(name, n, lam)
     if scale != 1.0:
         ham = with_scaled_gradient(ham, scale)
-    oracle = where_gradient(name, n, 0.7)
+    value, gradient = written_value(name, n, lam), where_gradient(name, n, lam)
     rng = np.random.default_rng(31)
-    for shape in [(6, 4 * n), (7, 11, 4 * n)]:
+    for shape in [(6, 4 * n), (7, 11, 4 * n), (4 * n,)]:
         # Magnitudes from 1e-3 to 1e3, so sin leaves its small-argument range.
         z = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
-        expected = oracle(z) if scale == 1.0 else scale * oracle(z)
-        assert np.array_equal(ham.gradient(z), expected)
+        z[rng.random(shape) < 0.25] = 0.0
+        z[rng.random(shape) < 0.25] = -0.0
+        expected = gradient(z) if scale == 1.0 else scale * gradient(z)
+        for got, want in ((ham.value(z), value(z)), (ham.gradient(z), expected)):
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
+
+def test_lambda_is_a_number():
+    # A mapping or a misspelled keyword is rejected, not read as the default lambda = 1.
+    with pytest.raises(TypeError):
+        make_hamiltonian("cosine", 1, {"lambda": 5.0})
+    with pytest.raises(TypeError):
+        make_hamiltonian("cosine", 1, lamda=5.0)
+    assert make_hamiltonian("cosine", 1, lam=5.0).value(np.zeros(4)) == 10.0  # 5 (cos 0 + cos 0)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_construction_check_calls_value_once_per_side(n):
+    ham = make_hamiltonian("cosine", n)
+    shapes = []
+
+    def value(z):
+        shapes.append(np.shape(z))
+        return ham.value(z)
+
+    HamiltonianSpec(ham.name, ham.fiber_dim, value, ham.gradient)
+    assert shapes == [(4 * n, 6, 4 * n)] * 2
 
 # --- action ------------------------------------------------------------------
 
@@ -329,7 +370,7 @@ def test_gradient_nonzero_off_criticality():
 def test_gradient_is_minus_bridges_residual(grid, n, name):
     # h1 != h2 on the 7x11 torus, so a swapped step would show.
     state = random_state(grid, n, seed=103)
-    ham = make_hamiltonian(name, n, {"lambda": 0.3})
+    ham = make_hamiltonian(name, n, lam=0.3)
     g = l2_gradient(state, ham)
     r = bridges_residual(state, ham)
     assert np.max(np.abs(g + r)) < 1e-13
@@ -348,7 +389,7 @@ def richardson_directional(state: FieldState, ham, delta: np.ndarray) -> float:
 def test_gradient_matches_richardson_differences():
     grid = TorusGrid(16, 16)
     state = random_state(grid, 1, seed=107, scale=0.6)
-    ham = make_hamiltonian("quartic", 1, {"lambda": 0.5})
+    ham = make_hamiltonian("quartic", 1, lam=0.5)
     g = l2_gradient(state, ham)
     rng = np.random.default_rng(109)
     for _ in range(5):
@@ -364,7 +405,7 @@ def test_laplace_recovery_identity():
     # block equals -Delta_h q - dV/dq.
     grid = TorusGrid(32, 32)
     lam = 0.7
-    ham = make_hamiltonian("quadratic", 1, {"lambda": lam})
+    ham = make_hamiltonian("quadratic", 1, lam=lam)
     rng = np.random.default_rng(113)
     for _ in range(5):
         state = momenta_from_positions(random_smooth_state(grid, 1, 1.0, rng))

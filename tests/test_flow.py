@@ -80,7 +80,7 @@ def test_critical_state_is_a_fixed_point():
 
 
 def test_euler_step_matches_definition():
-    ham = make_hamiltonian("quartic", 1, {"lambda": 0.4})
+    ham = make_hamiltonian("quartic", 1, lam=0.4)
     state = smooth(1)
     ds = 0.01
     gradient = l2_gradient(state, ham)
@@ -140,7 +140,7 @@ def test_monotone_descent_on_seeded_runs():
         ("cosine", 0.5, 6, 0.1 * GRID.h1, 200),
     )
     for name, lam, seed, ds, steps in cases:
-        ham = make_hamiltonian(name, 1, {"lambda": lam})
+        ham = make_hamiltonian(name, 1, lam=lam)
         cfg = FlowConfig(ds=ds, max_steps=steps, grad_tolerance=1e-30)
         trace = run_flow(smooth(seed, amplitude=0.05), ham, cfg)
         a = trace.actions
@@ -181,7 +181,7 @@ def test_rk4_stage_overflow_is_a_divergence():
     # An RK4 stage overflows from a finite state; the run must still end in
     # FlowDivergenceError with a finite prefix, not a ValueError.
     grid = TorusGrid(16, 20, l1=3.0, l2=5.0)
-    ham = make_hamiltonian("quartic", 1, {"lambda": 0.6})
+    ham = make_hamiltonian("quartic", 1, lam=0.6)
     cfg = FlowConfig(ds=0.25 * min(grid.h1, grid.h2), max_steps=40, integrator="rk4")
     with pytest.raises(FlowDivergenceError) as excinfo:
         run_flow(smooth(5, grid=grid), ham, cfg)
@@ -209,7 +209,7 @@ def test_traces_hold_read_only_rows_on_every_path():
 def test_run_flow_matches_a_loop_over_flow_step(n, integrator, record_every):
     # run_flow's rows, recorded states and final state are exactly those of
     # a plain loop over the public flow_step, l2_gradient and action.
-    ham = make_hamiltonian("cosine", n, {"lambda": 0.5})
+    ham = make_hamiltonian("cosine", n, lam=0.5)
     ds = 0.5 * STABILITY_KAPPA[integrator] * GRID.h1
     cfg = FlowConfig(ds=ds, max_steps=10, grad_tolerance=1e-30, integrator=integrator,
                      record_every=record_every)
@@ -232,7 +232,7 @@ def test_run_flow_matches_a_loop_over_flow_step(n, integrator, record_every):
 def test_flow_step_with_the_known_gradient_is_bitwise_the_same(n, integrator):
     # The given gradient is the first stage: the step is the Euler or RK4
     # update written out with the public l2_gradient, bit for bit.
-    ham = make_hamiltonian("cosine", n, {"lambda": 0.5})
+    ham = make_hamiltonian("cosine", n, lam=0.5)
     state = smooth(21, amplitude=0.3, n=n)
     ds = 0.5 * STABILITY_KAPPA[integrator] * GRID.h1
     gradient = l2_gradient(state, ham)
@@ -311,7 +311,7 @@ def test_fixed_point_soundness_of_converged_traces():
 
 
 def test_determinism_of_traces():
-    ham = make_hamiltonian("quartic", 1, {"lambda": 0.2})
+    ham = make_hamiltonian("quartic", 1, lam=0.2)
     cfg = FlowConfig(ds=0.02 * GRID.h1, max_steps=40, grad_tolerance=1e-30)
     t1 = run_flow(smooth(9), ham, cfg)
     t2 = run_flow(smooth(9), ham, cfg)
@@ -366,7 +366,7 @@ def per_state_fueter_residual(states, ds, ham, i_fiber) -> float:
 @pytest.mark.parametrize("record_every", [1, 2])
 def test_fueter_residual_equals_the_per_state_loop_bitwise(integrator, record_every):
     grid = TorusGrid(17, 12, l1=3.0, l2=2.0)
-    ham = make_hamiltonian("cosine", 2, {"lambda": 0.6})
+    ham = make_hamiltonian("cosine", 2, lam=0.6)
     ds = 0.5 * STABILITY_KAPPA[integrator] * min(grid.h1, grid.h2)
     cfg = FlowConfig(ds=ds, max_steps=9, grad_tolerance=1e-30, integrator=integrator, record_every=record_every)
     trace = run_flow(smooth(21, amplitude=0.3, grid=grid, n=2), ham, cfg)

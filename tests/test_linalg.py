@@ -253,6 +253,21 @@ def test_complex_structure_rejects_bad_square():
         LinearComplexStructure(m)
 
 
+
+@pytest.mark.parametrize("seed", range(3))
+def test_large_coupling_does_not_hide_a_fiber_block_that_misses_minus_id(seed):
+    # An admissible coupling A = (x + I x j) / 2 of size 4.7e5 beside I' = I + 1e-4 noise:
+    # I'^2 + Id is 2e-4 off, far above 1e-9 max|I'|^2, but below the 220 of 1e-9 max|m|^2.
+    rng = np.random.default_rng(seed)
+    exact = structure_with_coupling(1, rng).matrix.copy()
+    exact[2:, :2] *= 4.7e5 / np.max(np.abs(exact[2:, :2]))
+    assert np.array_equal(LinearComplexStructure(exact).matrix, exact)
+    broken = exact.copy()
+    broken[2:, 2:] += 1e-4 * rng.normal(size=(4, 4))
+    assert np.max(np.abs(broken[2:, 2:] @ broken[2:, 2:] + np.eye(4))) > 1e-5
+    with pytest.raises(ValueError, match="does not square to -Id"):
+        LinearComplexStructure(broken)
+
 def test_alternating_form_rejects_symmetric_tensor():
     t = np.ones((6, 6, 6))
     with pytest.raises(ValueError):
