@@ -227,7 +227,7 @@ def _check_size(cfg: ExperimentConfig, command: str) -> None:
     covector, its angle, its two components and its four-field row; for
     gradcheck the (4n)^2 fiber forms, one n1 x n2 x 4n field or the two
     floats kept per direction; and for flow the forms or the
-    max_steps // record_every + 1 such fields that run_flow keeps.
+    max_steps // record_every + 1 states run_flow keeps, each a field and its gradient.
     """
     d = 4 * cfg.n
     field_entries = cfg.grid.n1 * cfg.grid.n2 * d
@@ -236,7 +236,7 @@ def _check_size(cfg: ExperimentConfig, command: str) -> None:
     elif command == "symbol":
         largest = max(d * d, 7 * (1 if cfg.symbol_xi is not None else cfg.symbol_angles))
     elif command == "flow":
-        largest = max(d * d, (cfg.flow.max_steps // cfg.flow.record_every + 1) * field_entries)
+        largest = max(d * d, 2 * (cfg.flow.max_steps // cfg.flow.record_every + 1) * field_entries)
     else:
         largest = max(d * d, field_entries, 2 * cfg.gradcheck_directions)
     if largest > MAX_ARRAY_ENTRIES:
@@ -415,7 +415,7 @@ def cmd_flow(cfg: ExperimentConfig, out: Path) -> tuple[int, str]:
     if diverged_step is None:
         residual = float(np.max(np.abs(bridges_residual(trace.final_state, ham))))
         if len(trace.states) >= 3:
-            fueter = fueter_residual(trace.states, cfg.flow, ham)
+            fueter = fueter_residual(trace.states, cfg.flow, trace.gradients)
     _write_report(
         out, "flow_summary.json", "flow", cfg,
         hamiltonian=cfg.ham_name,

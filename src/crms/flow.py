@@ -72,14 +72,15 @@ class FlowTrace:
     A plain record that only run_flow builds.  ``steps`` is read-only and has
     one row (s, action, grad_norm) per evaluated state, step k at s = k ds;
     ``states`` holds the trajectory sampled every ``FlowConfig.record_every``
-    steps.  For step sizes inside the stability bound the action column is
-    non-increasing up to 1e-10 (1 + |action_0|).
+    steps and ``gradients`` the read-only L² gradient of each, as its row used it.
+    Inside the stability bound the action column is non-increasing up to 1e-10 (1 + |action_0|).
     """
 
     steps: np.ndarray = field(repr=False)
     final_state: FieldState
     converged: bool
     states: tuple[FieldState, ...]
+    gradients: tuple[np.ndarray, ...] = field(repr=False)
 
     @property
     def actions(self) -> np.ndarray:
@@ -101,9 +102,9 @@ def flow_step(
     """One step of Z <- Z - ds grad A(Z) (Euler) or the RK4 update.
 
     ``config`` gives ds and the integrator, both checked when it was built.
-    ``gradient`` is the L² gradient at ``state``, ``l2_gradient(state, ham)``.
-    The step takes its negation as the first stage, so it evaluates the field
-    operator's gradient 0 times (Euler) or 3 times (RK4), on raw arrays.
+    ``gradient`` is the L² gradient at ``state``, ``l2_gradient(state, ham)``; the
+    step subtracts it where the first stage -gradient would be added (a - b is a + (-b)
+    exactly), so it evaluates the field operator's gradient 0 times (Euler) or 3 times (RK4).
 
     Raises FlowDivergenceError when the update produces non-finite values.
     """
@@ -118,14 +119,17 @@ def flow_step(
 
     ds = config.ds
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = -gradient
         if config.integrator == "explicit_euler":
-            new = v + ds * k1
+            new = v - ds * gradient
         else:
-            k2 = rhs(v + 0.5 * ds * k1)
+            k2 = rhs(v - 0.5 * ds * gradient)
             k3 = rhs(v + 0.5 * ds * k2)
             k4 = rhs(v + ds * k3)
-            new = v + (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            # (ds / 6)(k1 + 2 k2 + 2 k3 + k4), summed left to right in k2's array.
+            acc = np.subtract(np.multiply(k2, 2.0, out=k2), gradient, out=k2)
+            acc += np.multiply(k3, 2.0, out=k3)
+            acc += k4
+            new = v + np.multiply(acc, ds / 6.0, out=acc)
     if not np.all(np.isfinite(new)):
         where = "" if step is None else f" at step {step}"
         raise FlowDivergenceError(f"flow produced non-finite values{where}", step=step)
@@ -135,9 +139,9 @@ def flow_step(
 def run_flow(initial: FieldState, ham: HamiltonianSpec, config: FlowConfig) -> FlowTrace:
     """Iterate flow_step until the gradient sup-norm drops below tolerance.
 
-    Each state's gradient is evaluated once, for its trace row, and handed to
-    flow_step: a run of K steps applies the field operator K + 1 (Euler) or
-    4K + 1 (RK4) times, and a trace row's gradient and action share one application.
+    Each state's gradient is evaluated once, for its trace row, handed to flow_step and
+    kept with a recorded state: a run of K steps applies the field operator K + 1 (Euler)
+    or 4K + 1 (RK4) times, and a trace row's gradient and action share one application.
 
     Convergence certifies an approximate solution of the field equations:
     the gradient equals minus the equation residual pointwise.  The run
@@ -151,6 +155,7 @@ def run_flow(initial: FieldState, ham: HamiltonianSpec, config: FlowConfig) -> F
     state = initial
     rows: list[tuple[float, float, float]] = []
     recorded: list[FieldState] = []
+    gradients: list[np.ndarray] = []
 
     def observe(k: int, st: FieldState) -> tuple[float, np.ndarray]:
         v = st.values
@@ -162,14 +167,16 @@ def run_flow(initial: FieldState, ham: HamiltonianSpec, config: FlowConfig) -> F
         if not (np.isfinite(gnorm) and np.isfinite(act)):
             raise FlowDivergenceError(f"flow diagnostics became non-finite at step {k}", step=k)
         rows.append((k * config.ds, act, gnorm))
+        grad.setflags(write=False)
         if k % config.record_every == 0:
             recorded.append(st)
+            gradients.append(grad)
         return gnorm, grad
 
     def trace(converged: bool) -> FlowTrace:
         steps = np.array(rows, dtype=float).reshape(-1, 3)
         steps.setflags(write=False)
-        return FlowTrace(steps, state, converged, tuple(recorded))
+        return FlowTrace(steps, state, converged, tuple(recorded), tuple(gradients))
 
     try:
         gnorm, grad = observe(0, state)
@@ -186,20 +193,20 @@ def run_flow(initial: FieldState, ham: HamiltonianSpec, config: FlowConfig) -> F
 def fueter_residual(
     trajectory: list[FieldState] | tuple[FieldState, ...],
     config: FlowConfig,
-    ham: HamiltonianSpec,
+    gradients: list[np.ndarray] | tuple[np.ndarray, ...],
 ) -> float:
     """Sup-norm defect of a trajectory as a discrete Fueter curve.
 
     Evaluates I ∂s Z + I J1 ∂1 Z + I J2 ∂2 Z - I ∇H(Z) with a centered
     difference in s at the interior trajectory points, which are the states
     run_flow kept under ``config``: ds * record_every apart; small values certify
-    the trajectory solves the three-direction Cauchy-Riemann system.  The
-    gradient at each point is the field operator's.  The fiber complex
-    structure I = standard_complex_structure(n).fiber_part is a signed
-    permutation and leaves the sup-norm unchanged, so it is not applied.
+    the trajectory solves the three-direction Cauchy-Riemann system.  Each point's
+    gradient is read from ``gradients``, as run_flow keeps them, so no operator is
+    applied.  The fiber complex structure I = standard_complex_structure(n).fiber_part
+    is a signed permutation and leaves the sup-norm unchanged, so it is not applied.
 
     Raises DimensionMismatchError unless every state has the first state's
-    grid and shape.
+    grid and shape, and each has one gradient of that shape.
     """
     states = list(trajectory)
     if len(states) < 3:
@@ -208,13 +215,12 @@ def fueter_residual(
     grid, shape = states[0].grid, states[0].values.shape
     if any(st.grid != grid or st.values.shape != shape for st in states):
         raise DimensionMismatchError("trajectory states differ in grid or shape")
-    op = _field_operator(states[0], ham)
+    if len(gradients) != len(states) or any(np.shape(g) != shape for g in gradients):
+        raise DimensionMismatchError("gradients do not match the trajectory states in count or shape")
     worst = 0.0
     for k in range(1, len(states) - 1):
-        v = states[k].values
         dzds = (states[k + 1].values - states[k - 1].values) / (2.0 * ds)
-        grad = op.gradient(v, ham, op.apply(v))
-        worst = max(worst, float(np.max(np.abs(dzds + grad))))
+        worst = max(worst, float(np.max(np.abs(dzds + gradients[k]))))
     return worst
 
 

@@ -187,11 +187,12 @@ class LinearComplexStructure:
     def __post_init__(self):
         m = _readonly(self.matrix, "matrix")
         d = _split_dim(m.shape, 2)
-        if np.max(np.abs(m[:2, 2:])) > TAU_ALG * float(np.max(np.abs(m))):
-            raise ValueError("top-right block must vanish (structure must cover the base)")
-        # Each block of m^2 + Id, j^2, A j + I' A and I'^2, against the blocks of m it involves.
-        sq = m @ m + np.eye(d)
+        # The top-right block against j and I', then each block of m^2 + Id, j^2, A j + I' A
+        # and I'^2, against the blocks of m it involves.
         j, a, i_fib = (float(np.max(np.abs(block))) for block in (m[:2, :2], m[2:, :2], m[2:, 2:]))
+        if np.max(np.abs(m[:2, 2:])) > TAU_ALG * max(j, i_fib):
+            raise ValueError("top-right block must vanish (structure must cover the base)")
+        sq = m @ m + np.eye(d)
         if (
             np.max(np.abs(sq[:2, :2])) > TAU_ALG * j * j
             or np.max(np.abs(sq[2:, :2])) > TAU_ALG * a * max(j, i_fib)

@@ -185,7 +185,7 @@ def test_bad_lambda_is_a_usage_error_naming_the_entry(tmp_path, capsys, command,
     [
         ("symbol", {"n": 100_000_000_000}, ()),
         ("flow", {}, ("--grid", "100000000x100000000")),
-        # 10001 kept 256^2 x 8 states: 5.2e9 entries (42 GB), one field only 5.2e5.
+        # 10001 kept 256^2 x 8 states and their gradients: 1.05e10 entries (84 GB), one field only 5.2e5.
         ("flow", {"n": 2, "flow": {"max_steps": 10000, "record_every": 1}}, ("--grid", "256x256")),
     ],
 )
@@ -207,7 +207,7 @@ def test_size_bound_depends_on_the_verb(tmp_path):
         _check_size(parse_config({"n": 200}, "validate"), "validate")
     cfg = {"n": 200, "output_dir": str(tmp_path / "out"), "symbol": {"xi": [1.0, 0.0]}}
     assert run_cli(tmp_path, "symbol", cfg)[0] == 0
-    # The default record_every keeps 101 of 10000 steps: 5.3e7 entries at 256^2, n = 2.
+    # The default record_every keeps 101 of 10000 steps and their gradients: 1.06e8 entries at 256^2, n = 2.
     _check_size(parse_config({"n": 2, "grid": {"n1": 256, "n2": 256}}, "flow"), "flow")
 
 
@@ -410,6 +410,8 @@ def test_symbol_covector_near_the_top_of_the_range_passes(tmp_path):
         ("symbol", {"symbol": {"angles": 15}}, 105),
         # Two floats per direction; the 4x4 field at n = 1 holds 64.
         ("gradcheck", {"grid": {"n1": 4, "n2": 4}, "gradcheck": {"directions": 51}}, 102),
+        # Two kept 4x4 states at n = 1, each with its gradient.
+        ("flow", {"grid": {"n1": 4, "n2": 4}, "flow": {"max_steps": 1, "record_every": 1}}, 256),
     ],
 )
 def test_size_bound_counts_symbol_angles_and_gradcheck_directions(tmp_path, capsys, monkeypatch, command, config, entries):
@@ -454,6 +456,36 @@ def test_flow_zero_hamiltonian_constant_state_converges_immediately(tmp_path):
     assert (out / "flow_trace.csv").exists()
     final = read_state(out / "flow_final.crms")
     assert np.max(np.abs(final.values - 0.4)) == 0.0
+
+
+@pytest.mark.parametrize("integrator, per_step", [("explicit_euler", 1), ("rk4", 4)])
+def test_flow_evaluates_the_hamiltonian_gradient_once_per_stage(tmp_path, monkeypatch, integrator, per_step):
+    # K steps evaluate grad H once per stage and once for the last row; the final
+    # residual takes one more, and fueter_residual reads the kept gradients.
+    calls = []
+    build = crms.cli._hamiltonian
+
+    def counted(cfg):
+        ham = build(cfg)
+
+        def gradient(z):
+            calls.append(z.shape)
+            return ham.gradient(z)
+
+        spec = crms.fields.HamiltonianSpec(ham.name, ham.fiber_dim, ham.value, gradient)
+        calls.clear()  # the construction check's call
+        return spec
+
+    monkeypatch.setattr(crms.cli, "_hamiltonian", counted)
+    out = tmp_path / "out"
+    steps = 20
+    cfg = {"n": 1, "output_dir": str(out), "grid": {"n1": 12, "n2": 10},
+           "hamiltonian": {"name": "cosine", "parameters": {"lambda": 0.5}},
+           "flow": {"integrator": integrator, "max_steps": steps, "record_every": 1}}
+    assert run_cli(tmp_path, "flow", cfg)[0] == 1
+    summary = read_json(out / "flow_summary.json")
+    assert summary["steps_taken"] == steps and np.isfinite(summary["fueter_residual"])
+    assert len(calls) == per_step * steps + 2 and set(calls) == {(12, 10, 4)}
 
 
 def test_flow_divergence_in_the_step_0_diagnostics_reports_no_steps(tmp_path):

@@ -55,7 +55,7 @@ def test_step_that_is_not_positive_and_finite_rejected(ds):
     with pytest.raises(ConfigError, match="ds must be positive and finite"):
         flow_step(state, ham, one_step(ds), gradient=state.values)
     with pytest.raises(ConfigError, match="ds must be positive and finite"):
-        fueter_residual([state] * 3, one_step(ds), ham)
+        fueter_residual([state] * 3, one_step(ds), [state.values] * 3)
 
 
 def test_unknown_integrator_rejected():
@@ -66,7 +66,7 @@ def test_unknown_integrator_rejected():
     with pytest.raises(ConfigError, match="integrator must be one of"):
         flow_step(state, ham, one_step(0.01, "leapfrog"), gradient=state.values)
     with pytest.raises(ConfigError, match="integrator must be one of"):
-        fueter_residual([state] * 3, one_step(0.01, "leapfrog"), ham)
+        fueter_residual([state] * 3, one_step(0.01, "leapfrog"), [state.values] * 3)
 
 
 # --- flow_step ---------------------------------------------------------------
@@ -227,13 +227,17 @@ def test_run_flow_matches_a_loop_over_flow_step(n, integrator, record_every):
     assert np.array_equal(trace.final_state.values, states[-1].values)
 
 
+@pytest.mark.parametrize("start", ["smooth", 0.0, -0.0])
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("integrator", ["explicit_euler", "rk4"])
-def test_flow_step_with_the_known_gradient_is_bitwise_the_same(n, integrator):
-    # The given gradient is the first stage: the step is the Euler or RK4
-    # update written out with the public l2_gradient, bit for bit.
+def test_flow_step_with_the_known_gradient_is_bitwise_the_same(n, integrator, start):
+    # Minus the given gradient is the first stage: the step is the Euler or RK4
+    # update written out with k1 = -l2_gradient, bit for bit and sign of zero included.
     ham = make_hamiltonian("cosine", n, lam=0.5)
-    state = smooth(21, amplitude=0.3, n=n)
+    if start == "smooth":
+        state = smooth(21, amplitude=0.3, n=n)
+    else:
+        state = FieldState(GRID, np.full((16, 16, 4 * n), start))
     ds = 0.5 * STABILITY_KAPPA[integrator] * GRID.h1
     gradient = l2_gradient(state, ham)
     v = state.values
@@ -245,9 +249,35 @@ def test_flow_step_with_the_known_gradient_is_bitwise_the_same(n, integrator):
         k3 = -l2_gradient(state.with_values(v + 0.5 * ds * k2), ham)
         k4 = -l2_gradient(state.with_values(v + ds * k3), ham)
         expected = v + (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    assert np.array_equal(flow_step(state, ham, one_step(ds, integrator), gradient=gradient).values, expected)
+    stepped = flow_step(state, ham, one_step(ds, integrator), gradient=gradient).values
+    assert np.array_equal(stepped.view(np.int64), expected.view(np.int64))
     with pytest.raises(DimensionMismatchError):
         flow_step(state, ham, one_step(ds, integrator), gradient=gradient[:-1])
+
+
+@pytest.mark.parametrize("diverges", [False, True], ids=["finished", "diverged"])
+@pytest.mark.parametrize("integrator", ["explicit_euler", "rk4"])
+@pytest.mark.parametrize("record_every", [1, 3])
+def test_traces_keep_the_gradient_of_each_recorded_state(integrator, record_every, diverges):
+    # One read-only gradient per kept state, bitwise l2_gradient's: also in the partial
+    # trace of a divergence, at step 28 (Euler, in the diagnostics) or 17 (an RK4 stage).
+    grid = TorusGrid(16, 20, l1=3.0, l2=5.0)
+    ham = make_hamiltonian("quartic", 1, lam=0.6)
+    kappa = {"explicit_euler": 0.2, "rk4": 0.25}[integrator]
+    cfg = FlowConfig(ds=kappa * min(grid.h1, grid.h2), max_steps=40 if diverges else 12,
+                     integrator=integrator, record_every=record_every)
+    if diverges:
+        with pytest.raises(FlowDivergenceError) as excinfo:
+            run_flow(smooth(5, grid=grid), ham, cfg)
+        assert excinfo.value.step == {"explicit_euler": 28, "rk4": 17}[integrator]
+        trace = excinfo.value.trace
+    else:
+        trace = run_flow(smooth(5, grid=grid), ham, cfg)
+    assert len(trace.states) == (len(trace.steps) - 1) // record_every + 1 > 3
+    assert len(trace.gradients) == len(trace.states)
+    for state, gradient in zip(trace.states, trace.gradients):
+        assert not gradient.flags.writeable
+        assert np.array_equal(gradient.view(np.int64), l2_gradient(state, ham).view(np.int64))
 
 
 @pytest.mark.parametrize("integrator, per_step", [("explicit_euler", 1), ("rk4", 4)])
@@ -277,7 +307,6 @@ def test_every_field_entry_rejects_a_hamiltonian_of_another_fiber():
         lambda: l2_gradient(state, ham),
         lambda: flow_step(state, ham, one_step(0.01), gradient=np.zeros_like(state.values)),
         lambda: run_flow(state, ham, FlowConfig(ds=0.01, max_steps=1)),
-        lambda: fueter_residual([state] * 3, one_step(0.01), ham),
     )
     for call in calls:
         with pytest.raises(DimensionMismatchError, match="Hamiltonian fiber dimension"):
@@ -325,14 +354,14 @@ def test_determinism_of_traces():
 def test_constant_trajectory_at_critical_point_has_zero_residual():
     ham = make_hamiltonian("quadratic", 1)
     state = FieldState(GRID, np.zeros((16, 16, 4)))
-    residual = fueter_residual([state, state, state], one_step(0.01), ham)
+    residual = fueter_residual([state, state, state], one_step(0.01), [l2_gradient(state, ham)] * 3)
     assert residual == 0.0
 
 
 def test_short_trajectory_rejected():
     state = FieldState(GRID, np.zeros((16, 16, 4)))
     with pytest.raises(ValueError):
-        fueter_residual([state, state], one_step(0.01), make_hamiltonian("zero", 1))
+        fueter_residual([state, state], one_step(0.01), [state.values] * 2)
 
 
 @pytest.mark.parametrize(
@@ -346,10 +375,24 @@ def test_mixed_trajectory_rejected(other):
         odd = FieldState(GRID, np.zeros((16, 16, 8)))
     else:
         odd = FieldState(other, np.zeros((other.n1, other.n2, 4)))
-    ham = make_hamiltonian("quadratic", 1)
     for trajectory in ([state, odd, state], [state, state, odd], [odd, state, state]):
         with pytest.raises(DimensionMismatchError):
-            fueter_residual(trajectory, one_step(0.01), ham)
+            fueter_residual(trajectory, one_step(0.01), [st.values for st in trajectory])
+
+
+@pytest.mark.parametrize(
+    "gradients",
+    [lambda g: g[:-1], lambda g: g + g[:1], lambda g: g[:1] + [g[1][:-1]] + g[2:],
+     lambda g: g[:2] + [np.zeros((16, 16, 8))]],
+    ids=["one-short", "one-extra", "short-field", "other-fiber"],
+)
+def test_gradients_that_do_not_match_the_states_rejected(gradients):
+    ham = make_hamiltonian("cosine", 1)
+    states = [smooth(seed) for seed in range(3)]
+    exact = [l2_gradient(st, ham) for st in states]
+    fueter_residual(states, one_step(0.01), exact)
+    with pytest.raises(DimensionMismatchError, match="gradients do not match"):
+        fueter_residual(states, one_step(0.01), gradients(exact))
 
 
 def per_state_fueter_residual(states, ds, ham, i_fiber) -> float:
@@ -374,7 +417,7 @@ def test_fueter_residual_equals_the_per_state_loop_bitwise(integrator, record_ev
     # The standard complex structure's I, built apart from the forms fueter_residual reads.
     expected = per_state_fueter_residual(trace.states, ds * record_every, ham, standard_complex_structure(2).fiber_part)
     assert expected > 0.0
-    assert fueter_residual(trace.states, cfg, ham) == expected
+    assert fueter_residual(trace.states, cfg, trace.gradients) == expected
 
 
 def test_euler_residual_is_first_order_in_ds():
@@ -384,7 +427,7 @@ def test_euler_residual_is_first_order_in_ds():
     for ds in (0.02, 0.01, 0.005):
         cfg = FlowConfig(ds=ds, max_steps=int(round(0.4 / ds)), grad_tolerance=1e-30, record_every=1)
         trace = run_flow(init, ham, cfg)
-        residuals.append(fueter_residual(trace.states, cfg, ham))
+        residuals.append(fueter_residual(trace.states, cfg, trace.gradients))
     for coarse, fine in zip(residuals, residuals[1:]):
         assert 0.4 < fine / coarse < 0.6
 
@@ -401,7 +444,7 @@ def test_rk4_residual_scales_with_grid_under_coupled_steps():
         cfg = FlowConfig(ds=ds, max_steps=int(round(0.4 / ds)), grad_tolerance=1e-30,
                          integrator="rk4", record_every=1)
         trace = run_flow(init, ham, cfg)
-        residuals.append(fueter_residual(trace.states, cfg, ham))
+        residuals.append(fueter_residual(trace.states, cfg, trace.gradients))
     assert 2.8 < residuals[0] / residuals[1] < 5.2
 
 

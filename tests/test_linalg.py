@@ -268,6 +268,19 @@ def test_large_coupling_does_not_hide_a_fiber_block_that_misses_minus_id(seed):
     with pytest.raises(ValueError, match="does not square to -Id"):
         LinearComplexStructure(broken)
 
+
+@pytest.mark.parametrize("entry", [1e-7, 4e-4])
+@pytest.mark.parametrize("seed", range(3))
+def test_large_coupling_does_not_hide_a_top_right_entry(seed, entry):
+    # Beside an admissible A of size 4.7e5 a top-right entry passes 1e-9 max|m| = 4.7e-4,
+    # and the square then misses -Id too; judged against max(|j|, |I'|) = 1 it names the block.
+    rng = np.random.default_rng(seed)
+    m = structure_with_coupling(1, rng).matrix.copy()
+    m[2:, :2] *= 4.7e5 / np.max(np.abs(m[2:, :2]))
+    m[0, 3] = entry
+    with pytest.raises(ValueError, match="top-right block must vanish"):
+        LinearComplexStructure(m)
+
 def test_alternating_form_rejects_symmetric_tensor():
     t = np.ones((6, 6, 6))
     with pytest.raises(ValueError):
