@@ -16,7 +16,7 @@ import numpy as np
 
 from .darboux import CrpsPair
 from .errors import DimensionMismatchError
-from .linalg import TAU_ALG, SpdMatrix, standard_complex_structure, standard_fiber_forms
+from .linalg import SpdMatrix, _require, standard_complex_structure, standard_fiber_forms
 
 
 @dataclass(frozen=True)
@@ -69,19 +69,17 @@ def build_compatible(
     if reference.dim != pair.dim:
         raise DimensionMismatchError("reference dimension does not match the forms")
 
-    # Each check is relative to the size of what it compares, with no floor.
-    scale = float(np.max(np.abs(w1)))
     r = reference.matrix
-    if np.max(np.abs(i_fib.T @ r @ i_fib - r)) > TAU_ALG * float(np.max(np.abs(r))):
-        raise ValueError("reference inner product is not compatible with i_fiber")
+    r_size = float(np.max(np.abs(r)))
+    _require(i_fib.T @ r @ i_fib - r, r_size, "reference inner product is not compatible with i_fiber")
 
     # Orthonormal coordinates of the reference metric: x_hat = L^T x, so an
     # operator M becomes L^T M L^{-T} and the reference pairing the dot product.
     chol = np.linalg.cholesky(r)
     a_hat = np.linalg.solve(chol, np.linalg.solve(chol, w1).T).T  # L^{-1} W1 L^{-T}
     i_hat = chol.T @ np.linalg.solve(chol, i_fib.T).T  # L^T I L^{-T}
-    if np.max(np.abs(a_hat @ i_hat + i_hat @ a_hat)) > TAU_ALG * float(np.max(np.abs(a_hat))):
-        raise ValueError("musical operator of omega1 does not anticommute with I")
+    a_size = float(np.max(np.abs(a_hat)))
+    _require(a_hat @ i_hat + i_hat @ a_hat, a_size, "musical operator of omega1 does not anticommute with I")
 
     # Polar factors from one SVD: a_hat = (U S U^T)(U V^T) = B_hat J1_hat.
     u, sv, vt = np.linalg.svd(a_hat)
@@ -94,16 +92,12 @@ def build_compatible(
 
     # The defining identities of the triple, checked before returning.
     eye = np.eye(pair.dim)
-    if np.max(np.abs(j1 @ j1 + eye)) > TAU_ALG:
-        raise ValueError("j1 does not square to -Id")
-    if np.max(np.abs(j2 @ j2 + eye)) > TAU_ALG:
-        raise ValueError("j2 does not square to -Id")
-    if np.max(np.abs(j1 @ j2 + j2 @ j1)) > TAU_ALG:
-        raise ValueError("j1 and j2 do not anticommute")
-    if np.max(np.abs(g.matrix @ j1 - w1)) > TAU_ALG * scale:
-        raise ValueError("construction failed: omega1 != g(·, J1·)")
-    if np.max(np.abs(g.matrix @ j2 - w2)) > TAU_ALG * scale:
-        raise ValueError("construction failed: omega2 != g(·, J2·)")
+    g_size, j1_size, j2_size = (float(np.max(np.abs(x))) for x in (g.matrix, j1, j2))
+    _require(j1 @ j1 + eye, j1_size * j1_size, "j1 does not square to -Id")
+    _require(j2 @ j2 + eye, j2_size * j2_size, "j2 does not square to -Id")
+    _require(j1 @ j2 + j2 @ j1, j1_size * j2_size, "j1 and j2 do not anticommute")
+    _require(g.matrix @ j1 - w1, g_size * j1_size, "construction failed: omega1 != g(·, J1·)")
+    _require(g.matrix @ j2 - w2, g_size * j2_size, "construction failed: omega2 != g(·, J2·)")
     j1.setflags(write=False)
     j2.setflags(write=False)
     return CompatibleTriple(g=g, j1=j1, j2=j2)

@@ -20,6 +20,7 @@ from .linalg import (
     LinearComplexStructure,
     _normal_form_coeffs,
     _readonly,
+    _require,
     contraction_matrix,
     pull_back,
     require_invertible,
@@ -35,6 +36,7 @@ class CrpsPair:
     omega2: np.ndarray = field(repr=False)
     i_fiber: np.ndarray = field(repr=False)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
         w1 = _readonly(self.omega1, "omega1")
         w2 = _readonly(self.omega2, "omega2")
@@ -46,12 +48,10 @@ class CrpsPair:
             raise DimensionMismatchError(f"fiber dimension must be a positive multiple of 4, got {d}")
         scale = max(float(np.max(np.abs(w1))), float(np.max(np.abs(w2))))
         for name, w in (("omega1", w1), ("omega2", w2)):
-            if np.max(np.abs(w + w.T)) > TAU_ALG * scale:
-                raise ValueError(f"{name} is not antisymmetric")
-        if np.max(np.abs(ic @ ic + np.eye(d))) > TAU_ALG * float(np.max(np.abs(ic))) ** 2:
-            raise ValueError("i_fiber does not square to -Id")
-        if np.max(np.abs(w2 + w1 @ ic)) > TAU_ALG * scale:
-            raise ValueError("pair violates omega2 = -omega1(·, I·)")
+            _require(w + w.T, scale, f"{name} is not antisymmetric")
+        i_size = float(np.max(np.abs(ic)))
+        _require(ic @ ic + np.eye(d), i_size * i_size, "i_fiber does not square to -Id")
+        _require(w2 + w1 @ ic, scale, "pair violates omega2 = -omega1(·, I·)")
         require_invertible(w1, "omega1")
         require_invertible(w2, "omega2")
         object.__setattr__(self, "omega1", w1)

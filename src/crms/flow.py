@@ -130,10 +130,11 @@ def flow_step(
             acc += np.multiply(k3, 2.0, out=k3)
             acc += k4
             new = v + np.multiply(acc, ds / 6.0, out=acc)
-    if not np.all(np.isfinite(new)):
+    try:  # FieldState's read-only copy is the step's one finiteness scan
+        return state.with_values(new)
+    except ValueError:
         where = "" if step is None else f" at step {step}"
-        raise FlowDivergenceError(f"flow produced non-finite values{where}", step=step)
-    return state.with_values(new)
+        raise FlowDivergenceError(f"flow produced non-finite values{where}", step=step) from None
 
 
 def run_flow(initial: FieldState, ham: HamiltonianSpec, config: FlowConfig) -> FlowTrace:

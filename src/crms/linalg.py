@@ -20,8 +20,7 @@ import numpy as np
 
 from .errors import DegenerateFormError, DimensionMismatchError
 
-# Tolerance for algebraic identity checks (I^2 = -Id, symmetry, ...).  Double
-# precision with dimensions <= ~50 keeps roundoff far below this.
+# Relative tolerance of every algebraic identity check (I^2 = -Id, symmetry, ...); see _require.
 TAU_ALG = 1e-9
 
 # Non-degeneracy is decided by a condition-number threshold on the contraction
@@ -49,6 +48,17 @@ def _readonly(a: np.ndarray, name: str) -> np.ndarray:
         raise ValueError(f"{name} has non-finite entries")
     out.setflags(write=False)
     return out
+
+
+def _require(defect: np.ndarray, scale: float, message: str) -> None:
+    """ValueError(message) unless max|defect| is finite and at most TAU_ALG * scale.
+
+    ``scale`` is the size of the entries the identity is built from, with no floor: the product
+    of the factors' max|·| for a product, the largest term for a sum.  A non-finite defect fails.
+    """
+    worst = float(np.max(np.abs(defect)))
+    if not (worst <= TAU_ALG * scale and worst < np.inf):
+        raise ValueError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +134,7 @@ class AlternatingThreeForm:
         if not _exact:
             peak = float(np.max(np.abs(c)))
             for axes in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):
-                if np.max(np.abs(c + np.transpose(c, axes))) > TAU_ALG * peak:
-                    raise ValueError("coefficient tensor is not totally antisymmetric")
+                _require(c + np.transpose(c, axes), peak, "coefficient tensor is not totally antisymmetric")
         object.__setattr__(self, "coeffs", c)
 
     @property
@@ -184,21 +193,16 @@ class LinearComplexStructure:
 
     matrix: np.ndarray = field(repr=False)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
         m = _readonly(self.matrix, "matrix")
         d = _split_dim(m.shape, 2)
-        # The top-right block against j and I', then each block of m^2 + Id, j^2, A j + I' A
-        # and I'^2, against the blocks of m it involves.
+        # The top-right block against j and I', each block j^2, A j + I' A, I'^2 of m^2 + Id against its factors.
         j, a, i_fib = (float(np.max(np.abs(block))) for block in (m[:2, :2], m[2:, :2], m[2:, 2:]))
-        if np.max(np.abs(m[:2, 2:])) > TAU_ALG * max(j, i_fib):
-            raise ValueError("top-right block must vanish (structure must cover the base)")
+        _require(m[:2, 2:], max(j, i_fib), "top-right block must vanish (structure must cover the base)")
         sq = m @ m + np.eye(d)
-        if (
-            np.max(np.abs(sq[:2, :2])) > TAU_ALG * j * j
-            or np.max(np.abs(sq[2:, :2])) > TAU_ALG * a * max(j, i_fib)
-            or np.max(np.abs(sq[2:, 2:])) > TAU_ALG * i_fib * i_fib
-        ):
-            raise ValueError("matrix does not square to -Id")
+        for block, scale in ((sq[:2, :2], j * j), (sq[2:, :2], a * max(j, i_fib)), (sq[2:, 2:], i_fib * i_fib)):
+            _require(block, scale, "matrix does not square to -Id")
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -216,8 +220,7 @@ class SpdMatrix:
         m = _readonly(self.matrix, "matrix")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-        if np.max(np.abs(m - m.T)) > TAU_ALG * float(np.max(np.abs(m))):
-            raise ValueError("matrix is not symmetric")
+        _require(m - m.T, float(np.max(np.abs(m))), "matrix is not symmetric")
         smallest = float(np.linalg.eigvalsh(m)[0])
         if smallest <= 0.0:
             raise ValueError(f"matrix is not positive definite (min eigenvalue {smallest:.3e})")

@@ -48,7 +48,7 @@ def principal_symbol(operator_tag: str, xi: np.ndarray, n: int) -> SymbolReport:
     Parameters
     ----------
     operator_tag : {"DDW", "Bridges"}
-    xi : nonzero 2-covector
+    xi : 2-covector, finite, with |xi| at least the smallest normal double
     n : number of field components (fiber dimension 4n or 3n)
     """
     if operator_tag not in OPERATOR_TAGS:
@@ -56,8 +56,8 @@ def principal_symbol(operator_tag: str, xi: np.ndarray, n: int) -> SymbolReport:
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (2,):
         raise DimensionMismatchError(f"xi must be a 2-vector, got shape {xi.shape}")
-    if float(np.hypot(xi[0], xi[1])) == 0.0:
-        raise ValueError("covector must be nonzero")
+    if not np.finfo(float).tiny <= float(np.hypot(xi[0], xi[1])) < np.inf:
+        raise ValueError(f"covector must be finite and of normal size, got xi = {xi.tolist()}")
     if n < 1:
         raise ValueError("n must be positive")
     if operator_tag == "Bridges":

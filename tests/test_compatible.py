@@ -6,7 +6,7 @@ import pytest
 from crms.compatible import build_compatible, standard_triple
 from crms.errors import DegenerateFormError, DimensionMismatchError
 from crms.linalg import SpdMatrix, standard_complex_structure, standard_fiber_forms
-from crms.sampling import compatible_reference, random_crps_pair
+from crms.sampling import commuting_fiber_map, compatible_reference, random_crps_pair
 from oracles import standard_pair
 
 
@@ -129,6 +129,48 @@ def test_perturbed_reference_is_rejected_at_every_scale(n):
     for s in (1e-12, 1e-9, 1.0, 1e6):
         with pytest.raises(ValueError, match="reference inner product is not compatible"):
             build_compatible(pair.omega1, pair.omega2, pair.i_fiber, SpdMatrix(s * (ref + bump)))
+
+
+def conditioned_reference(n, rng, cond):
+    """An I-compatible SPD reference M^T M, M commuting with I and sqrt(cond) on the first complex pair."""
+    m = commuting_fiber_map(n, rng)
+    m[:, :2] *= np.sqrt(cond)
+    i_fib = standard_complex_structure(n).fiber_part
+    m = 0.5 * (m - i_fib @ m @ i_fib)
+    return m.T @ m
+
+
+@pytest.mark.parametrize("cond", [1e8, 1e10, 1e12])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_badly_conditioned_reference_gives_a_triple(n, cond):
+    # max|J1| grows like sqrt(cond): J1^2 + Id, measured against max|J1|^2 and not an
+    # absolute 1e-9, and g J_i - omega_i, against max|g| max|J_i|, stay within 1e-9.
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        pair = random_crps_pair(n, rng)
+        ref = SpdMatrix(conditioned_reference(n, rng, cond))
+        triple = build_compatible(pair.omega1, pair.omega2, pair.i_fiber, ref)
+        g, j1, j2 = triple.g.matrix, triple.j1, triple.j2
+        g_size, j1_size, j2_size = (np.max(np.abs(x)) for x in (g, j1, j2))
+        eye = np.eye(4 * n)
+        assert np.max(np.abs(j1 @ j1 + eye)) <= 1e-9 * j1_size**2
+        assert np.max(np.abs(j2 @ j2 + eye)) <= 1e-9 * j2_size**2
+        assert np.max(np.abs(j1 @ j2 + j2 @ j1)) <= 1e-9 * j1_size * j2_size
+        assert np.max(np.abs(g @ j1 - pair.omega1)) <= 1e-9 * g_size * j1_size
+        assert np.max(np.abs(g @ j2 - pair.omega2)) <= 1e-9 * g_size * j2_size
+
+
+@pytest.mark.parametrize("cond", [1e8, 1e10, 1e12])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_badly_conditioned_incompatible_reference_is_rejected(n, cond):
+    # The same references with one diagonal entry bumped by 1e-3 of their size break
+    # I-compatibility, and the compatibility check still names it.
+    rng = np.random.default_rng(n)
+    pair = random_crps_pair(n, rng)
+    ref = conditioned_reference(n, rng, cond)
+    ref[0, 0] += 1e-3 * np.max(np.abs(ref))  # I moves e0 to e1, so this is not I-compatible
+    with pytest.raises(ValueError, match="reference inner product is not compatible"):
+        build_compatible(pair.omega1, pair.omega2, pair.i_fiber, SpdMatrix(ref))
 
 
 def test_rejects_inconsistent_omega2():

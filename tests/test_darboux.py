@@ -172,6 +172,15 @@ def test_pair_tolerance_follows_a_small_pair():
             CrpsPair(scale * pair.omega1, scale * pair.omega2, pair.i_fiber)
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+def test_pair_whose_fiber_square_overflows_is_rejected(scale):
+    # I @ I overflows to inf, and so would max|I|^2: the verdict is a ValueError,
+    # not an OverflowError or an overflow warning.
+    w1s, w2s = standard_fiber_forms(1)
+    with pytest.raises(ValueError, match="i_fiber does not square to -Id"):
+        CrpsPair(w1s, w2s, standard_complex_structure(1).fiber_part * scale)
+
+
 def test_structure_with_large_entries_gets_a_frame():
     # B = diag(1_2, M) with M of condition number 1e5: the fiber part of the
     # structure B^-1 J B has entries near 2e4, so "I squares to -Id" is judged

@@ -269,6 +269,14 @@ def test_large_coupling_does_not_hide_a_fiber_block_that_misses_minus_id(seed):
         LinearComplexStructure(broken)
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+def test_complex_structure_whose_square_overflows_is_rejected(scale):
+    # m @ m overflows to inf, and so does its bound 1e-9 max|j|^2: a non-finite defect
+    # certifies nothing, and the overflow warning is not the verdict.
+    with pytest.raises(ValueError, match="does not square to -Id"):
+        LinearComplexStructure(standard_complex_structure(1).matrix * scale)
+
+
 @pytest.mark.parametrize("entry", [1e-7, 4e-4])
 @pytest.mark.parametrize("seed", range(3))
 def test_large_coupling_does_not_hide_a_top_right_entry(seed, entry):

@@ -5,7 +5,7 @@ import pytest
 
 from crms.errors import DimensionMismatchError
 from crms.fields import FieldState, TorusGrid, bridges_residual, make_hamiltonian
-from crms.symbols import principal_symbol
+from crms.symbols import OPERATOR_TAGS, principal_symbol
 
 
 def brute_force_det(matrix: np.ndarray) -> float:
@@ -130,9 +130,13 @@ def test_block_structure_sizes():
     assert report.determinant == pytest.approx(np.linalg.det(ddw), abs=1e-12)
 
 
-def test_zero_covector_rejected():
-    with pytest.raises(ValueError):
-        principal_symbol("Bridges", np.zeros(2), 1)
+@pytest.mark.parametrize("tag", OPERATOR_TAGS)
+@pytest.mark.parametrize("xi", [(0.0, 0.0), (np.nan, 1.0), (np.inf, 0.0), (1e-320, 0.0)])
+def test_covector_it_cannot_judge_is_rejected(tag, xi):
+    # Beside zero: NaN breaks the SVD, inf reports a kernel of 3 where it is n = 1,
+    # and a subnormal |xi| underflows the rank threshold 1e-10 sv[0] to 0.
+    with pytest.raises(ValueError, match="covector must be finite"):
+        principal_symbol(tag, np.array(xi), 1)
 
 
 def test_bad_tag_rejected():
