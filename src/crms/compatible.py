@@ -76,10 +76,8 @@ def build_compatible(
     # Orthonormal coordinates of the reference metric: x_hat = L^T x, so an
     # operator M becomes L^T M L^{-T} and the reference pairing the dot product.
     chol = np.linalg.cholesky(r)
+    # a_hat anticommutes with L^T I L^{-T}: omega2 = -omega1 I is antisymmetric (CrpsPair) and I^T r I = r.
     a_hat = np.linalg.solve(chol, np.linalg.solve(chol, w1).T).T  # L^{-1} W1 L^{-T}
-    i_hat = chol.T @ np.linalg.solve(chol, i_fib.T).T  # L^T I L^{-T}
-    a_size = float(np.max(np.abs(a_hat)))
-    _require(a_hat @ i_hat + i_hat @ a_hat, a_size, "musical operator of omega1 does not anticommute with I")
 
     # Polar factors from one SVD: a_hat = (U S U^T)(U V^T) = B_hat J1_hat.
     u, sv, vt = np.linalg.svd(a_hat)

@@ -260,8 +260,8 @@ class _FieldOperator:
         return bridges - ham.gradient(values)
 
     def action(self, values: np.ndarray, ham: HamiltonianSpec, bridges: np.ndarray) -> float:
-        """The action h1 h2 sum[1/2 Z·bridges - H(Z)] for bridges = apply(values)."""
-        return float(self.grid.cell_area * np.sum(0.5 * np.sum(values * bridges, axis=-1) - ham.value(values)))
+        """h1 h2 (1/2 sum(Z·bridges) - sum H(Z)) for bridges = apply(values): two grid-wide np.sums, no BLAS dot."""
+        return float(self.grid.cell_area * (0.5 * np.sum(values * bridges) - np.sum(ham.value(values))))
 
 
 @functools.cache
@@ -281,8 +281,9 @@ def _field_operator(state: FieldState, ham: HamiltonianSpec) -> _FieldOperator:
 def action(state: FieldState, ham: HamiltonianSpec) -> float:
     """Discrete multisymplectic action h1 h2 sum[1/2 Z·(J1 ∂1 Z + J2 ∂2 Z) - H(Z)].
 
-    The field operator's action, (J1, J2) = standard_fiber_forms(n).  Centered
-    differences are skew-adjoint and the J_i antisymmetric, so each J_i ∂_i is
+    The field operator's action, (J1, J2) = standard_fiber_forms(n): two grid-wide
+    pairwise np.sum reductions, not a BLAS dot, which OpenBLAS threads at large sizes.
+    Centered differences are skew-adjoint and the J_i antisymmetric, so each J_i ∂_i is
     self-adjoint and the exact gradient is J1 ∂1 Z + J2 ∂2 Z - ∇H (l2_gradient).
     Summed over the grid, the quadratic term is the theta-form sum P1 ∂1 q1 + P2 ∂1 q2 + P1 ∂2 q2 - P2 ∂2 q1.
     """

@@ -1,5 +1,7 @@
 """Polar-decomposition construction of compatible metric / J pairs."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -131,10 +133,16 @@ def test_perturbed_reference_is_rejected_at_every_scale(n):
             build_compatible(pair.omega1, pair.omega2, pair.i_fiber, SpdMatrix(s * (ref + bump)))
 
 
-def conditioned_reference(n, rng, cond):
-    """An I-compatible SPD reference M^T M, M commuting with I and sqrt(cond) on the first complex pair."""
+def conditioned_reference(n, rng, cond, rows=False):
+    """An I-compatible SPD reference M^T M, M commuting with I and sqrt(cond) on the first complex pair.
+
+    The pair is M's first two columns, or with ``rows`` its first two rows.
+    """
     m = commuting_fiber_map(n, rng)
-    m[:, :2] *= np.sqrt(cond)
+    if rows:
+        m[:2] *= np.sqrt(cond)
+    else:
+        m[:, :2] *= np.sqrt(cond)
     i_fib = standard_complex_structure(n).fiber_part
     m = 0.5 * (m - i_fib @ m @ i_fib)
     return m.T @ m
@@ -145,10 +153,11 @@ def conditioned_reference(n, rng, cond):
 def test_badly_conditioned_reference_gives_a_triple(n, cond):
     # max|J1| grows like sqrt(cond): J1^2 + Id, measured against max|J1|^2 and not an
     # absolute 1e-9, and g J_i - omega_i, against max|g| max|J_i|, stay within 1e-9.
-    for seed in range(10):
+    # Scaled rows lose about cond eps in the Cholesky factor, which the final identities absorb.
+    for seed, rows in itertools.product(range(10), (False, True)):
         rng = np.random.default_rng(seed)
         pair = random_crps_pair(n, rng)
-        ref = SpdMatrix(conditioned_reference(n, rng, cond))
+        ref = SpdMatrix(conditioned_reference(n, rng, cond, rows))
         triple = build_compatible(pair.omega1, pair.omega2, pair.i_fiber, ref)
         g, j1, j2 = triple.g.matrix, triple.j1, triple.j2
         g_size, j1_size, j2_size = (np.max(np.abs(x)) for x in (g, j1, j2))

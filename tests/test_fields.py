@@ -296,27 +296,50 @@ def test_action_of_constant_hamiltonian_is_minus_volume():
     assert action(state, ham) == pytest.approx(-c * 3.0 * 5.0, rel=1e-13)
 
 
-def test_action_against_slow_double_loop_oracle():
-    grid = TorusGrid(12, 10, l1=4.0, l2=7.0)
-    state = random_state(grid, 2, seed=91)
-    ham = make_hamiltonian("quadratic_p", 2)
-    got = action(state, ham)
+# Each built-in's density on one complex dimension (q1, q2, P1, P2), written out term by term, lambda = 0.8.
+DENSITY_TERMS = {
+    "zero": lambda q1, q2, p1, p2: [],
+    "quadratic_p": lambda q1, q2, p1, p2: [0.5 * p1 * p1, 0.5 * p2 * p2],
+    "quadratic": lambda q1, q2, p1, p2: [0.5 * p1 * p1, 0.5 * p2 * p2, 0.8 * 0.5 * q1 * q1, 0.8 * 0.5 * q2 * q2],
+    "quartic": lambda q1, q2, p1, p2: [0.5 * p1 * p1, 0.5 * p2 * p2, 0.8 * q1**4, 0.8 * q2**4],
+    "cosine": lambda q1, q2, p1, p2: [0.5 * p1 * p1, 0.5 * p2 * p2, 0.8 * math.cos(q1), 0.8 * math.cos(q2)],
+}
 
-    # Independent oracle: explicit loops and compensated summation.
+
+@pytest.mark.parametrize("amplitude", [1e-6, 1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("name", BUILTIN_HAMILTONIANS)
+def test_action_against_slow_double_loop_oracle(name, n, amplitude):
+    grid = TorusGrid(12, 10, l1=4.0, l2=7.0)
+    state = random_state(grid, n, seed=91, scale=amplitude)
+    got = action(state, make_hamiltonian(name, n, lam=0.8))
+
+    # Independent oracle: explicit loops, the theta form of the quadratic term and compensated summation.
     v = state.values
-    terms = []
+
+    def centered(i, j, a, di, dj, h):
+        fwd = v[(i + di) % grid.n1, (j + dj) % grid.n2, 4 * a : 4 * a + 4]
+        return (fwd - v[(i - di) % grid.n1, (j - dj) % grid.n2, 4 * a : 4 * a + 4]) / (2 * h)
+
+    terms, sizes = [], []
     for i in range(grid.n1):
         for j in range(grid.n2):
-            for a in range(2):
+            for a in range(n):
                 q1, q2, p1, p2 = v[i, j, 4 * a : 4 * a + 4]
-                d1q1 = (v[(i + 1) % grid.n1, j, 4 * a] - v[(i - 1) % grid.n1, j, 4 * a]) / (2 * grid.h1)
-                d1q2 = (v[(i + 1) % grid.n1, j, 4 * a + 1] - v[(i - 1) % grid.n1, j, 4 * a + 1]) / (2 * grid.h1)
-                d2q1 = (v[i, (j + 1) % grid.n2, 4 * a] - v[i, (j - 1) % grid.n2, 4 * a]) / (2 * grid.h2)
-                d2q2 = (v[i, (j + 1) % grid.n2, 4 * a + 1] - v[i, (j - 1) % grid.n2, 4 * a + 1]) / (2 * grid.h2)
-                terms.append(p1 * d1q1 + p2 * d1q2 + p1 * d2q2 - p2 * d2q1)
-                terms.append(-0.5 * (p1 * p1 + p2 * p2))
+                d1q1, d1q2, d1p1, d1p2 = centered(i, j, a, 1, 0, grid.h1)
+                d2q1, d2q2, d2p1, d2p2 = centered(i, j, a, 0, 1, grid.h2)
+                theta = [p1 * d1q1, p2 * d1q2, p1 * d2q2, -p2 * d2q1]
+                # The q-side products that 1/2 Z·(J1 ∂1 Z + J2 ∂2 Z) also sums; by parts they equal theta's.
+                dual = [q1 * d1p1, q2 * d1p2, q2 * d2p1, q1 * d2p2]
+                density = DENSITY_TERMS[name](q1, q2, p1, p2)
+                terms += theta + [-x for x in density]
+                sizes += [abs(x) for x in theta + dual + density]
     expected = grid.cell_area * math.fsum(terms)
-    assert got == pytest.approx(expected, abs=1e-12 * max(1.0, abs(expected)))
+    # Recursive summation of all len(sizes) products and densities, each rounded a few times, stays within
+    # gamma_n sum|terms| (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., §4.2).
+    u = np.finfo(float).eps / 2
+    gamma = len(sizes) * u / (1 - len(sizes) * u)
+    assert abs(got - expected) <= gamma * grid.cell_area * math.fsum(sizes)
 
 
 # --- residuals ---------------------------------------------------------------
@@ -422,26 +445,63 @@ def test_laplace_recovery_identity():
 # --- sampling ----------------------------------------------------------------
 
 
-def smooth_state_by_component(grid: TorusGrid, n: int, amplitude: float, rng) -> np.ndarray:
-    # One (a, b) draw and one cos/sin pass per component and mode |k1|, |k2| <= 2.
+SMOOTH_MODES = [(k1, k2) for k1 in range(-2, 3) for k2 in range(-2, 3)]
+
+
+def smooth_state_by_component(grid: TorusGrid, n: int, rng, modes=SMOOTH_MODES) -> np.ndarray:
+    # Unscaled: one (a, b) draw and one cos/sin pass of the whole phase per component and mode.
     t1, t2 = grid.coordinates()
     values = np.zeros((grid.n1, grid.n2, 4 * n))
-    modes = [(k1, k2) for k1 in range(-2, 3) for k2 in range(-2, 3)]
     for c in range(4 * n):
         for k1, k2 in modes:
             a, b = rng.normal(size=2)
             phase = k1 * (2.0 * np.pi / grid.l1) * t1 + k2 * (2.0 * np.pi / grid.l2) * t2
             values[..., c] += a * np.cos(phase) + b * np.sin(phase)
-    return values * (amplitude / float(np.max(np.abs(values))))
+    return values
+
+
+def smooth_state_gap(grid: TorusGrid, n: int, amplitude: float, seed: int, expected: np.ndarray):
+    """max|random_smooth_state - expected scaled to amplitude|, and the bound the two must meet.
+
+    Each entry of component c sums 50 terms a cos(phi), b sin(phi), |phi| <= Phi = 4π((N1 - 1)/N1 +
+    (N2 - 1)/N2).  Both sides share the rounded pieces k_i (2π/l_i)(h_i j): the oracle rounds their sum
+    and takes cos/sin of it, the library takes cos/sin of each piece and contracts them through M_c.
+    Each term is then off by a few u (1 + Phi) |coefficient| on either side and the sums (50 terms, or
+    two 10-term contractions) add at most gamma_50 S_c, S_c the sum of component c's 50 |a|, |b|, so
+    unscaled the gap is within gamma_50 (1 + Phi) S_c.  Scaling by amplitude / peak, with peaks that
+    differ by at most that gap, at most doubles it relative to the peak, plus two roundings.
+    """
+    u = np.finfo(float).eps / 2
+    gamma50 = 50 * u / (1 - 50 * u)
+    phi = 4 * np.pi * ((grid.n1 - 1) / grid.n1 + (grid.n2 - 1) / grid.n2)
+    sizes = np.sum(np.abs(np.random.default_rng(seed).normal(size=(4 * n, 50))), axis=1)
+    peak = float(np.max(np.abs(expected)))
+    bound = amplitude * (2 * gamma50 * (1 + phi) * float(np.max(sizes)) / peak + 2 * u)
+    got = random_smooth_state(grid, n, amplitude, np.random.default_rng(seed)).values
+    assert got.flags.c_contiguous
+    return float(np.max(np.abs(got - expected * (amplitude / peak)))), bound
+
+
+@pytest.mark.parametrize(
+    "n, shape", [(1, (7, 11, 1.3, 2.9)), (3, (7, 11, 1.3, 2.9)), (1, (256, 255))], ids=["1-7x11", "3-7x11", "1-256x255"]
+)
+def test_random_smooth_state_matches_the_per_component_loop(n, shape):
+    grid = TorusGrid(*shape)
+    expected = smooth_state_by_component(grid, n, np.random.default_rng(8))
+    gap, bound = smooth_state_gap(grid, n, 0.4, 8, expected)
+    assert gap <= bound
 
 
 @pytest.mark.parametrize("n", [1, 3])
-def test_random_smooth_state_equals_the_per_component_loop_bitwise(n):
+def test_random_smooth_state_gap_bound_catches_swapped_modes_and_components(n):
+    # Negative controls: the same draws on transposed modes (k2, k1), or in reversed
+    # component order, miss the bound by O(1) of the amplitude.
     grid = TorusGrid(7, 11, 1.3, 2.9)
-    state = random_smooth_state(grid, n, 0.4, np.random.default_rng(8))
-    expected = smooth_state_by_component(grid, n, 0.4, np.random.default_rng(8))
-    assert np.array_equal(state.values, expected)
-    assert state.values.flags.c_contiguous
+    swapped = smooth_state_by_component(grid, n, np.random.default_rng(8), [(k2, k1) for k1, k2 in SMOOTH_MODES])
+    reordered = smooth_state_by_component(grid, n, np.random.default_rng(8))[..., ::-1]
+    for expected in (swapped, reordered):
+        gap, bound = smooth_state_gap(grid, n, 0.4, 8, expected)
+        assert gap > 0.1 * 0.4 > bound
 
 
 # --- serialization -----------------------------------------------------------
