@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -27,8 +28,9 @@ from .fields import (
     BUILTIN_HAMILTONIANS,
     FieldState,
     TorusGrid,
-    action,
+    _field_operator,
     bridges_residual,
+    diff,
     l2_gradient,
     make_hamiltonian,
     read_state,
@@ -225,8 +227,8 @@ def _check_size(cfg: ExperimentConfig, command: str) -> None:
     What is counted depends on the verb: the d^3 3-form (d = 4n + 2) of
     validate and darboux; for symbol the (4n)^2 symbol matrix or, per
     covector, its angle, its two components and its four-field row; for
-    gradcheck the (4n)^2 fiber forms, one n1 x n2 x 4n field or the two
-    floats kept per direction; and for flow the forms or the
+    gradcheck the (4n)^2 fiber forms, one complex n1 x n2 x 4n field (two
+    floats an entry) or the two floats kept per direction; and for flow the forms or the
     max_steps // record_every + 1 states run_flow keeps, each a field and its gradient.
     """
     d = 4 * cfg.n
@@ -238,7 +240,7 @@ def _check_size(cfg: ExperimentConfig, command: str) -> None:
     elif command == "flow":
         largest = max(d * d, 2 * (cfg.flow.max_steps // cfg.flow.record_every + 1) * field_entries)
     else:
-        largest = max(d * d, field_entries, 2 * cfg.gradcheck_directions)
+        largest = max(d * d, 2 * field_entries, 2 * cfg.gradcheck_directions)
     if largest > MAX_ARRAY_ENTRIES:
         raise ConfigError(
             f"{command} with n = {cfg.n} and grid {cfg.grid.n1}x{cfg.grid.n2} needs"
@@ -437,39 +439,74 @@ def cmd_flow(cfg: ExperimentConfig, out: Path) -> tuple[int, str]:
     return EXIT_OK if trace.converged else EXIT_CHECK_FAILED, summary
 
 
-# Central-difference steps of the gradient check, coarsest first.
-RICHARDSON_STEPS = (1e-2, 1e-3, 1e-4)
+# A power of two, so eps delta and 1/eps are exact.  Im A is h1 h2 eps times the pairing's terms, the
+# largest ~ |Z| |delta| / min(h1, h2), and h1 h2 / min(h1, h2) >= sqrt(h1 h2) >= 2^-511 on any TorusGrid:
+# 2^-844 ~ 1e-254 stays normal (eps = 1e-200 underflowed at periods 1e-140).  Truncation: O(eps^2).
+COMPLEX_STEP = 2.0**-333
 
 
-def _richardson_directional(state: FieldState, ham, delta: np.ndarray) -> float:
-    # Central differences Richardson-extrapolated twice; the levels balance
-    # truncation against subtraction noise in the action values.
-    d = []
-    for eps in RICHARDSON_STEPS:
-        plus = action(state.with_values(state.values + eps * delta), ham)
-        minus = action(state.with_values(state.values - eps * delta), ham)
-        d.append((plus - minus) / (2.0 * eps))
-    r1 = [(100.0 * d[i + 1] - d[i]) / 99.0 for i in range(2)]
-    return (10_000.0 * r1[1] - r1[0]) / 9_999.0
+@functools.cache
+def _sum_roundings(m: int) -> int:
+    """The most roundings a term takes in numpy's pairwise sum of m floats.
+
+    numpy adds fewer than 8 floats in turn.  Up to 128 it adds every eighth float into one of eight
+    accumulators, joins them by a tree of depth 3 and adds the last m % 8 in turn.  Above 128 it sums
+    the halves (the first a multiple of 8) apart and adds them.  A sum of m complex entries runs the
+    same recursion on its 2m interleaved floats, four accumulators a part: at most _sum_roundings(2m).
+    """
+    if m <= 128:
+        return m - 1 if m < 8 else m // 8 + 2 + m % 8
+    half = m // 2 - m // 2 % 8
+    return 1 + max(_sum_roundings(half), _sum_roundings(m - half))
+
+
+def _gradient_check(state: FieldState, ham, deltas) -> tuple[list[float], list[float]]:
+    """Compare c = Im A(Z + i eps delta) / eps with p = h1 h2 <g, delta>, g the gradient, along each delta.
+
+    Returns each |c - p| / |p| and each |c - p| over the bound gamma_K h1 h2 sum(|delta| |LZ| +
+    |Z| |L delta| + |delta| |∇H|), with gamma_K = K u / (1 - K u), u = 2^-53 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., §3.1) and |Lx| = |J1 ∂1 x| + |J2 ∂2 x|, since apply
+    rounds each term on its own.  K adds the most roundings a term of c takes to the most a term of
+    p takes, with s = _sum_roundings, N entries and M points:
+    - c, L terms: 3 in a difference (numpy divides a complex array by 2h as a product with 1/(2h)),
+      1 where the directions add (the GEMMs against the signed permutations Ji.T are exact), 2 in
+      the complex product, s(2N), and 2 for the H sum's subtraction and h1 h2 (1/2 and 1/eps are exact).
+    - c, H terms: 4 in a built-in's entry (sin to 1 ulp and a product, or z^4 by two squarings),
+      1 for lambda, s(4n) over the fiber, 1 where P and q add, s(2M), and the same 2.
+    - p: 2 in a difference, 1 where the directions add, 1 for -∇H (itself at most 3), 1 for delta,
+      s(N), and 1 for h1 h2.
+    A non-finite error or bound fails; a zero pairing's relative error is not finite.
+    """
+    op = _field_operator(state, ham)
+    z, area, (n1, n2, dim) = state.values, state.grid.cell_area, state.values.shape
+    grad = l2_gradient(state, ham)
+
+    def size_of_l(x: np.ndarray) -> np.ndarray:  # |Lx|
+        terms = (np.abs(diff(x, state.grid, i).reshape(-1, dim) @ jt) for i, jt in ((1, op.j1t), (2, op.j2t)))
+        return sum(terms).reshape(x.shape)
+
+    delta_weight = size_of_l(z) + np.abs(ham.gradient(z))
+    m = n1 * n2
+    k = 14 + max(_sum_roundings(2 * m * dim), _sum_roundings(dim) + _sum_roundings(2 * m)) + _sum_roundings(m * dim)
+    gamma = k * 2.0**-53 / (1.0 - k * 2.0**-53)
+    errors, ratios = [], []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for delta in deltas:
+            w = z + 1j * COMPLEX_STEP * delta
+            pairing = area * np.sum(grad * delta)
+            err = abs(op.action(w, ham, op.apply(w)).imag / COMPLEX_STEP - pairing)
+            bound = gamma * area * np.sum(np.abs(delta) * delta_weight + np.abs(z) * size_of_l(delta))
+            errors.append(float(err / abs(pairing)))
+            ratios.append(float(err / bound))
+    return errors, ratios
 
 
 def cmd_gradcheck(cfg: ExperimentConfig, out: Path) -> tuple[int, str]:
     ham = _hamiltonian(cfg)
     rng = np.random.default_rng(cfg.seed)
     state = random_smooth_state(cfg.grid, cfg.n, 0.5, rng)
-    grad = l2_gradient(state, ham)
-    # Each action value carries a roundoff error of about u |A|, which the
-    # finest difference divides by its step: a direction with a tiny pairing
-    # can miss a purely relative bound on roundoff alone.
-    floor = np.finfo(float).eps * abs(action(state, ham)) / RICHARDSON_STEPS[-1]
-    errors = []
-    ratios = []
-    for _ in range(cfg.gradcheck_directions):
-        delta = rng.normal(size=state.values.shape)
-        pairing = float(cfg.grid.cell_area * np.sum(grad * delta))
-        err = abs(pairing - _richardson_directional(state, ham, delta))
-        errors.append(err / (abs(pairing) + 1e-30))
-        ratios.append(err / (1e-6 * abs(pairing) + floor))
+    deltas = (rng.normal(size=state.values.shape) for _ in range(cfg.gradcheck_directions))
+    errors, ratios = _gradient_check(state, ham, deltas)
     max_err = float(np.max(errors))
     max_ratio = float(np.max(ratios))
     _write_report(

@@ -109,15 +109,16 @@ def diff(values: np.ndarray, grid: TorusGrid, direction: int) -> np.ndarray:
     is the one subtraction of (roll(v, -1) - roll(v, 1)) / (2h), so bitwise the same.
     In direction 2 the flat pass also pairs adjacent rows' ends, which the wrapped
     columns overwrite, so it raises no overflow or invalid warning.  The operator
-    is skew-adjoint for the grid inner product <u, v> = h1 h2 sum(u v).
+    is skew-adjoint for the grid inner product <u, v> = h1 h2 sum(u v).  The dtype
+    is np.result_type(values, float), so a complex field stays complex.
     """
     if direction not in (1, 2):
         raise ValueError(f"direction must be 1 or 2, got {direction}")
     h = grid.h1 if direction == 1 else grid.h2
-    v = np.asarray(values, dtype=float)
+    v = np.asarray(values, dtype=np.result_type(values, float))
     if v.shape[:2] != (grid.n1, grid.n2):
         raise DimensionMismatchError("values do not match the grid")
-    out, flat = np.empty(v.shape), v.ravel()
+    out, flat = np.empty(v.shape, v.dtype), v.ravel()
     s = out.strides[direction - 1] // out.itemsize
     with np.errstate(over="ignore", invalid="ignore") if direction == 2 else contextlib.nullcontext():
         np.subtract(flat[2 * s :], flat[: -2 * s], out=out.reshape(-1)[s:-s])
@@ -150,6 +151,8 @@ class HamiltonianSpec:
     difference's roundoff floor u max|H(z ± eps)| / eps, so a large H is not
     rejected for cancellation, and is relative to the differences' own size
     max|fd|, with no floor at 1, so a scaled-down H is held to the same bound.
+    ``crms gradcheck`` takes a complex step, so there ``value`` must accept complex
+    input and be complex-analytic; the construction check stays finite differences.
     """
 
     name: str
@@ -259,9 +262,12 @@ class _FieldOperator:
         """The L² gradient of the action, J1 ∂1 Z + J2 ∂2 Z - ∇H(Z), for bridges = apply(values)."""
         return bridges - ham.gradient(values)
 
-    def action(self, values: np.ndarray, ham: HamiltonianSpec, bridges: np.ndarray) -> float:
-        """h1 h2 (1/2 sum(Z·bridges) - sum H(Z)) for bridges = apply(values): two grid-wide np.sums, no BLAS dot."""
-        return float(self.grid.cell_area * (0.5 * np.sum(values * bridges) - np.sum(ham.value(values))))
+    def action(self, values: np.ndarray, ham: HamiltonianSpec, bridges: np.ndarray) -> np.inexact:
+        """h1 h2 (1/2 sum(Z·bridges) - sum H(Z)) for bridges = apply(values): two grid-wide np.sums, no BLAS dot.
+
+        A numpy scalar of Z's dtype: float64 for a real Z, complex128 for a complex one.
+        """
+        return self.grid.cell_area * (0.5 * np.sum(values * bridges) - np.sum(ham.value(values)))
 
 
 @functools.cache
@@ -288,7 +294,7 @@ def action(state: FieldState, ham: HamiltonianSpec) -> float:
     Summed over the grid, the quadratic term is the theta-form sum P1 ∂1 q1 + P2 ∂1 q2 + P1 ∂2 q2 - P2 ∂2 q1.
     """
     op = _field_operator(state, ham)
-    return op.action(state.values, ham, op.apply(state.values))
+    return float(op.action(state.values, ham, op.apply(state.values)))
 
 
 def bridges_residual(state: FieldState, ham: HamiltonianSpec) -> np.ndarray:

@@ -3,7 +3,7 @@
 import numpy as np
 
 from crms.darboux import CrpsPair
-from crms.fields import FieldState, HamiltonianSpec, TorusGrid, diff
+from crms.fields import FieldState, HamiltonianSpec, TorusGrid, action, diff
 from crms.linalg import (
     BASE_ROTATION,
     TAU_ALG,
@@ -26,6 +26,49 @@ def with_scaled_gradient(ham: HamiltonianSpec, scale: float) -> HamiltonianSpec:
     tolerance raises ValueError here.
     """
     return HamiltonianSpec(ham.name, ham.fiber_dim, ham.value, lambda z: scale * ham.gradient(z))
+
+
+def richardson_directional(state: FieldState, ham: HamiltonianSpec, delta: np.ndarray) -> float:
+    """The action's derivative along delta: central differences at eps in {1e-3, 1e-4, 1e-5}, Richardson-extrapolated twice."""
+    d = []
+    for eps in (1e-3, 1e-4, 1e-5):
+        plus = action(state.with_values(state.values + eps * delta), ham)
+        minus = action(state.with_values(state.values - eps * delta), ham)
+        d.append((plus - minus) / (2.0 * eps))
+    r1 = [(100.0 * d[i + 1] - d[i]) / 99.0 for i in range(2)]
+    return (10_000.0 * r1[1] - r1[0]) / 9_999.0
+
+
+def pairwise_sum(parts: list[tuple[float, ...]]) -> tuple[tuple[float, ...], int]:
+    """numpy's pairwise sum of parts (1-tuples for floats, (re, im) for complex), in numpy's order.
+
+    Returns the sum and the most roundings one term took, counted per addition: each
+    partial sum carries the count of its most-rounded term, and adding two partials
+    takes one more.  A complex array runs the recursion on its interleaved floats, so
+    a block holds 64 entries and four accumulators.
+    """
+    width = len(parts[0])
+    per = 8 // width
+    add = lambda a, b: (tuple(x + y for x, y in zip(a[0], b[0])), max(a[1], b[1]) + 1)
+    if len(parts) * width < 8:
+        total = (parts[0], 0)  # 0 + first term is exact
+        for part in parts[1:]:
+            total = add(total, (part, 0))
+        return total
+    if len(parts) * width <= 128:
+        acc = [(part, 0) for part in parts[:per]]
+        tail = len(parts) - len(parts) % per
+        for i in range(per, tail, per):
+            acc = [add(a, (part, 0)) for a, part in zip(acc, parts[i : i + per])]
+        while len(acc) > 1:
+            acc = [add(acc[i], acc[i + 1]) for i in range(0, len(acc), 2)]
+        total = acc[0]
+        for part in parts[tail:]:
+            total = add(total, (part, 0))
+        return total
+    half = len(parts) * width // 2
+    half = (half - half % 8) // width
+    return add(pairwise_sum(parts[:half]), pairwise_sum(parts[half:]))
 
 
 def roll_diff(values: np.ndarray, grid: TorusGrid, direction: int) -> np.ndarray:

@@ -2,11 +2,13 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and timings.  Every tolerance is pinned here; the oracles (explicit
-congruences, Richardson-extrapolated differences, brute-force determinants,
-roll-based Laplacians, per-mode Fourier symbols) are implemented in this
-module, independently of the library code paths they check.  Criterion 2
-checks its frames with ``normal_form_gap`` and criterion 6 builds its states
-with ``momenta_from_positions``, both from ``tests/oracles.py``, and
+congruences, brute-force determinants, roll-based Laplacians, per-mode
+Fourier symbols) are implemented in this module, independently of the
+library code paths they check.  Criterion 2 checks its frames with
+``normal_form_gap``, criterion 4 its gradients with
+``richardson_directional`` and criterion 6 builds its states with
+``momenta_from_positions``, all from ``tests/oracles.py``; criterion 4 also
+runs ``crms gradcheck``'s complex-step check at its own bound, and
 criterion 9 checks the chart transitions with ``tests/transition.py``.
 """
 
@@ -15,10 +17,12 @@ import time
 
 import numpy as np
 
+from crms.cli import _gradient_check
 from crms.compatible import build_compatible, standard_triple
 from crms.darboux import crms_darboux
 from crms.errors import FlowDivergenceError
 from crms.fields import (
+    BUILTIN_HAMILTONIANS,
     FieldState,
     TorusGrid,
     action,
@@ -42,7 +46,7 @@ from crms.sampling import (
     random_smooth_state,
 )
 from crms.symbols import principal_symbol
-from oracles import momenta_from_positions, normal_form_gap
+from oracles import momenta_from_positions, normal_form_gap, richardson_directional
 from transition import sample_patch, transition_check
 
 
@@ -158,25 +162,13 @@ def test_criterion_3_compatibility_construction():
         c.detail = f"150 pairs; invariants {worst_inv:.2e}, B direction gap {worst_g:.2e}"
 
 
-def _richardson(state: FieldState, ham, delta: np.ndarray) -> float:
-    # Acceptance oracle: central differences at the pinned levels
-    # eps in {1e-3, 1e-4, 1e-5}, Richardson-extrapolated twice.
-    d = []
-    for eps in (1e-3, 1e-4, 1e-5):
-        plus = action(state.with_values(state.values + eps * delta), ham)
-        minus = action(state.with_values(state.values - eps * delta), ham)
-        d.append((plus - minus) / (2.0 * eps))
-    r1 = [(100.0 * d[i + 1] - d[i]) / 99.0 for i in range(2)]
-    return (10_000.0 * r1[1] - r1[0]) / 9_999.0
-
-
 def test_criterion_4_exact_discrete_gradient():
     with Criterion(4, "exact discrete gradient", budget_s=30.0) as c:
         grid = TorusGrid(32, 32)
-        worst = 0.0
-        worst_ratio = 0.0
+        worst = worst_ratio = 0.0
+        complex_errors, complex_ratios = [], []
         for n in (1, 2):
-            for name in ("zero", "quadratic", "quartic", "cosine"):
+            for name in BUILTIN_HAMILTONIANS:
                 ham = make_hamiltonian(name, n, lam=0.6)
                 # Seeded from the name's bytes: hash() of a str changes with
                 # PYTHONHASHSEED, and so would the directions drawn.
@@ -189,16 +181,24 @@ def test_criterion_4_exact_discrete_gradient():
                 # directions with a small pairing fall below the 1e-6 relative
                 # bound on roundoff alone.
                 floor = np.finfo(float).eps * abs(action(state, ham)) / 1e-5
-                for _ in range(20):
-                    delta = rng.normal(size=state.values.shape)
+                deltas = [rng.normal(size=state.values.shape) for _ in range(20)]
+                for delta in deltas:
                     pairing = float(grid.cell_area * np.sum(grad * delta))
-                    err = abs(pairing - _richardson(state, ham, delta))
+                    err = abs(pairing - richardson_directional(state, ham, delta))
                     worst = max(worst, err / (abs(pairing) + 1e-30))
                     worst_ratio = max(worst_ratio, err / (1e-6 * abs(pairing) + floor))
+                # The second oracle: gradcheck's complex step at its derived roundoff bound.
+                errors, ratios = _gradient_check(state, ham, deltas)
+                complex_errors += errors
+                complex_ratios += ratios
+        worst_complex, worst_complex_ratio = np.max(complex_errors), np.max(complex_ratios)  # NaN fails
         c.check(worst_ratio < 1.0,
                 f"gradient error reaches {worst_ratio:.3e} x (1e-6 |pairing| + roundoff floor)")
-        c.detail = (f"8 Hamiltonian/n combinations x 20 directions, worst relative {worst:.2e},"
-                    f" worst error / bound {worst_ratio:.2e}")
+        c.check(worst_complex_ratio <= 1.0,
+                f"complex-step error reaches {worst_complex_ratio:.3e} x gradcheck's roundoff bound")
+        c.detail = (f"10 Hamiltonian/n combinations x 20 directions, worst relative {worst:.2e},"
+                    f" worst error / bound {worst_ratio:.2e}; complex step {worst_complex:.2e},"
+                    f" {worst_complex_ratio:.2e} of its bound")
 
 
 def test_criterion_5_ellipticity_dichotomy():

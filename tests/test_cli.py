@@ -18,13 +18,13 @@ import crms.cli
 import crms.darboux
 import crms.fields
 import crms.linalg
-from crms.cli import COMMANDS, ExperimentConfig, _check_size, main, parse_config
+from crms.cli import COMMANDS, ExperimentConfig, _check_size, _sum_roundings, main, parse_config
 from crms.errors import ConfigError
 from crms.fields import FieldState, TorusGrid, read_state, write_state
 from crms.flow import FlowConfig
 from crms.linalg import validate_crms
 from crms.sampling import break_i_compatibility, drop_quadruple_block, random_crms_form
-from oracles import with_scaled_gradient
+from oracles import pairwise_sum, with_scaled_gradient
 
 
 @pytest.fixture(autouse=True)
@@ -408,8 +408,10 @@ def test_symbol_covector_near_the_top_of_the_range_passes(tmp_path):
     [
         # Seven floats per covector: its angle, two components and four-field row.
         ("symbol", {"symbol": {"angles": 15}}, 105),
-        # Two floats per direction; the 4x4 field at n = 1 holds 64.
-        ("gradcheck", {"grid": {"n1": 4, "n2": 4}, "gradcheck": {"directions": 51}}, 102),
+        # Two floats per direction; the complex 4x4 field at n = 1 holds 128.
+        ("gradcheck", {"grid": {"n1": 4, "n2": 4}, "gradcheck": {"directions": 65}}, 130),
+        # Two floats per complex field entry: 4 x 4 x 4 of them.
+        ("gradcheck", {"grid": {"n1": 4, "n2": 4}, "gradcheck": {"directions": 1}}, 128),
         # Two kept 4x4 states at n = 1, each with its gradient.
         ("flow", {"grid": {"n1": 4, "n2": 4}, "flow": {"max_steps": 1, "record_every": 1}}, 256),
     ],
@@ -631,53 +633,98 @@ def test_gradcheck_quadratic_is_machine_exact(tmp_path):
     assert read_json(out / "gradcheck.json")["max_relative_error"] < 1e-9
 
 
+CI_GRADCHECK = {"n": 2, "grid": {"l1": 3.0, "l2": 5.0}, "hamiltonian": {"name": "cosine", "parameters": {"lambda": 0.8}}}
+
+
 @pytest.mark.parametrize(
-    "n, ham",
+    "config, grid",
     [
-        (1, {"name": "cosine", "parameters": {"lambda": 0.8}}),
+        ({"n": 1, "seed": 4, "hamiltonian": {"name": "cosine", "parameters": {"lambda": 0.8}}}, "16x16"),
         # The construction check's roundoff floor lets this exact gradient through.
-        (2, {"name": "quartic", "parameters": {"lambda": 1e4}}),
+        ({"n": 2, "seed": 4, "hamiltonian": {"name": "quartic", "parameters": {"lambda": 1e4}}}, "16x16"),
+        # CI's cases: 1.6e-3 and 6.8e-5 of the bound.
+        (CI_GRADCHECK, "15x12"),
+        (CI_GRADCHECK, "128x128"),
     ],
-    ids=["cosine", "quartic_lambda_1e4"],
+    ids=["cosine", "quartic_lambda_1e4", "ci_15x12", "ci_128x128"],
 )
-def test_gradcheck_passes_on_nonlinear_hamiltonians(tmp_path, n, ham):
+def test_gradcheck_passes_on_nonlinear_hamiltonians(tmp_path, config, grid):
     out = tmp_path / "out"
-    cfg = {"n": n, "seed": 4, "output_dir": str(out), "grid": {"n1": 16, "n2": 16}, "hamiltonian": ham}
-    code, _ = run_cli(tmp_path, "gradcheck", cfg)
+    code, _ = run_cli(tmp_path, "gradcheck", {**config, "output_dir": str(out)}, "--grid", grid)
     assert code == 0
     assert read_json(out / "gradcheck.json")["max_relative_error"] < 1e-6
 
 
-def test_gradcheck_corrupted_gradient_fails(tmp_path, monkeypatch):
-    # 1 + 3e-6 passes the construction check but not the gradient check.
+@pytest.mark.parametrize(
+    "config, grid, scale",
+    [
+        ({"n": 1, "seed": 5, "hamiltonian": {"name": "quadratic"}}, "16x16", 1.000003),
+        # 1 + 1e-9 fails CI's case by 1.5e3 times the bound and the 128^2 case by 19 times.
+        (CI_GRADCHECK, "15x12", 1 + 1e-9),
+        (CI_GRADCHECK, "128x128", 1 + 1e-9),
+    ],
+    ids=["quadratic_3e-6", "ci_15x12_1e-9", "ci_128x128_1e-9"],
+)
+def test_gradcheck_corrupted_gradient_fails(tmp_path, monkeypatch, config, grid, scale):
+    # Each scale passes the construction check but not the gradient check.
     make = crms.cli.make_hamiltonian
-    monkeypatch.setattr(crms.cli, "make_hamiltonian", lambda *args: with_scaled_gradient(make(*args), 1.000003))
+    monkeypatch.setattr(crms.cli, "make_hamiltonian", lambda *args: with_scaled_gradient(make(*args), scale))
     out = tmp_path / "out"
-    cfg = {
-        "n": 1,
-        "seed": 5,
-        "output_dir": str(out),
-        "grid": {"n1": 16, "n2": 16},
-        "hamiltonian": {"name": "quadratic"},
-    }
-    code, _ = run_cli(tmp_path, "gradcheck", cfg)
+    code, _ = run_cli(tmp_path, "gradcheck", {**config, "output_dir": str(out)}, "--grid", grid)
     assert code == 1
     report = read_json(out / "gradcheck.json")
-    assert report["max_relative_error"] > 1e-6
-    assert report["max_error_to_bound"] > 1.0
+    assert report["max_relative_error"] > 0.5 * (scale - 1.0)
+    assert report["max_error_to_bound"] > 10.0
 
 
-def test_gradcheck_report_is_strict_json_when_the_differences_overflow(tmp_path):
-    # Periods of 1e153 leave a finite cell area, but some Richardson differences overflow.
+def test_sum_roundings_counts_numpy_pairwise_order():
+    # The gradient check's K rests on numpy summing in this order: pin the sums bitwise and the counts.
+    rng = np.random.default_rng(12)
+    for m in [*range(1, 300), 1440, 2880, 4099, 131072]:
+        x = rng.normal(size=m) * np.exp(4.0 * rng.normal(size=m))
+        ((total,), depth) = pairwise_sum([(v,) for v in x.tolist()])
+        assert total == np.sum(x) and depth == _sum_roundings(m)
+        z = x + 1j * rng.normal(size=m)
+        ((re, im), depth) = pairwise_sum(list(zip(z.real.tolist(), z.imag.tolist())))
+        assert complex(re, im) == np.sum(z) and depth <= _sum_roundings(2 * m)
+
+
+@pytest.mark.parametrize("period", [1e-140, 1e-150])
+def test_gradcheck_complex_step_does_not_underflow_on_a_tiny_torus(tmp_path, period):
+    # Cell area 9.8e-284 at 1e-140: a step of 1e-200 underflowed h1 h2 Im A to zero (relative error 1).
     out = tmp_path / "out"
-    cfg = {"n": 2, "output_dir": str(out), "grid": {"l1": 1e153, "l2": 1e153}, "hamiltonian": {"name": "cosine"}}
-    assert run_cli(tmp_path, "gradcheck", cfg, "--grid", "16x16")[0] == 1
+    cfg = {"n": 1, "output_dir": str(out), "grid": {"l1": period, "l2": period}, "hamiltonian": {"name": "cosine"}}
+    assert run_cli(tmp_path, "gradcheck", cfg, "--grid", "32x32")[0] == 0
+    assert read_json(out / "gradcheck.json")["max_relative_error"] < 1e-12
+
+
+def test_gradcheck_zero_pairing_is_reported_as_null(tmp_path, monkeypatch):
+    # A constant field is critical for the zero Hamiltonian, so every pairing is exactly 0.
+    constant = lambda grid, n, amplitude, rng: FieldState(grid, np.full((grid.n1, grid.n2, 4 * n), 0.3))
+    monkeypatch.setattr(crms.cli, "random_smooth_state", constant)
+    out = tmp_path / "out"
+    cfg = {"n": 1, "output_dir": str(out), "grid": {"n1": 8, "n2": 8}, "hamiltonian": {"name": "zero"}}
+    assert run_cli(tmp_path, "gradcheck", cfg)[0] == 0
+    report = read_json(out / "gradcheck.json")
+    assert report["max_relative_error"] is None and set(report["relative_errors"]) == {None}
+    assert report["max_error_to_bound"] <= 1.0
+
+
+@pytest.mark.parametrize("period, code", [(1e153, 0), (1e155, 1)])
+def test_gradcheck_report_is_strict_json_when_the_differences_overflow(tmp_path, period, code):
+    # Periods of 1e153 leave every complex-step value finite; at 1e155 the pairings overflow.
+    out = tmp_path / "out"
+    cfg = {"n": 2, "output_dir": str(out), "grid": {"l1": period, "l2": period}, "hamiltonian": {"name": "cosine"}}
+    assert run_cli(tmp_path, "gradcheck", cfg, "--grid", "16x16")[0] == code
 
     def reject(token):
         raise ValueError(f"bare {token} token")
 
     report = json.loads((out / "gradcheck.json").read_text(), parse_constant=reject)
-    assert report["max_relative_error"] is None and None in report["relative_errors"]
+    if code == 0:
+        assert None not in report["relative_errors"] and len(report["relative_errors"]) == 20
+    else:
+        assert report["max_relative_error"] is None and None in report["relative_errors"]
 
 
 @pytest.mark.parametrize("command", ["flow", "gradcheck"])
@@ -699,14 +746,14 @@ def test_hamiltonian_that_fails_its_construction_check_is_config_error(tmp_path,
 
 
 def test_gradcheck_bound_absorbs_oracle_roundoff(tmp_path):
-    # A direction with pairing -1.5e-6 gives relative error 6.4e-5 from the
-    # oracle's roundoff alone; the error stays within 0.3 of the bound.
+    # A direction with pairing -1.5e-6 once gave Richardson a relative error of
+    # 6.4e-5; the complex step leaves it at 5.6e-11, 7.2e-5 of the bound.
     out = tmp_path / "out"
     cfg = {"n": 2, "output_dir": str(out), "hamiltonian": {"name": "cosine"}}
     code, _ = run_cli(tmp_path, "gradcheck", cfg, "--grid", "128x128", "--seed", "100")
     assert code == 0
     report = read_json(out / "gradcheck.json")
-    assert report["max_relative_error"] > 1e-6
+    assert report["max_relative_error"] < 1e-8
     assert report["max_error_to_bound"] < 1.0
 
 

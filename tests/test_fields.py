@@ -23,7 +23,7 @@ from crms.fields import (
 )
 from crms.linalg import standard_fiber_forms
 from crms.sampling import random_smooth_state
-from oracles import momenta_from_positions, roll_diff, stacked_bridges_operator, with_scaled_gradient
+from oracles import momenta_from_positions, richardson_directional, roll_diff, stacked_bridges_operator, with_scaled_gradient
 
 
 def random_state(grid: TorusGrid, n: int, seed: int, scale: float = 1.0) -> FieldState:
@@ -397,16 +397,6 @@ def test_gradient_is_minus_bridges_residual(grid, n, name):
     g = l2_gradient(state, ham)
     r = bridges_residual(state, ham)
     assert np.max(np.abs(g + r)) < 1e-13
-
-
-def richardson_directional(state: FieldState, ham, delta: np.ndarray) -> float:
-    d = []
-    for eps in (1e-3, 1e-4, 1e-5):
-        plus = action(state.with_values(state.values + eps * delta), ham)
-        minus = action(state.with_values(state.values - eps * delta), ham)
-        d.append((plus - minus) / (2.0 * eps))
-    r1 = [(100.0 * d[i + 1] - d[i]) / 99.0 for i in range(2)]
-    return (10_000.0 * r1[1] - r1[0]) / 9_999.0
 
 
 def test_gradient_matches_richardson_differences():
