@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import math
 import sys
@@ -28,10 +27,8 @@ from .fields import (
     BUILTIN_HAMILTONIANS,
     FieldState,
     TorusGrid,
-    _field_operator,
     bridges_residual,
-    diff,
-    l2_gradient,
+    gradient_check,
     make_hamiltonian,
     read_state,
     write_state,
@@ -370,10 +367,17 @@ def cmd_symbol(cfg: ExperimentConfig, out: Path) -> tuple[int, str]:
     return EXIT_OK if ok else EXIT_CHECK_FAILED, summary
 
 
+def _smooth_state(cfg: ExperimentConfig, amplitude: float, rng: np.random.Generator) -> FieldState:
+    """The seeded smooth field; one that is not finite (its mode table overflowed) is a config error."""
+    try:
+        return random_smooth_state(cfg.grid, cfg.n, amplitude, rng)
+    except ValueError as err:
+        raise ConfigError(f"seeded field on periods ({cfg.grid.l1!r}, {cfg.grid.l2!r}): {err}") from None
+
+
 def _initial_state(cfg: ExperimentConfig) -> FieldState:
     if cfg.initial_mode == "random_smooth":
-        rng = np.random.default_rng(cfg.seed)
-        return random_smooth_state(cfg.grid, cfg.n, cfg.initial_amplitude, rng)
+        return _smooth_state(cfg, cfg.initial_amplitude, np.random.default_rng(cfg.seed))
     if cfg.initial_mode == "constant":
         values = np.full((cfg.grid.n1, cfg.grid.n2, 4 * cfg.n), cfg.initial_value)
         return FieldState(cfg.grid, values)
@@ -439,74 +443,12 @@ def cmd_flow(cfg: ExperimentConfig, out: Path) -> tuple[int, str]:
     return EXIT_OK if trace.converged else EXIT_CHECK_FAILED, summary
 
 
-# A power of two, so eps delta and 1/eps are exact.  Im A is h1 h2 eps times the pairing's terms, the
-# largest ~ |Z| |delta| / min(h1, h2), and h1 h2 / min(h1, h2) >= sqrt(h1 h2) >= 2^-511 on any TorusGrid:
-# 2^-844 ~ 1e-254 stays normal (eps = 1e-200 underflowed at periods 1e-140).  Truncation: O(eps^2).
-COMPLEX_STEP = 2.0**-333
-
-
-@functools.cache
-def _sum_roundings(m: int) -> int:
-    """The most roundings a term takes in numpy's pairwise sum of m floats.
-
-    numpy adds fewer than 8 floats in turn.  Up to 128 it adds every eighth float into one of eight
-    accumulators, joins them by a tree of depth 3 and adds the last m % 8 in turn.  Above 128 it sums
-    the halves (the first a multiple of 8) apart and adds them.  A sum of m complex entries runs the
-    same recursion on its 2m interleaved floats, four accumulators a part: at most _sum_roundings(2m).
-    """
-    if m <= 128:
-        return m - 1 if m < 8 else m // 8 + 2 + m % 8
-    half = m // 2 - m // 2 % 8
-    return 1 + max(_sum_roundings(half), _sum_roundings(m - half))
-
-
-def _gradient_check(state: FieldState, ham, deltas) -> tuple[list[float], list[float]]:
-    """Compare c = Im A(Z + i eps delta) / eps with p = h1 h2 <g, delta>, g the gradient, along each delta.
-
-    Returns each |c - p| / |p| and each |c - p| over the bound gamma_K h1 h2 sum(|delta| |LZ| +
-    |Z| |L delta| + |delta| |∇H|), with gamma_K = K u / (1 - K u), u = 2^-53 (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., §3.1) and |Lx| = |J1 ∂1 x| + |J2 ∂2 x|, since apply
-    rounds each term on its own.  K adds the most roundings a term of c takes to the most a term of
-    p takes, with s = _sum_roundings, N entries and M points:
-    - c, L terms: 3 in a difference (numpy divides a complex array by 2h as a product with 1/(2h)),
-      1 where the directions add (the GEMMs against the signed permutations Ji.T are exact), 2 in
-      the complex product, s(2N), and 2 for the H sum's subtraction and h1 h2 (1/2 and 1/eps are exact).
-    - c, H terms: 4 in a built-in's entry (sin to 1 ulp and a product, or z^4 by two squarings),
-      1 for lambda, s(4n) over the fiber, 1 where P and q add, s(2M), and the same 2.
-    - p: 2 in a difference, 1 where the directions add, 1 for -∇H (itself at most 3), 1 for delta,
-      s(N), and 1 for h1 h2.
-    A non-finite error or bound fails; a zero pairing's relative error is not finite.
-    """
-    op = _field_operator(state, ham)
-    z, area, (n1, n2, dim) = state.values, state.grid.cell_area, state.values.shape
-    grad = l2_gradient(state, ham)
-
-    def size_of_l(x: np.ndarray) -> np.ndarray:  # |Lx|
-        terms = (np.abs(diff(x, state.grid, i).reshape(-1, dim) @ jt) for i, jt in ((1, op.j1t), (2, op.j2t)))
-        return sum(terms).reshape(x.shape)
-
-    delta_weight = size_of_l(z) + np.abs(ham.gradient(z))
-    m = n1 * n2
-    k = 14 + max(_sum_roundings(2 * m * dim), _sum_roundings(dim) + _sum_roundings(2 * m)) + _sum_roundings(m * dim)
-    gamma = k * 2.0**-53 / (1.0 - k * 2.0**-53)
-    errors, ratios = [], []
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for delta in deltas:
-            w = z + 1j * COMPLEX_STEP * delta
-            pairing = area * np.sum(grad * delta)
-            err = abs(op.action(w, ham, op.apply(w)).imag / COMPLEX_STEP - pairing)
-            bound = gamma * area * np.sum(np.abs(delta) * delta_weight + np.abs(z) * size_of_l(delta))
-            errors.append(float(err / abs(pairing)))
-            ratios.append(float(err / bound))
-    return errors, ratios
-
-
 def cmd_gradcheck(cfg: ExperimentConfig, out: Path) -> tuple[int, str]:
     ham = _hamiltonian(cfg)
     rng = np.random.default_rng(cfg.seed)
-    state = random_smooth_state(cfg.grid, cfg.n, 0.5, rng)
+    state = _smooth_state(cfg, 0.5, rng)
     deltas = (rng.normal(size=state.values.shape) for _ in range(cfg.gradcheck_directions))
-    errors, ratios = _gradient_check(state, ham, deltas)
+    errors, ratios = gradient_check(state, ham, deltas)
     max_err = float(np.max(errors))
     max_ratio = float(np.max(ratios))
     _write_report(

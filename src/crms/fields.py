@@ -30,8 +30,6 @@ import numpy as np
 from .errors import DimensionMismatchError
 from .linalg import _readonly, standard_fiber_forms
 
-GRADIENT_CHECK_TOL = 1e-5  # relative, enforced when a Hamiltonian is built
-
 MAGIC = b"CRMS"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sIIIIdd")  # magic, version, n1, n2, n, l1, l2
@@ -136,23 +134,42 @@ def diff(values: np.ndarray, grid: TorusGrid, direction: int) -> np.ndarray:
 
 FiberFunction = Callable[[np.ndarray], np.ndarray]
 
+# A power of two, so eps delta and 1/eps are exact.  Im A is h1 h2 eps times the pairing's terms, the
+# largest ~ |Z| |delta| / min(h1, h2), and h1 h2 / min(h1, h2) >= sqrt(h1 h2) >= 2^-511 on any TorusGrid:
+# 2^-844 ~ 1e-254 stays normal (eps = 1e-200 underflowed at periods 1e-140).  Truncation: O(eps^2).
+COMPLEX_STEP = 2.0**-333
+
+
+@functools.cache
+def _sum_roundings(m: int) -> int:
+    """The most roundings a term takes in numpy's pairwise sum of m floats.
+
+    numpy adds fewer than 8 floats in turn.  Up to 128 it adds every eighth float into one of eight
+    accumulators, joins them by a tree of depth 3 and adds the last m % 8 in turn.  Above 128 it sums
+    the halves (the first a multiple of 8) apart and adds them.  A sum of m complex entries runs the
+    same recursion on its 2m interleaved floats, four accumulators a part: at most _sum_roundings(2m).
+    """
+    if m <= 128:
+        return m - 1 if m < 8 else m // 8 + 2 + m % 8
+    half = m // 2 - m // 2 % 8
+    return 1 + max(_sum_roundings(half), _sum_roundings(m - half))
+
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
     """A Hamiltonian density H(Z) as a value/gradient pair of fiber functions.
 
-    ``value(z)`` maps fiber values of shape (..., dim) to densities of shape
-    (...,); ``gradient(z)`` returns the fiber gradient with shape (..., dim).
-    H depends on the fiber value only, not on the base point.  Consistency of
-    the pair is asserted at construction against central finite differences
-    at seeded sample points, so user extensions cannot silently decouple the
-    two.  ``value`` is called once per side, on the points shifted along each
-    component and stacked as (dim, 6, dim).  The error is taken above each
-    difference's roundoff floor u max|H(z ± eps)| / eps, so a large H is not
-    rejected for cancellation, and is relative to the differences' own size
-    max|fd|, with no floor at 1, so a scaled-down H is held to the same bound.
-    ``crms gradcheck`` takes a complex step, so there ``value`` must accept complex
-    input and be complex-analytic; the construction check stays finite differences.
+    ``value(z)`` maps fiber values of shape (..., dim) to densities of shape (...,);
+    ``gradient(z)`` returns the fiber gradient with shape (..., dim).  H depends on the
+    fiber value only.  ``value`` must take complex input and be complex-analytic, real on
+    real input: construction checks the gradient, as ``crms gradcheck`` checks the action's,
+    against the complex step d = Im value(z + i eps e_c) / eps, exact to roundoff, at six
+    seeded points moved along every component in one (dim, 6, dim) call.  It fails unless
+    every value's real part is finite and max|gradient - d| <= gamma_K max|d| (gamma_K as in
+    gradient_check, no floor at 1), K = 9 + _sum_roundings(dim) for both sides: 4 in a built-in
+    entry's imaginary part (sin to 1 ulp and a product, or z^4 by two squarings), 1 for lambda,
+    the complex sum of 2n q or P entries, 1 where they add, and at most 3 in its gradient.
+    Only the moved entry has an imaginary part, so max|d| scales both sides.
     """
 
     name: str
@@ -167,20 +184,17 @@ class HamiltonianSpec:
         grad = np.asarray(self.gradient(z), dtype=float)
         if grad.shape != z.shape:
             raise ValueError(f"gradient returned shape {grad.shape}, expected {z.shape}")
-        eps = 1e-6
-        # Row c of the batch is the six points with component c moved.
-        step = eps * np.eye(self.fiber_dim)[:, None, :]
-        hp, hm = np.asarray(self.value(z + step)), np.asarray(self.value(z - step))
-        fd = ((hp - hm) / (2 * eps)).T
-        # Each value carries a roundoff of about u |H|, which the difference
-        # divides by eps: a large H would fail a purely relative bound.
-        floor = (np.finfo(float).eps * np.maximum(np.abs(hp), np.abs(hm)) / eps).T
-        err = float(np.max(np.abs(grad - fd) - floor))
-        scale = float(np.max(np.abs(fd)))
-        if not err <= GRADIENT_CHECK_TOL * scale:  # an overflow makes err NaN, which fails too
+        h = np.asarray(self.value(z + 1j * COMPLEX_STEP * np.eye(self.fiber_dim)[:, None, :]))
+        if not np.all(np.isfinite(h.real)):
+            raise ValueError(f"value of '{self.name}' is not finite at the construction check's points")
+        d = h.imag.T / COMPLEX_STEP
+        k = 9 + _sum_roundings(self.fiber_dim)
+        bound = k * 2.0**-53 / (1.0 - k * 2.0**-53) * float(np.max(np.abs(d)))
+        err = float(np.max(np.abs(grad - d)))
+        if not err <= bound < np.inf:  # a NaN error fails too
             raise ValueError(
-                f"gradient of '{self.name}' disagrees with finite differences "
-                f"(error {err:.2e} > {GRADIENT_CHECK_TOL:.0e} max|fd| = {GRADIENT_CHECK_TOL * scale:.2e})"
+                f"gradient of '{self.name}' disagrees with the complex step of its value (error {err:.2e} >"
+                f" bound {bound:.2e}); value must be complex-analytic and real on real input"
             )
 
 
@@ -324,6 +338,47 @@ def l2_gradient(state: FieldState, ham: HamiltonianSpec) -> np.ndarray:
     """
     op = _field_operator(state, ham)
     return op.gradient(state.values, ham, op.apply(state.values))
+
+
+def gradient_check(state: FieldState, ham: HamiltonianSpec, deltas) -> tuple[list[float], list[float]]:
+    """Compare c = Im A(Z + i eps delta) / eps with p = h1 h2 <g, delta>, g the gradient, along each delta.
+
+    Returns each |c - p| / |p| and each |c - p| over the bound gamma_K h1 h2 sum(|delta| |LZ| +
+    |Z| |L delta| + |delta| |∇H|), with gamma_K = K u / (1 - K u), u = 2^-53 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., §3.1) and |Lx| = |J1 ∂1 x| + |J2 ∂2 x|, since apply
+    rounds each term on its own.  K adds the most roundings a term of c takes to the most a term of
+    p takes, with s = _sum_roundings, N entries and M points:
+    - c, L terms: 3 in a difference (numpy divides a complex array by 2h as a product with 1/(2h)),
+      1 where the directions add (the GEMMs against the signed permutations Ji.T are exact), 2 in
+      the complex product, s(2N), and 2 for the H sum's subtraction and h1 h2 (1/2 and 1/eps are exact).
+    - c, H terms: 4 in a built-in's entry (sin to 1 ulp and a product, or z^4 by two squarings),
+      1 for lambda, s(4n) over the fiber, 1 where P and q add, s(2M), and the same 2.
+    - p: 2 in a difference, 1 where the directions add, 1 for -∇H (itself at most 3), 1 for delta,
+      s(N), and 1 for h1 h2.
+    A non-finite error or bound fails; a zero pairing's relative error is not finite.
+    """
+    op = _field_operator(state, ham)
+    z, area, (n1, n2, dim) = state.values, state.grid.cell_area, state.values.shape
+    grad = l2_gradient(state, ham)
+
+    def size_of_l(x: np.ndarray) -> np.ndarray:  # |Lx|
+        terms = (np.abs(diff(x, state.grid, i).reshape(-1, dim) @ jt) for i, jt in ((1, op.j1t), (2, op.j2t)))
+        return sum(terms).reshape(x.shape)
+
+    delta_weight = size_of_l(z) + np.abs(ham.gradient(z))
+    m = n1 * n2
+    k = 14 + max(_sum_roundings(2 * m * dim), _sum_roundings(dim) + _sum_roundings(2 * m)) + _sum_roundings(m * dim)
+    gamma = k * 2.0**-53 / (1.0 - k * 2.0**-53)
+    errors, ratios = [], []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for delta in deltas:
+            w = z + 1j * COMPLEX_STEP * delta
+            pairing = area * np.sum(grad * delta)
+            err = abs(op.action(w, ham, op.apply(w)).imag / COMPLEX_STEP - pairing)
+            bound = gamma * area * np.sum(np.abs(delta) * delta_weight + np.abs(z) * size_of_l(delta))
+            errors.append(float(err / abs(pairing)))
+            ratios.append(float(err / bound))
+    return errors, ratios
 
 
 # ---------------------------------------------------------------------------

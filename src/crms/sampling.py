@@ -98,6 +98,7 @@ def compatible_reference(n: int, rng: np.random.Generator) -> SpdMatrix:
     return SpdMatrix(0.5 * (r + i_fib.T @ r @ i_fib))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def random_smooth_state(grid, n: int, amplitude: float, rng: np.random.Generator):
     """Random Fourier data with modes |k1|, |k2| <= 2, scaled to a sup-norm.
 
@@ -106,6 +107,7 @@ def random_smooth_state(grid, n: int, amplitude: float, rng: np.random.Generator
     component c is X1^T M_c X2, with 10 x N_i tables X_i = [cos; sin](k 2π/l_i h_i j), k = -2..2,
     and M_c = [[a_c, b_c], [b_c, -a_c]]: 10 (N1 + N2) cos/sin calls, not 50 N1 N2.  The einsums
     run without ``optimize``, fixed-order loops with no BLAS call, so no thread count changes a byte.
+    A period below ~7e-308 overflows k 2π/l_i, and FieldState rejects the non-finite field.
     """
     # One (a, b) pair per component and mode (k1, k2), drawn component-major, k2 fastest.
     a, b = np.moveaxis(rng.normal(size=(4 * n, 5, 5, 2)), -1, 0)

@@ -1,5 +1,7 @@
 """Test fixtures that build inputs for the suite; not collected by pytest."""
 
+import copy
+
 import numpy as np
 
 from crms.darboux import CrpsPair
@@ -22,9 +24,16 @@ def standard_pair(n: int) -> CrpsPair:
 def with_scaled_gradient(ham: HamiltonianSpec, scale: float) -> HamiltonianSpec:
     """ham with its gradient times scale: the negative control of the gradient checks.
 
-    The construction check runs on the result, so a scale outside its
-    tolerance raises ValueError here.
+    A copy of the checked ham with the gradient replaced, so the construction
+    check, which rejects any scale but 1 of a nonzero gradient, does not run.
     """
+    scaled = copy.copy(ham)
+    object.__setattr__(scaled, "gradient", lambda z: scale * ham.gradient(z))
+    return scaled
+
+
+def checked_scaled_gradient(ham: HamiltonianSpec, scale: float) -> HamiltonianSpec:
+    """A HamiltonianSpec of ham's value and scale times its gradient, built through the construction check."""
     return HamiltonianSpec(ham.name, ham.fiber_dim, ham.value, lambda z: scale * ham.gradient(z))
 
 

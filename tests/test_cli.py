@@ -18,13 +18,13 @@ import crms.cli
 import crms.darboux
 import crms.fields
 import crms.linalg
-from crms.cli import COMMANDS, ExperimentConfig, _check_size, _sum_roundings, main, parse_config
+from crms.cli import COMMANDS, ExperimentConfig, _check_size, main, parse_config
 from crms.errors import ConfigError
 from crms.fields import FieldState, TorusGrid, read_state, write_state
 from crms.flow import FlowConfig
 from crms.linalg import validate_crms
 from crms.sampling import break_i_compatibility, drop_quadruple_block, random_crms_form
-from oracles import pairwise_sum, with_scaled_gradient
+from oracles import checked_scaled_gradient, with_scaled_gradient
 
 
 @pytest.fixture(autouse=True)
@@ -640,7 +640,7 @@ CI_GRADCHECK = {"n": 2, "grid": {"l1": 3.0, "l2": 5.0}, "hamiltonian": {"name": 
     "config, grid",
     [
         ({"n": 1, "seed": 4, "hamiltonian": {"name": "cosine", "parameters": {"lambda": 0.8}}}, "16x16"),
-        # The construction check's roundoff floor lets this exact gradient through.
+        # A large lambda: the construction check subtracts nothing, so no cancellation rejects it.
         ({"n": 2, "seed": 4, "hamiltonian": {"name": "quartic", "parameters": {"lambda": 1e4}}}, "16x16"),
         # CI's cases: 1.6e-3 and 6.8e-5 of the bound.
         (CI_GRADCHECK, "15x12"),
@@ -666,7 +666,7 @@ def test_gradcheck_passes_on_nonlinear_hamiltonians(tmp_path, config, grid):
     ids=["quadratic_3e-6", "ci_15x12_1e-9", "ci_128x128_1e-9"],
 )
 def test_gradcheck_corrupted_gradient_fails(tmp_path, monkeypatch, config, grid, scale):
-    # Each scale passes the construction check but not the gradient check.
+    # with_scaled_gradient skips the construction check, which rejects each scale too.
     make = crms.cli.make_hamiltonian
     monkeypatch.setattr(crms.cli, "make_hamiltonian", lambda *args: with_scaled_gradient(make(*args), scale))
     out = tmp_path / "out"
@@ -675,18 +675,6 @@ def test_gradcheck_corrupted_gradient_fails(tmp_path, monkeypatch, config, grid,
     report = read_json(out / "gradcheck.json")
     assert report["max_relative_error"] > 0.5 * (scale - 1.0)
     assert report["max_error_to_bound"] > 10.0
-
-
-def test_sum_roundings_counts_numpy_pairwise_order():
-    # The gradient check's K rests on numpy summing in this order: pin the sums bitwise and the counts.
-    rng = np.random.default_rng(12)
-    for m in [*range(1, 300), 1440, 2880, 4099, 131072]:
-        x = rng.normal(size=m) * np.exp(4.0 * rng.normal(size=m))
-        ((total,), depth) = pairwise_sum([(v,) for v in x.tolist()])
-        assert total == np.sum(x) and depth == _sum_roundings(m)
-        z = x + 1j * rng.normal(size=m)
-        ((re, im), depth) = pairwise_sum(list(zip(z.real.tolist(), z.imag.tolist())))
-        assert complex(re, im) == np.sum(z) and depth <= _sum_roundings(2 * m)
 
 
 @pytest.mark.parametrize("period", [1e-140, 1e-150])
@@ -729,20 +717,35 @@ def test_gradcheck_report_is_strict_json_when_the_differences_overflow(tmp_path,
 
 @pytest.mark.parametrize("command", ["flow", "gradcheck"])
 def test_hamiltonian_that_fails_its_construction_check_is_config_error(tmp_path, capsys, monkeypatch, command):
-    # A gradient 1.001 times cosine's fails the finite-difference check that
-    # builds the Hamiltonian; lambda = 1e308 overflows it to a NaN error,
+    # A gradient 1.001 times cosine's fails the complex-step check that
+    # builds the Hamiltonian; lambda = 1e308 overflows quartic's value,
     # which fails it too.
     make = crms.cli.make_hamiltonian
-    corrupted = lambda *args: with_scaled_gradient(make(*args), 1.001)
-    for ham, build in (({"name": "cosine"}, corrupted), ({"name": "quartic", "parameters": {"lambda": 1e308}}, make)):
+    corrupted = lambda *args: checked_scaled_gradient(make(*args), 1.001)
+    for ham, build, message in (
+        ({"name": "cosine"}, corrupted, "disagrees with the complex step"),
+        ({"name": "quartic", "parameters": {"lambda": 1e308}}, make, "is not finite"),
+    ):
         monkeypatch.setattr(crms.cli, "make_hamiltonian", build)
         out = tmp_path / "out"
         cfg = {"n": 1, "output_dir": str(out), "grid": {"n1": 16, "n2": 16}, "hamiltonian": ham}
         assert run_cli(tmp_path, command, cfg)[0] == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
-        assert "disagrees with finite differences" in err
+        assert message in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["flow", "gradcheck"])
+def test_seeded_field_that_overflows_is_config_error(tmp_path, capsys, command):
+    # 2π/l2 overflows at l2 = 4e-320, so the seeded field's mode table is not
+    # finite; the cell area 1.25e-307 is a normal double, so the torus is valid.
+    out = tmp_path / "out"
+    cfg = {"n": 1, "output_dir": str(out), "grid": {"n1": 8, "n2": 8, "l1": 1e14, "l2": 4e-320}}
+    assert run_cli(tmp_path, command, cfg)[0] == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: seeded field on periods") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_gradcheck_bound_absorbs_oracle_roundoff(tmp_path):

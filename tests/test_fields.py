@@ -9,10 +9,12 @@ import pytest
 from crms.errors import DimensionMismatchError
 from crms.fields import (
     BUILTIN_HAMILTONIANS,
+    COMPLEX_STEP,
     FieldState,
     HamiltonianSpec,
     TorusGrid,
     _operator_on,
+    _sum_roundings,
     action,
     bridges_residual,
     diff,
@@ -23,7 +25,15 @@ from crms.fields import (
 )
 from crms.linalg import standard_fiber_forms
 from crms.sampling import random_smooth_state
-from oracles import momenta_from_positions, richardson_directional, roll_diff, stacked_bridges_operator, with_scaled_gradient
+from oracles import (
+    checked_scaled_gradient,
+    momenta_from_positions,
+    pairwise_sum,
+    richardson_directional,
+    roll_diff,
+    stacked_bridges_operator,
+    with_scaled_gradient,
+)
 
 
 def random_state(grid: TorusGrid, n: int, seed: int, scale: float = 1.0) -> FieldState:
@@ -152,7 +162,7 @@ def test_field_operator_is_the_stacked_matmul_form_bitwise(n, grid, kind):
 
 
 def test_builtin_hamiltonians_construct():
-    # The construction check's tolerance is relative to the differences' own
+    # The construction check's bound is relative to the complex step's own
     # size, with no floor at 1, so a small lambda passes it as a large one does.
     for name in BUILTIN_HAMILTONIANS:
         for n in (1, 2):
@@ -167,41 +177,92 @@ def test_unknown_hamiltonian_rejected():
 
 def test_grossly_corrupted_gradient_rejected_at_construction():
     with pytest.raises(ValueError):
-        with_scaled_gradient(make_hamiltonian("quadratic", 1), 1.001)
+        checked_scaled_gradient(make_hamiltonian("quadratic", 1), 1.001)
 
 
-def test_overflowing_finite_difference_rejected_at_construction():
-    # The check's error is NaN here, and fails it; the suite makes any
-    # RuntimeWarning of the overflow an error.
-    with pytest.raises(ValueError, match="nan"):
+def test_overflowing_value_rejected_at_construction():
+    # The real part overflows to inf, which fails the check; the suite makes
+    # any RuntimeWarning of the overflow an error.
+    with pytest.raises(ValueError, match="not finite"):
         make_hamiltonian("quartic", 1, lam=1e308)
 
 
 @pytest.mark.parametrize("name, lam, n", [("quartic", 1e4, 2), ("quadratic", 1e6, 1), ("cosine", 1e5, 2)])
 def test_exact_gradient_at_large_lambda_passes_construction(name, lam, n):
-    # The P entries of the differences lose u |H| / eps to cancellation, which
-    # the roundoff floor forgives; a corrupted gradient stays rejected.
+    # The complex step subtracts nothing, so a large H costs no cancellation
+    # and needs no roundoff floor; a corrupted gradient stays rejected.
     assert make_hamiltonian(name, n, lam=lam).fiber_dim == 4 * n
-    with pytest.raises(ValueError, match="disagrees with finite differences"):
-        with_scaled_gradient(make_hamiltonian(name, n, lam=lam), 1.001)
+    with pytest.raises(ValueError, match="disagrees with the complex step"):
+        checked_scaled_gradient(make_hamiltonian(name, n, lam=lam), 1.001)
 
 
-def test_subtly_corrupted_gradient_passes_construction():
-    # Below the construction tolerance but above the gradcheck tolerance.
-    ham = with_scaled_gradient(make_hamiltonian("quadratic", 1), 1.0 + 3e-6)
-    assert ham.fiber_dim == 4
+@pytest.mark.parametrize("scale", [1.0 + 3e-6, 1.0 + 1e-9, 1.0 - 1e-12])
+def test_subtly_corrupted_gradient_rejected_at_construction(scale):
+    # Each is far inside a relative 1e-5, and far outside the bound of about 12 u max|d|.
+    with pytest.raises(ValueError, match="disagrees with the complex step"):
+        checked_scaled_gradient(make_hamiltonian("quadratic", 1), scale)
 
 
 def test_custom_hamiltonian_with_wrong_gradient_rejected():
     # The check has no floor at 1: the half gradient of a small H fails it too.
     for s in (1.0, 1e-3, 1e-6, 1e-9, 1e-12):
-        with pytest.raises(ValueError, match="disagrees with finite differences"):
+        with pytest.raises(ValueError, match="disagrees with the complex step"):
             HamiltonianSpec(
                 name="broken",
                 fiber_dim=4,
                 value=lambda z: s * np.sum(z**2, axis=-1),
                 gradient=lambda z: s * z,  # off by a factor 2
             )
+
+
+def test_value_that_is_not_complex_analytic_rejected():
+    # |z|^2 built on np.abs has the right real gradient, but its complex step is 0.
+    with pytest.raises(ValueError, match="complex-analytic"):
+        HamiltonianSpec("abs", 4, lambda z: np.sum(np.abs(z) ** 2, axis=-1), lambda z: 2.0 * z)
+
+
+def test_sum_roundings_counts_numpy_pairwise_order():
+    # The gradient checks' K rests on numpy summing in this order: pin the sums bitwise and the counts.
+    rng = np.random.default_rng(12)
+    for m in [*range(1, 300), 1440, 2880, 4099, 131072]:
+        x = rng.normal(size=m) * np.exp(4.0 * rng.normal(size=m))
+        ((total,), depth) = pairwise_sum([(v,) for v in x.tolist()])
+        assert total == np.sum(x) and depth == _sum_roundings(m)
+        z = x + 1j * rng.normal(size=m)
+        ((re, im), depth) = pairwise_sum(list(zip(z.real.tolist(), z.imag.tolist())))
+        assert complex(re, im) == np.sum(z) and depth <= _sum_roundings(2 * m)
+
+
+# At lambda = ±1e308 the built-ins whose values overflow at the check's points; all others pass.
+OVERFLOWING_AT_1E308 = {("quadratic", 2), ("quadratic", 3), ("quartic", 1), ("quartic", 2), ("quartic", 3),
+                        ("cosine", 2), ("cosine", 3)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name", BUILTIN_HAMILTONIANS)
+def test_construction_verdicts_across_lambda(name, n):
+    # Every built-in passes at every lambda its values do not overflow, and a
+    # gradient off by a relative 1e-9 fails unless it is zero.
+    lams = [s * 10.0**k for k in range(-12, 13) for s in (1.0, -1.0)] + [0.0, 1e100, 1e200, 1e308, -1e308]
+    z = np.random.default_rng(20240901).normal(size=(6, 4 * n))
+    k = 9 + _sum_roundings(4 * n)
+    worst = 0.0
+    for lam in lams:
+        if abs(lam) == 1e308 and (name, n) in OVERFLOWING_AT_1E308:
+            with pytest.raises(ValueError, match="not finite"):
+                make_hamiltonian(name, n, lam)
+            continue
+        ham = make_hamiltonian(name, n, lam)
+        d = ham.value(z + 1j * COMPLEX_STEP * np.eye(4 * n)[:, None, :]).imag.T / COMPLEX_STEP
+        bound = k * 2.0**-53 / (1.0 - k * 2.0**-53) * np.max(np.abs(d))
+        if bound > 0.0:
+            worst = max(worst, np.max(np.abs(ham.gradient(z) - d)) / bound)
+        if name == "zero":
+            checked_scaled_gradient(ham, 1.0 + 1e-9)
+        else:
+            with pytest.raises(ValueError, match="disagrees with the complex step"):
+                checked_scaled_gradient(ham, 1.0 + 1e-9)
+    print(f"{name}, n = {n}: worst construction error / bound {worst:.3e}")
 
 
 def where_gradient(name: str, n: int, lam: float):
@@ -263,16 +324,16 @@ def test_lambda_is_a_number():
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_construction_check_calls_value_once_per_side(n):
+def test_construction_check_calls_value_once(n):
     ham = make_hamiltonian("cosine", n)
-    shapes = []
+    batches = []
 
     def value(z):
-        shapes.append(np.shape(z))
+        batches.append((np.shape(z), z.dtype))
         return ham.value(z)
 
     HamiltonianSpec(ham.name, ham.fiber_dim, value, ham.gradient)
-    assert shapes == [(4 * n, 6, 4 * n)] * 2
+    assert batches == [((4 * n, 6, 4 * n), np.complex128)]
 
 # --- action ------------------------------------------------------------------
 
