@@ -33,7 +33,7 @@ from .fields import (
     read_state,
     write_state,
 )
-from .flow import INTEGRATORS, STABILITY_KAPPA, FlowConfig, fueter_residual, run_flow, write_trace_csv
+from .flow import INTEGRATORS, FlowConfig, fueter_residual, run_flow, stability_bound, write_trace_csv
 from .linalg import standard_complex_structure, standard_crms_form, validate_crms
 from .sampling import (
     break_i_compatibility,
@@ -173,7 +173,7 @@ def parse_config(raw: dict, command: str) -> ExperimentConfig:
         raise ConfigError(f"flow integrator must be one of {INTEGRATORS}")
     ds = _expect(flow, "ds", float, None)
     if ds is None:
-        ds = 0.5 * STABILITY_KAPPA[integrator] * min(cfg.grid.h1, cfg.grid.h2)
+        ds = 0.5 * stability_bound(integrator, cfg.grid)
     max_steps = _expect(flow, "max_steps", int, 10000)
     cfg.flow = FlowConfig(
         ds=ds,

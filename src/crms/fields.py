@@ -10,7 +10,9 @@ standard_fiber_forms(n), which follows from n alone and is cached read-only;
 the conformal factor is fixed to 1 and the connection is the trivial product
 connection.  One private field operator per grid and n holds read-only
 transposed copies of that pair and evaluates J1 ∂1 Z + J2 ∂2 Z, the action
-and the gradient for this module and the flow.
+and the gradient for this module and the flow.  Only its ``terms`` take differences:
+J1 ∂1 Z and J2 ∂2 Z, which ``apply`` sums and gradient_check bounds.  The one other
+caller of diff is bridges_residual, written out by components as the reference.
 
 Grid sums use numpy's pairwise reductions, so results are deterministic for
 a fixed shape regardless of threading.
@@ -155,6 +157,11 @@ def _sum_roundings(m: int) -> int:
     return 1 + max(_sum_roundings(half), _sum_roundings(m - half))
 
 
+def _gamma(k: int) -> float:
+    """K u / (1 - K u), u = 2^-53: the relative error bound of K roundings (Higham, 2002, §3.1)."""
+    return k * 2.0**-53 / (1.0 - k * 2.0**-53)
+
+
 @dataclass(frozen=True)
 class HamiltonianSpec:
     """A Hamiltonian density H(Z) as a value/gradient pair of fiber functions.
@@ -165,8 +172,8 @@ class HamiltonianSpec:
     real input: construction checks the gradient, as ``crms gradcheck`` checks the action's,
     against the complex step d = Im value(z + i eps e_c) / eps, exact to roundoff, at six
     seeded points moved along every component in one (dim, 6, dim) call.  It fails unless
-    every value's real part is finite and max|gradient - d| <= gamma_K max|d| (gamma_K as in
-    gradient_check, no floor at 1), K = 9 + _sum_roundings(dim) for both sides: 4 in a built-in
+    every value's real part is finite and max|gradient - d| <= gamma_K max|d| (gamma_K = _gamma(K),
+    no floor at 1), K = 9 + _sum_roundings(dim) for both sides: 4 in a built-in
     entry's imaginary part (sin to 1 ulp and a product, or z^4 by two squarings), 1 for lambda,
     the complex sum of 2n q or P entries, 1 where they add, and at most 3 in its gradient.
     Only the moved entry has an imaginary part, so max|d| scales both sides.
@@ -179,17 +186,19 @@ class HamiltonianSpec:
 
     @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
+        dim = self.fiber_dim
+        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 4 or dim % 4 != 0:
+            raise DimensionMismatchError("fiber dimension must be a positive multiple of 4")
         rng = np.random.default_rng(20240901)
-        z = rng.normal(size=(6, self.fiber_dim))
+        z = rng.normal(size=(6, dim))
         grad = np.asarray(self.gradient(z), dtype=float)
         if grad.shape != z.shape:
             raise ValueError(f"gradient returned shape {grad.shape}, expected {z.shape}")
-        h = np.asarray(self.value(z + 1j * COMPLEX_STEP * np.eye(self.fiber_dim)[:, None, :]))
+        h = np.asarray(self.value(z + 1j * COMPLEX_STEP * np.eye(dim)[:, None, :]))
         if not np.all(np.isfinite(h.real)):
             raise ValueError(f"value of '{self.name}' is not finite at the construction check's points")
         d = h.imag.T / COMPLEX_STEP
-        k = 9 + _sum_roundings(self.fiber_dim)
-        bound = k * 2.0**-53 / (1.0 - k * 2.0**-53) * float(np.max(np.abs(d)))
+        bound = _gamma(9 + _sum_roundings(dim)) * float(np.max(np.abs(d)))
         err = float(np.max(np.abs(grad - d)))
         if not err <= bound < np.inf:  # a NaN error fails too
             raise ValueError(
@@ -215,11 +224,13 @@ def make_hamiltonian(name: str, n: int, lam: float = 1.0) -> HamiltonianSpec:
 
     Built-ins: ``zero``; ``quadratic_p`` = |P|^2/2; ``quadratic`` =
     |P|^2/2 + lam |q|^2/2; ``quartic`` = |P|^2/2 + lam sum(q_c^4);
-    ``cosine`` = |P|^2/2 + lam sum(cos q_c).  Unknown names are rejected, and
-    so is a lam whose Hamiltonian fails HamiltonianSpec's construction check.
+    ``cosine`` = |P|^2/2 + lam sum(cos q_c).  Rejected: unknown names, an n that is not
+    a positive int (bools too), a lam whose H fails HamiltonianSpec's construction check.
     """
     if name not in _SEPARABLE:
         raise ValueError(f"unknown Hamiltonian '{name}'")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
     f, df = _SEPARABLE[name]
     lam = float(lam)
     if f is np.zeros_like:  # no q-part: with lam = 0, lam * f'(q) is +0.0 whatever the sign of lam
@@ -266,10 +277,15 @@ class _FieldOperator:
     j1t: np.ndarray = field(repr=False)
     j2t: np.ndarray = field(repr=False)
 
+    def terms(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """J1 ∂1 Z and J2 ∂2 Z as (n1 n2, 4n) arrays, each one flat diff and one GEMM."""
+        g, dim = self.grid, values.shape[-1]
+        return diff(values, g, 1).reshape(-1, dim) @ self.j1t, diff(values, g, 2).reshape(-1, dim) @ self.j2t
+
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """J1 ∂1 Z + J2 ∂2 Z, the principal part of Bridges' field equations."""
-        out = diff(values, self.grid, 1).reshape(-1, values.shape[-1]) @ self.j1t
-        out += diff(values, self.grid, 2).reshape(-1, values.shape[-1]) @ self.j2t
+        """J1 ∂1 Z + J2 ∂2 Z, the principal part of Bridges' field equations, summed in place."""
+        out, second = self.terms(values)
+        out += second
         return out.reshape(values.shape)
 
     def gradient(self, values: np.ndarray, ham: HamiltonianSpec, bridges: np.ndarray) -> np.ndarray:
@@ -344,10 +360,9 @@ def gradient_check(state: FieldState, ham: HamiltonianSpec, deltas) -> tuple[lis
     """Compare c = Im A(Z + i eps delta) / eps with p = h1 h2 <g, delta>, g the gradient, along each delta.
 
     Returns each |c - p| / |p| and each |c - p| over the bound gamma_K h1 h2 sum(|delta| |LZ| +
-    |Z| |L delta| + |delta| |∇H|), with gamma_K = K u / (1 - K u), u = 2^-53 (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., §3.1) and |Lx| = |J1 ∂1 x| + |J2 ∂2 x|, since apply
-    rounds each term on its own.  K adds the most roundings a term of c takes to the most a term of
-    p takes, with s = _sum_roundings, N entries and M points:
+    |Z| |L delta| + |delta| |∇H|), with gamma_K = _gamma(K) and |Lx| = |J1 ∂1 x| + |J2 ∂2 x| over the
+    operator's terms, which apply rounds on their own.  K adds the most roundings a term of c takes
+    to the most a term of p takes, with s = _sum_roundings, N entries and M points:
     - c, L terms: 3 in a difference (numpy divides a complex array by 2h as a product with 1/(2h)),
       1 where the directions add (the GEMMs against the signed permutations Ji.T are exact), 2 in
       the complex product, s(2N), and 2 for the H sum's subtraction and h1 h2 (1/2 and 1/eps are exact).
@@ -362,13 +377,12 @@ def gradient_check(state: FieldState, ham: HamiltonianSpec, deltas) -> tuple[lis
     grad = l2_gradient(state, ham)
 
     def size_of_l(x: np.ndarray) -> np.ndarray:  # |Lx|
-        terms = (np.abs(diff(x, state.grid, i).reshape(-1, dim) @ jt) for i, jt in ((1, op.j1t), (2, op.j2t)))
-        return sum(terms).reshape(x.shape)
+        return sum(np.abs(t) for t in op.terms(x)).reshape(x.shape)
 
     delta_weight = size_of_l(z) + np.abs(ham.gradient(z))
     m = n1 * n2
     k = 14 + max(_sum_roundings(2 * m * dim), _sum_roundings(dim) + _sum_roundings(2 * m)) + _sum_roundings(m * dim)
-    gamma = k * 2.0**-53 / (1.0 - k * 2.0**-53)
+    gamma = _gamma(k)
     errors, ratios = [], []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for delta in deltas:

@@ -28,10 +28,14 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatchError, FlowDivergenceError
 from .fields import FieldState, HamiltonianSpec, TorusGrid, _field_operator
 
-# Step-size cap ds <= kappa * min(h1, h2): the spatial operator is first
-# order, so its norm scales like 1/h.  One entry per integrator.
+# The step-size cap's kappa, one entry per integrator; stability_bound alone reads them.
 STABILITY_KAPPA = {"explicit_euler": 0.2, "rk4": 0.5}
 INTEGRATORS = tuple(STABILITY_KAPPA)
+
+
+def stability_bound(integrator: str, grid: TorusGrid) -> float:
+    """The cap ds <= kappa min(h1, h2): the spatial operator is first order, its norm ~ 1/h."""
+    return STABILITY_KAPPA[integrator] * min(grid.h1, grid.h2)
 
 
 @dataclass(frozen=True)
@@ -47,6 +51,9 @@ class FlowConfig:
     def __post_init__(self):
         if not 0.0 < self.ds < np.inf:
             raise ConfigError("ds must be positive and finite")
+        for name, count in (("max_steps", self.max_steps), ("record_every", self.record_every)):
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):  # 1.5 records k = 0, 3, 6, ...
+                raise ConfigError(f"{name} must be an integer, got {count!r}")
         if self.max_steps < 0:
             raise ConfigError("max_steps must be non-negative")
         if not 0.0 < self.grad_tolerance < np.inf:
@@ -57,7 +64,7 @@ class FlowConfig:
             raise ConfigError("record_every must be at least 1")
 
     def check_stability(self, grid: TorusGrid) -> None:
-        bound = STABILITY_KAPPA[self.integrator] * min(grid.h1, grid.h2)
+        bound = stability_bound(self.integrator, grid)
         if self.ds > bound:
             raise ConfigError(
                 f"ds = {self.ds:.3e} exceeds the stability bound {bound:.3e} "
@@ -102,9 +109,9 @@ def flow_step(
     """One step of Z <- Z - ds grad A(Z) (Euler) or the RK4 update.
 
     ``config`` gives ds and the integrator, both checked when it was built.
-    ``gradient`` is the L² gradient at ``state``, ``l2_gradient(state, ham)``; the
-    step subtracts it where the first stage -gradient would be added (a - b is a + (-b)
-    exactly), so it evaluates the field operator's gradient 0 times (Euler) or 3 times (RK4).
+    ``gradient`` is the L² gradient g1 = ∇A(Z) at ``state``, ``l2_gradient(state, ham)``.  RK4's
+    stages are gradients too, g2 = ∇A(Z - ds/2 g1), g3 = ∇A(Z - ds/2 g2) and g4 = ∇A(Z - ds g3), and
+    its step is Z - (ds/6)(g1 + 2 g2 + 2 g3 + g4): 3 field-operator gradients a step, Euler's 0.
 
     Raises FlowDivergenceError when the update produces non-finite values.
     """
@@ -113,23 +120,23 @@ def flow_step(
     if np.shape(gradient) != v.shape:
         raise DimensionMismatchError(f"gradient shape {np.shape(gradient)} does not match the state {v.shape}")
 
-    def rhs(values: np.ndarray) -> np.ndarray:
+    def grad(values: np.ndarray) -> np.ndarray:
         # Stages stay raw arrays: an overflowing stage reaches the finiteness check.
-        return -op.gradient(values, ham, op.apply(values))
+        return op.gradient(values, ham, op.apply(values))
 
     ds = config.ds
     with np.errstate(over="ignore", invalid="ignore"):
         if config.integrator == "explicit_euler":
             new = v - ds * gradient
         else:
-            k2 = rhs(v - 0.5 * ds * gradient)
-            k3 = rhs(v + 0.5 * ds * k2)
-            k4 = rhs(v + ds * k3)
-            # (ds / 6)(k1 + 2 k2 + 2 k3 + k4), summed left to right in k2's array.
-            acc = np.subtract(np.multiply(k2, 2.0, out=k2), gradient, out=k2)
-            acc += np.multiply(k3, 2.0, out=k3)
-            acc += k4
-            new = v + np.multiply(acc, ds / 6.0, out=acc)
+            g2 = grad(v - 0.5 * ds * gradient)
+            g3 = grad(v - 0.5 * ds * g2)
+            g4 = grad(v - ds * g3)
+            # (ds / 6)(g1 + 2 g2 + 2 g3 + g4), summed left to right in g2's array.
+            acc = np.add(np.multiply(g2, 2.0, out=g2), gradient, out=g2)
+            acc += np.multiply(g3, 2.0, out=g3)
+            acc += g4
+            new = v - np.multiply(acc, ds / 6.0, out=acc)
     try:  # FieldState's read-only copy is the step's one finiteness scan
         return state.with_values(new)
     except ValueError:

@@ -239,35 +239,11 @@ class SpdMatrix:
 # standard structure, seeded pair and seeded form is built from them.
 BASE_ROTATION = _readonly([[0.0, -1.0], [1.0, 0.0]], "BASE_ROTATION")
 
-# 4x4 fiber blocks in (q1, q2, P1, P2) order: I q1 = q2, I P1 = -P2,
-# omega1 = dP1∧dq1 + dP2∧dq2, omega2 = dP1∧dq2 - dP2∧dq1.
-_I_BLOCK = _readonly(
-    [
-        [0.0, -1.0, 0.0, 0.0],
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, -1.0, 0.0],
-    ],
-    "_I_BLOCK",
-)
-_W1_BLOCK = _readonly(
-    [
-        [0.0, 0.0, -1.0, 0.0],
-        [0.0, 0.0, 0.0, -1.0],
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-    ],
-    "_W1_BLOCK",
-)
-_W2_BLOCK = _readonly(
-    [
-        [0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, -1.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-    ],
-    "_W2_BLOCK",
-)
+# 4x4 fiber blocks in (q1, q2, P1, P2) order from j, + 0.0 making each -0.0 +0.0: I = diag(j, -j), so I q1 = q2,
+# I P1 = -P2; omega1 = j ⊗ Id2 = dP1∧dq1 + dP2∧dq2; omega2(u, v) = -omega1(u, I v) = dP1∧dq2 - dP2∧dq1.
+_I_BLOCK = _readonly(np.kron(np.diag([1.0, -1.0]), BASE_ROTATION) + 0.0, "_I_BLOCK")
+_W1_BLOCK = _readonly(np.kron(BASE_ROTATION, np.eye(2)) + 0.0, "_W1_BLOCK")
+_W2_BLOCK = _readonly(-_W1_BLOCK @ _I_BLOCK + 0.0, "_W2_BLOCK")
 
 
 @functools.cache

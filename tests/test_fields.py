@@ -156,6 +156,15 @@ def test_field_operator_is_the_stacked_matmul_form_bitwise(n, grid, kind):
     expected = stacked_bridges_operator(values, grid, *standard_fiber_forms(n))
     assert got.shape == expected.shape
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    # Each term is the np.roll difference times its J, and their in-place sum is apply.
+    terms = op.terms(values)
+    for direction, term, j in zip((1, 2), terms, standard_fiber_forms(n)):
+        expected_term = (roll_diff(values, grid, direction) @ j.T).reshape(-1, 4 * n)
+        assert term.shape == expected_term.shape
+        assert np.array_equal(term.view(np.int64), expected_term.view(np.int64))
+    summed, second = terms
+    summed += second
+    assert np.array_equal(summed.reshape(values.shape).view(np.int64), got.view(np.int64))
 
 
 # --- Hamiltonians ------------------------------------------------------------
@@ -168,12 +177,25 @@ def test_builtin_hamiltonians_construct():
         for n in (1, 2):
             for lam in [0.7] + [10.0**k for k in range(-12, 13)]:
                 assert make_hamiltonian(name, n, lam=lam).fiber_dim == 4 * n
+        assert make_hamiltonian(name, np.int64(2)).fiber_dim == 8  # a numpy integer is an int
 
 
 def test_unknown_hamiltonian_rejected():
     with pytest.raises(ValueError):
         make_hamiltonian("pendulum", 1)
 
+
+@pytest.mark.parametrize("n", [0, -1, True, False, 1.0, 2.5])
+def test_hamiltonian_size_must_be_a_positive_int(n):
+    # n = 0 used to fail inside numpy's max of an empty array; n = True built a 4-dimensional H.
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        make_hamiltonian("quadratic", n)
+
+
+@pytest.mark.parametrize("dim", [0, 2, 6, -4, True, 4.0])
+def test_hamiltonian_fiber_dimension_must_be_a_positive_multiple_of_4(dim):
+    with pytest.raises(DimensionMismatchError, match="fiber dimension must be a positive multiple of 4"):
+        HamiltonianSpec("half", dim, lambda z: 0.5 * np.sum(z**2, axis=-1), lambda z: z)
 
 def test_grossly_corrupted_gradient_rejected_at_construction():
     with pytest.raises(ValueError):

@@ -34,6 +34,14 @@ def test_flow_config_validation():
         FlowConfig(ds=0.1, max_steps=10, integrator="leapfrog")
     with pytest.raises(ConfigError):
         FlowConfig(ds=0.1, max_steps=-1)
+    # Counts are integers: record_every = 1.5 would keep k = 0, 3, 6, ... while the
+    # Fueter residual spaced them 1.5 ds apart, and max_steps = True would run one step.
+    for bad in (dict(max_steps=2.5), dict(max_steps=True), dict(max_steps=10, record_every=1.5),
+                dict(max_steps=10, record_every=True), dict(max_steps=10, record_every=np.float64(2.0))):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            FlowConfig(ds=0.1, **bad)
+    cfg = FlowConfig(ds=0.1, max_steps=np.int64(10), record_every=np.int32(2))
+    assert (cfg.max_steps, cfg.record_every) == (10, 2)
 
 
 def test_stability_bound_rejects_large_steps():

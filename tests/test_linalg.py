@@ -529,6 +529,23 @@ def test_standard_blocks_equal_kron_bitwise(n):
     i_fib = standard_complex_structure(n).fiber_part
     for got, block in ((i_fib, _I_BLOCK), (w1, _W1_BLOCK), (w2, _W2_BLOCK)):
         assert np.array_equal(got.view(np.int64), np.kron(np.eye(n), block).view(np.int64))
+    # The derived blocks and the n-fold structures against their written definitions, per
+    # complex dimension in (q1, q2, P1, P2) order: I q1 = q2, I P1 = -P2 (so I q2 = -q1, I P2 = P1),
+    # omega1 = dP1∧dq1 + dP2∧dq2 and omega2 = dP1∧dq2 - dP2∧dq1 as Gram matrices, dP∧dq = +1 at (P, q).
+    defined = [np.zeros((4 * n, 4 * n)) for _ in range(3)]
+    for c in range(n):
+        q1, q2, p1, p2 = 4 * c + np.arange(4)
+        for m, entries in zip(defined, (
+            [(q2, q1, 1), (q1, q2, -1), (p2, p1, -1), (p1, p2, 1)],
+            [(p1, q1, 1), (q1, p1, -1), (p2, q2, 1), (q2, p2, -1)],
+            [(p1, q2, 1), (q2, p1, -1), (p2, q1, -1), (q1, p2, 1)],
+        )):
+            for row, col, sign in entries:
+                m[row, col] = sign
+    for got, block, want in zip((i_fib, w1, w2), (_I_BLOCK, _W1_BLOCK, _W2_BLOCK), defined):
+        assert np.array_equal(block.view(np.int64), want[:4, :4].view(np.int64))
+        # kron places -0.0 where eye's zeros meet a -1; + 0.0 compares the values and the pattern.
+        assert np.array_equal((got + 0.0).view(np.int64), want.view(np.int64))
 
 
 def test_cached_index_triples_are_read_only():
