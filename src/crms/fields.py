@@ -47,8 +47,13 @@ class TorusGrid:
     l2: float = 2.0 * np.pi
 
     def __post_init__(self):
+        for size in (self.n1, self.n2):  # 8.0 equals 8 here, but write_state's header takes integers
+            if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
+                raise ValueError(f"grid resolution must be an integer, got {size!r}")
         if self.n1 < 4 or self.n2 < 4:
             raise ValueError("grid resolution must be at least 4 in each direction")
+        if isinstance(self.l1, (bool, np.bool_)) or isinstance(self.l2, (bool, np.bool_)):
+            raise ValueError("periods must be real numbers, not bools")
         if not (0.0 < self.l1 < np.inf and 0.0 < self.l2 < np.inf):
             raise ValueError("periods must be positive and finite")
         if not np.finfo(float).tiny <= self.cell_area < np.inf:  # h1 h2 weights the L² product
@@ -95,9 +100,6 @@ class FieldState:
     @property
     def fiber_dim(self) -> int:
         return self.values.shape[2]
-
-    def with_values(self, values: np.ndarray) -> "FieldState":
-        return FieldState(self.grid, values)
 
 
 def diff(values: np.ndarray, grid: TorusGrid, direction: int) -> np.ndarray:
@@ -225,12 +227,14 @@ def make_hamiltonian(name: str, n: int, lam: float = 1.0) -> HamiltonianSpec:
     Built-ins: ``zero``; ``quadratic_p`` = |P|^2/2; ``quadratic`` =
     |P|^2/2 + lam |q|^2/2; ``quartic`` = |P|^2/2 + lam sum(q_c^4);
     ``cosine`` = |P|^2/2 + lam sum(cos q_c).  Rejected: unknown names, an n that is not
-    a positive int (bools too), a lam whose H fails HamiltonianSpec's construction check.
+    a positive int (bools too), a bool lam, a lam whose H fails HamiltonianSpec's construction check.
     """
     if name not in _SEPARABLE:
         raise ValueError(f"unknown Hamiltonian '{name}'")
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
+    if isinstance(lam, (bool, np.bool_)):
+        raise ValueError(f"lambda must be a real number, got {lam!r}")
     f, df = _SEPARABLE[name]
     lam = float(lam)
     if f is np.zeros_like:  # no q-part: with lam = 0, lam * f'(q) is +0.0 whatever the sign of lam

@@ -49,6 +49,9 @@ class FlowConfig:
     record_every: int = 1
 
     def __post_init__(self):
+        for name, real in (("ds", self.ds), ("grad_tolerance", self.grad_tolerance)):
+            if isinstance(real, (bool, np.bool_)):  # a bool passes the range checks below as 0 or 1
+                raise ConfigError(f"{name} must be a real number, got {real!r}")
         if not 0.0 < self.ds < np.inf:
             raise ConfigError("ds must be positive and finite")
         for name, count in (("max_steps", self.max_steps), ("record_every", self.record_every)):
@@ -138,7 +141,7 @@ def flow_step(
             acc += g4
             new = v - np.multiply(acc, ds / 6.0, out=acc)
     try:  # FieldState's read-only copy is the step's one finiteness scan
-        return state.with_values(new)
+        return FieldState(state.grid, new)
     except ValueError:
         where = "" if step is None else f" at step {step}"
         raise FlowDivergenceError(f"flow produced non-finite values{where}", step=step) from None

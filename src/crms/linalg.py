@@ -314,9 +314,6 @@ class ConditionCheck:
     max_defect: float
     witness: dict | None = None
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -338,9 +335,9 @@ class ValidationReport:
     def as_dict(self) -> dict:
         return {
             "passed": self.passed,
-            "one_horizontal": self.horizontal.as_dict(),
-            "fiberwise_nondegenerate": self.nondegenerate.as_dict(),
-            "i_compatible": self.i_compatible.as_dict(),
+            "one_horizontal": asdict(self.horizontal),
+            "fiberwise_nondegenerate": asdict(self.nondegenerate),
+            "i_compatible": asdict(self.i_compatible),
             "closedness": self.closedness,
         }
 

@@ -41,8 +41,8 @@ def richardson_directional(state: FieldState, ham: HamiltonianSpec, delta: np.nd
     """The action's derivative along delta: central differences at eps in {1e-3, 1e-4, 1e-5}, Richardson-extrapolated twice."""
     d = []
     for eps in (1e-3, 1e-4, 1e-5):
-        plus = action(state.with_values(state.values + eps * delta), ham)
-        minus = action(state.with_values(state.values - eps * delta), ham)
+        plus = action(FieldState(state.grid, state.values + eps * delta), ham)
+        minus = action(FieldState(state.grid, state.values - eps * delta), ham)
         d.append((plus - minus) / (2.0 * eps))
     r1 = [(100.0 * d[i + 1] - d[i]) / 99.0 for i in range(2)]
     return (10_000.0 * r1[1] - r1[0]) / 9_999.0

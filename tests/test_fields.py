@@ -49,6 +49,20 @@ def test_grid_validation():
         TorusGrid(3, 8)
     with pytest.raises(ValueError):
         TorusGrid(8, 8, l1=-1.0)
+    # A float size equalled the int one until write_state's header raised struct.error;
+    # a bool period was taken as 1.0.
+    for size in (8.0, 4.5, True, np.float64(8.0)):
+        with pytest.raises(ValueError, match="grid resolution must be an integer"):
+            TorusGrid(8, size)
+        with pytest.raises(ValueError, match="grid resolution must be an integer"):
+            TorusGrid(size, 8)
+    for period in (True, np.True_):
+        with pytest.raises(ValueError, match="periods must be real numbers"):
+            TorusGrid(8, 8, l1=period)
+        with pytest.raises(ValueError, match="periods must be real numbers"):
+            TorusGrid(8, 8, l2=period)
+    grid = TorusGrid(np.int64(8), np.int32(6), 3, np.float64(5.0))
+    assert (grid.n1, grid.n2, grid.h1, grid.h2) == (8, 6, 3 / 8, 5 / 6)
 
 
 def test_diff_of_constant_is_zero():
@@ -183,6 +197,13 @@ def test_builtin_hamiltonians_construct():
 def test_unknown_hamiltonian_rejected():
     with pytest.raises(ValueError):
         make_hamiltonian("pendulum", 1)
+
+
+@pytest.mark.parametrize("lam", [True, False, np.True_])
+def test_bool_lambda_rejected(lam):
+    # lam = True built lambda = 1.0.
+    with pytest.raises(ValueError, match="lambda must be a real number"):
+        make_hamiltonian("quadratic", 1, lam)
 
 
 @pytest.mark.parametrize("n", [0, -1, True, False, 1.0, 2.5])

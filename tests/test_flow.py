@@ -42,6 +42,10 @@ def test_flow_config_validation():
             FlowConfig(ds=0.1, **bad)
     cfg = FlowConfig(ds=0.1, max_steps=np.int64(10), record_every=np.int32(2))
     assert (cfg.max_steps, cfg.record_every) == (10, 2)
+    # Reals are not bools: ds = True ran steps of 1.
+    for bad in (dict(ds=True), dict(ds=np.True_), dict(ds=0.1, grad_tolerance=True)):
+        with pytest.raises(ConfigError, match=f"{list(bad)[-1]} must be a real number"):
+            FlowConfig(max_steps=3, **bad)
 
 
 def test_stability_bound_rejects_large_steps():
@@ -253,9 +257,9 @@ def test_flow_step_with_the_known_gradient_is_bitwise_the_same(n, integrator, st
     if integrator == "explicit_euler":
         expected = v + ds * k1
     else:
-        k2 = -l2_gradient(state.with_values(v + 0.5 * ds * k1), ham)
-        k3 = -l2_gradient(state.with_values(v + 0.5 * ds * k2), ham)
-        k4 = -l2_gradient(state.with_values(v + ds * k3), ham)
+        k2 = -l2_gradient(FieldState(state.grid, v + 0.5 * ds * k1), ham)
+        k3 = -l2_gradient(FieldState(state.grid, v + 0.5 * ds * k2), ham)
+        k4 = -l2_gradient(FieldState(state.grid, v + ds * k3), ham)
         expected = v + (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     stepped = flow_step(state, ham, one_step(ds, integrator), gradient=gradient).values
     assert np.array_equal(stepped.view(np.int64), expected.view(np.int64))
