@@ -34,7 +34,7 @@ from .fields import (
     write_state,
 )
 from .flow import INTEGRATORS, FlowConfig, fueter_residual, run_flow, stability_bound, write_trace_csv
-from .linalg import standard_complex_structure, standard_crms_form, validate_crms
+from .linalg import _number, standard_complex_structure, standard_crms_form, validate_crms
 from .sampling import (
     break_i_compatibility,
     drop_quadruple_block,
@@ -64,33 +64,15 @@ INITIAL_MODES = ("random_smooth", "constant", "file")
 MAX_ARRAY_ENTRIES = 2**28
 
 
-def _finite_float(value) -> float | None:
-    """The value of a finite JSON number as a float, else None.
-
-    bool is an int subclass and does not count; neither does an integer too
-    large for a float.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    try:
-        value = float(value)
-    except OverflowError:
-        return None
-    return value if math.isfinite(value) else None
-
-
 def _expect(mapping: dict, key: str, kind, default):
     value = mapping.get(key, default)
     if value is None and default is None:  # null stands for an absent optional entry
         return None
-    if kind is float:
-        number = _finite_float(value)
-        if number is None:
-            raise ConfigError(f"config field '{key}' must be a finite number, got {type(value).__name__}")
-        return number
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ConfigError(f"config field '{key}' must be {kind.__name__}, got {type(value).__name__}")
-    return value
+    checked = (value if isinstance(value, str) else None) if kind is str else _number(value, kind)
+    if checked is None or kind is float and not math.isfinite(checked):
+        expected = "a finite number" if kind is float else kind.__name__
+        raise ConfigError(f"config field '{key}' must be {expected}, got {type(value).__name__}")
+    return checked
 
 
 def _section(mapping: dict, path: str, keys: tuple[str, ...]) -> dict:
@@ -206,8 +188,8 @@ def parse_config(raw: dict, command: str) -> ExperimentConfig:
         raise ConfigError("symbol.angles must be positive")
     xi = symbol.get("xi")
     if xi is not None:
-        xi = tuple(_finite_float(x) for x in xi) if isinstance(xi, list) else ()
-        if len(xi) != 2 or None in xi:
+        xi = tuple(_number(x, float) for x in xi) if isinstance(xi, list) else ()
+        if len(xi) != 2 or None in xi or not all(map(math.isfinite, xi)):
             raise ConfigError("symbol.xi must be a 2-element list of finite numbers")
         cfg.symbol_xi = xi
 

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import _readonly, standard_fiber_forms
+from .linalg import _number, _readonly, standard_fiber_forms
 
 MAGIC = b"CRMS"
 FORMAT_VERSION = 1
@@ -47,13 +47,14 @@ class TorusGrid:
     l2: float = 2.0 * np.pi
 
     def __post_init__(self):
-        for size in (self.n1, self.n2):  # 8.0 equals 8 here, but write_state's header takes integers
-            if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
-                raise ValueError(f"grid resolution must be an integer, got {size!r}")
+        # Python numbers, so equal grids share spacings and an _operator_on entry; write_state takes int sizes.
+        for name, kind in (("n1", int), ("n2", int), ("l1", float), ("l2", float)):
+            if (number := _number(getattr(self, name), kind)) is None:
+                what = "grid resolution must be an integer" if kind is int else "periods must be real numbers"
+                raise ValueError(f"{what}, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, number)
         if self.n1 < 4 or self.n2 < 4:
             raise ValueError("grid resolution must be at least 4 in each direction")
-        if isinstance(self.l1, (bool, np.bool_)) or isinstance(self.l2, (bool, np.bool_)):
-            raise ValueError("periods must be real numbers, not bools")
         if not (0.0 < self.l1 < np.inf and 0.0 < self.l2 < np.inf):
             raise ValueError("periods must be positive and finite")
         if not np.finfo(float).tiny <= self.cell_area < np.inf:  # h1 h2 weights the L² product
@@ -188,9 +189,9 @@ class HamiltonianSpec:
 
     @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
-        dim = self.fiber_dim
-        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 4 or dim % 4 != 0:
+        if (dim := _number(self.fiber_dim, int)) is None or dim < 4 or dim % 4 != 0:
             raise DimensionMismatchError("fiber dimension must be a positive multiple of 4")
+        object.__setattr__(self, "fiber_dim", dim)
         rng = np.random.default_rng(20240901)
         z = rng.normal(size=(6, dim))
         grad = np.asarray(self.gradient(z), dtype=float)
@@ -226,20 +227,19 @@ def make_hamiltonian(name: str, n: int, lam: float = 1.0) -> HamiltonianSpec:
 
     Built-ins: ``zero``; ``quadratic_p`` = |P|^2/2; ``quadratic`` =
     |P|^2/2 + lam |q|^2/2; ``quartic`` = |P|^2/2 + lam sum(q_c^4);
-    ``cosine`` = |P|^2/2 + lam sum(cos q_c).  Rejected: unknown names, an n that is not
-    a positive int (bools too), a bool lam, a lam whose H fails HamiltonianSpec's construction check.
+    ``cosine`` = |P|^2/2 + lam sum(cos q_c).  Rejected: unknown names, an n that is not a positive
+    integer, a lam that is not real (bools are neither), a lam whose H fails HamiltonianSpec's check.
     """
     if name not in _SEPARABLE:
         raise ValueError(f"unknown Hamiltonian '{name}'")
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+    count, real = _number(n, int), _number(lam, float)
+    if count is None or count < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    if isinstance(lam, (bool, np.bool_)):
+    if real is None:
         raise ValueError(f"lambda must be a real number, got {lam!r}")
     f, df = _SEPARABLE[name]
-    lam = float(lam)
-    if f is np.zeros_like:  # no q-part: with lam = 0, lam * f'(q) is +0.0 whatever the sign of lam
-        lam = 0.0
-    dim = 4 * n
+    lam = 0.0 if f is np.zeros_like else real  # no q-part: with lam = 0, lam * f'(q) is +0.0 whatever the sign
+    dim = 4 * count
     qm = np.ones(dim, dtype=bool)
     if name != "zero":
         qm[2::4] = qm[3::4] = False

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, FlowDivergenceError
 from .fields import FieldState, HamiltonianSpec, TorusGrid, _field_operator
+from .linalg import _number
 
 # The step-size cap's kappa, one entry per integrator; stability_bound alone reads them.
 STABILITY_KAPPA = {"explicit_euler": 0.2, "rk4": 0.5}
@@ -49,14 +50,14 @@ class FlowConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        for name, real in (("ds", self.ds), ("grad_tolerance", self.grad_tolerance)):
-            if isinstance(real, (bool, np.bool_)):  # a bool passes the range checks below as 0 or 1
-                raise ConfigError(f"{name} must be a real number, got {real!r}")
+        # A bool would pass the range checks as 0 or 1; record_every = 1.5 would record k = 0, 3, 6, ...
+        for name, kind in (("ds", float), ("grad_tolerance", float), ("max_steps", int), ("record_every", int)):
+            if (number := _number(getattr(self, name), kind)) is None:
+                what = "a real number" if kind is float else "an integer"
+                raise ConfigError(f"{name} must be {what}, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, number)
         if not 0.0 < self.ds < np.inf:
             raise ConfigError("ds must be positive and finite")
-        for name, count in (("max_steps", self.max_steps), ("record_every", self.record_every)):
-            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):  # 1.5 records k = 0, 3, 6, ...
-                raise ConfigError(f"{name} must be an integer, got {count!r}")
         if self.max_steps < 0:
             raise ConfigError("max_steps must be non-negative")
         if not 0.0 < self.grad_tolerance < np.inf:

@@ -50,6 +50,21 @@ def _readonly(a: np.ndarray, name: str) -> np.ndarray:
     return out
 
 
+def _number(value, kind: type) -> int | float | None:
+    """``value`` as a Python ``kind``, int or float, else None: the one rule for every number taken.
+
+    An int is an int or a numpy integer, a float any int or float, numpy's included.  A bool is
+    neither (np.bool_ is no np.integer), nor is an int too large for a float.
+    """
+    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integral or kind is float and isinstance(value, (float, np.floating))):
+        return None
+    try:
+        return kind(value)
+    except OverflowError:
+        return None
+
+
 def _require(defect: np.ndarray, scale: float, message: str) -> None:
     """ValueError(message) unless max|defect| is finite and at most TAU_ALG * scale.
 

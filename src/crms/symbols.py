@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import standard_fiber_forms
+from .linalg import _number, standard_fiber_forms
 
 OPERATOR_TAGS = ("DDW", "Bridges")
 
@@ -49,7 +49,7 @@ def principal_symbol(operator_tag: str, xi: np.ndarray, n: int) -> SymbolReport:
     ----------
     operator_tag : {"DDW", "Bridges"}
     xi : 2-covector, finite, with |xi| at least the smallest normal double
-    n : number of field components (fiber dimension 4n or 3n)
+    n : number of field components, a positive integer (fiber dimension 4n or 3n)
     """
     if operator_tag not in OPERATOR_TAGS:
         raise ValueError(f"operator_tag must be one of {OPERATOR_TAGS}, got '{operator_tag}'")
@@ -58,13 +58,13 @@ def principal_symbol(operator_tag: str, xi: np.ndarray, n: int) -> SymbolReport:
         raise DimensionMismatchError(f"xi must be a 2-vector, got shape {xi.shape}")
     if not np.finfo(float).tiny <= float(np.hypot(xi[0], xi[1])) < np.inf:
         raise ValueError(f"covector must be finite and of normal size, got xi = {xi.tolist()}")
-    if n < 1:
-        raise ValueError("n must be positive")
+    if (count := _number(n, int)) is None or count < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
     if operator_tag == "Bridges":
-        w1, w2 = standard_fiber_forms(n)
+        w1, w2 = standard_fiber_forms(count)
         matrix = -(xi[0] * w1 + xi[1] * w2)
     else:
-        matrix = np.kron(np.eye(n), _ddw_block(*xi))
+        matrix = np.kron(np.eye(count), _ddw_block(*xi))
     sv = np.linalg.svd(matrix, compute_uv=False)
     kernel_dim = int(np.sum(sv < _KERNEL_REL_TOL * sv[0])) if sv[0] > 0.0 else matrix.shape[0]
     return SymbolReport(kernel_dim=kernel_dim, determinant=float(np.linalg.det(matrix)))

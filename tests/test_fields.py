@@ -63,6 +63,24 @@ def test_grid_validation():
             TorusGrid(8, 8, l2=period)
     grid = TorusGrid(np.int64(8), np.int32(6), 3, np.float64(5.0))
     assert (grid.n1, grid.n2, grid.h1, grid.h2) == (8, 6, 3 / 8, 5 / 6)
+    grid = TorusGrid(np.int64(8), np.int32(6), 3, np.float32(5.0))
+    assert tuple(map(type, (grid.n1, grid.n2, grid.l1, grid.l2))) == (int, int, float, float)
+
+
+@pytest.mark.parametrize("periods", [(np.float32(5.0), 5.0), (5.0, np.float32(5.0))])
+def test_equal_grids_share_one_operator(periods):
+    # The grid with a float32 period equalled the float grid but kept h2 = np.float32(0.8333333);
+    # whichever came first filled _operator_on's entry, and the other's gradient moved by 5.3e-8.
+    state = random_state(TorusGrid(8, 6, 3.0, 5.0), 1, seed=3)
+    ham = make_hamiltonian("cosine", 1)
+    _operator_on.cache_clear()
+    fresh = l2_gradient(state, ham)
+    _operator_on.cache_clear()
+    for l2 in periods:
+        grid = TorusGrid(8, 6, 3.0, l2)
+        assert type(grid.l2) is float
+        got = l2_gradient(FieldState(grid, state.values), ham)
+        assert got.tobytes() == fresh.tobytes()
 
 
 def test_diff_of_constant_is_zero():
@@ -359,7 +377,7 @@ def test_builtin_values_and_gradients_equal_the_written_formulas_bitwise(name, l
 
 def test_lambda_is_a_number():
     # A mapping or a misspelled keyword is rejected, not read as the default lambda = 1.
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="lambda must be a real number"):
         make_hamiltonian("cosine", 1, {"lambda": 5.0})
     with pytest.raises(TypeError):
         make_hamiltonian("cosine", 1, lamda=5.0)

@@ -42,6 +42,8 @@ def test_flow_config_validation():
             FlowConfig(ds=0.1, **bad)
     cfg = FlowConfig(ds=0.1, max_steps=np.int64(10), record_every=np.int32(2))
     assert (cfg.max_steps, cfg.record_every) == (10, 2)
+    cfg = FlowConfig(ds=np.float64(0.1), max_steps=np.int64(3))
+    assert tuple(map(type, (cfg.ds, cfg.max_steps))) == (float, int)
     # Reals are not bools: ds = True ran steps of 1.
     for bad in (dict(ds=True), dict(ds=np.True_), dict(ds=0.1, grad_tolerance=True)):
         with pytest.raises(ConfigError, match=f"{list(bad)[-1]} must be a real number"):
