@@ -174,7 +174,8 @@ class HamiltonianSpec:
     fiber value only.  ``value`` must take complex input and be complex-analytic, real on
     real input: construction checks the gradient, as ``crms gradcheck`` checks the action's,
     against the complex step d = Im value(z + i eps e_c) / eps, exact to roundoff, at six
-    seeded points moved along every component in one (dim, 6, dim) call.  It fails unless
+    seeded points moved along every component in one (dim, 6, dim) call; eps is COMPLEX_STEP
+    unless the gradient is so small that eps ∇H would leave the normal range.  It fails unless
     every value's real part is finite and max|gradient - d| <= gamma_K max|d| (gamma_K = _gamma(K),
     no floor at 1), K = 9 + _sum_roundings(dim) for both sides: 4 in a built-in
     entry's imaginary part (sin to 1 ulp and a product, or z^4 by two squarings), 1 for lambda,
@@ -197,10 +198,17 @@ class HamiltonianSpec:
         grad = np.asarray(self.gradient(z), dtype=float)
         if grad.shape != z.shape:
             raise ValueError(f"gradient returned shape {grad.shape}, expected {z.shape}")
-        h = np.asarray(self.value(z + 1j * COMPLEX_STEP * np.eye(dim)[:, None, :]))
+        # eps = COMPLEX_STEP 2^m for the least m >= 0 with eps max|grad| >= 2^-969, normal with 53 bits to spare:
+        # max|grad| >= 2^(e - 1) for frexp's e, so m = -635 - e.  m = 0 for every built-in.  An entry that
+        # underflows is off by 2^-1074 <= 2^-105 eps max|grad|.  m <= 233 (eps <= 2^-100) keeps the O(eps^2)
+        # truncation far below roundoff.
+        peak = float(np.max(np.abs(grad)))
+        m = -635 - int(np.frexp(peak)[1]) if 0.0 < peak < np.inf else 0
+        eps = COMPLEX_STEP * 2.0 ** min(max(m, 0), 233)
+        h = np.asarray(self.value(z + 1j * eps * np.eye(dim)[:, None, :]))
         if not np.all(np.isfinite(h.real)):
             raise ValueError(f"value of '{self.name}' is not finite at the construction check's points")
-        d = h.imag.T / COMPLEX_STEP
+        d = h.imag.T / eps
         bound = _gamma(9 + _sum_roundings(dim)) * float(np.max(np.abs(d)))
         err = float(np.max(np.abs(grad - d)))
         if not err <= bound < np.inf:  # a NaN error fails too

@@ -6,6 +6,8 @@ single integer seed.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from .darboux import CrpsPair
@@ -27,6 +29,14 @@ from .linalg import (
 _COND_CAP = 200.0
 
 
+def _well_conditioned(draw: Callable[[], np.ndarray]) -> np.ndarray:
+    """The first matrix from repeated draw() calls with condition number below _COND_CAP."""
+    while True:
+        m = draw()
+        if _condition_number(m) < _COND_CAP:
+            return m
+
+
 def commuting_fiber_map(n: int, rng: np.random.Generator) -> np.ndarray:
     """Random invertible 4n x 4n matrix commuting with the standard fiber I.
 
@@ -35,37 +45,12 @@ def commuting_fiber_map(n: int, rng: np.random.Generator) -> np.ndarray:
     """
     d = 4 * n
     i_fib = standard_complex_structure(n).fiber_part
-    while True:
+
+    def draw() -> np.ndarray:
         x = rng.normal(size=(d, d)) * 0.4 / np.sqrt(d)
-        m = 0.5 * (x - i_fib @ x @ i_fib) + np.eye(d)
-        if _condition_number(m) < _COND_CAP:
-            return m
+        return 0.5 * (x - i_fib @ x @ i_fib) + np.eye(d)
 
-
-def intertwining_coupling(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Random 4n x 2 coupling C with C j = I' C (complex-linear T -> V)."""
-    i_fib = standard_complex_structure(n).fiber_part
-    x = rng.normal(size=(4 * n, 2)) * 0.5
-    return 0.5 * (x - i_fib @ x @ BASE_ROTATION)
-
-
-def base_commuting_map(rng: np.random.Generator) -> np.ndarray:
-    """Random invertible 2 x 2 matrix commuting with j (a complex scalar)."""
-    radius = rng.uniform(0.7, 1.4)
-    angle = rng.uniform(0.0, 2.0 * np.pi)
-    return radius * (np.cos(angle) * np.eye(2) + np.sin(angle) * BASE_ROTATION)
-
-
-def crms_conjugator(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Block-lower-triangular map on T ⊕ V commuting with the standard I."""
-    d = 2 + 4 * n
-    while True:
-        m = np.zeros((d, d))
-        m[:2, :2] = base_commuting_map(rng)
-        m[2:, :2] = intertwining_coupling(n, rng)
-        m[2:, 2:] = commuting_fiber_map(n, rng)
-        if _condition_number(m) < _COND_CAP:
-            return m
+    return _well_conditioned(draw)
 
 
 def random_crms_form(
@@ -73,13 +58,25 @@ def random_crms_form(
 ) -> tuple[AlternatingThreeForm, LinearComplexStructure]:
     """Standard form with random nu, conjugated by a random I-commuting map.
 
-    The conjugator commutes with the standard complex structure, so the
-    result is CRMS for that same structure.
+    The conjugator is block lower triangular on T ⊕ V: a complex scalar on T
+    (commutes with j), a coupling C with C j = I' C (complex-linear T -> V) and
+    a commuting_fiber_map.  It commutes with the standard complex structure,
+    so the result is CRMS for that same structure.
     """
     nu = rng.normal(size=4 * n) * nu_scale
-    conj = crms_conjugator(n, rng)
-    form = pull_back(standard_crms_form(n, nu=nu), conj)
-    return form, standard_complex_structure(n)
+    structure = standard_complex_structure(n)
+
+    def conjugator() -> np.ndarray:
+        m = np.zeros((2 + 4 * n, 2 + 4 * n))
+        radius = rng.uniform(0.7, 1.4)
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        m[:2, :2] = radius * (np.cos(angle) * np.eye(2) + np.sin(angle) * BASE_ROTATION)
+        x = rng.normal(size=(4 * n, 2)) * 0.5
+        m[2:, :2] = 0.5 * (x - structure.fiber_part @ x @ BASE_ROTATION)
+        m[2:, 2:] = commuting_fiber_map(n, rng)
+        return m
+
+    return pull_back(standard_crms_form(n, nu=nu), _well_conditioned(conjugator)), structure
 
 
 def random_crps_pair(n: int, rng: np.random.Generator) -> CrpsPair:

@@ -87,6 +87,20 @@ def roll_diff(values: np.ndarray, grid: TorusGrid, direction: int) -> np.ndarray
     return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * h)
 
 
+def loop_operator(z: np.ndarray, h: float, direction: int) -> np.ndarray:
+    """J D z for a loop z of shape (N, 4n) with step h: D the np.roll centered difference.
+
+    Per block (q1, q2, P1, P2), J1 w = (-P1, -P2, q1, q2) and J2 w = (P2, -P1, q2, -q1), the
+    signs bridges_residual writes out, not taken from standard_fiber_forms.
+    """
+    dz = (np.roll(z, -1, axis=0) - np.roll(z, 1, axis=0)) / (2.0 * h)
+    q1, q2, p1, p2 = (dz[:, c::4] for c in range(4))
+    jdz = np.empty_like(z)
+    for c, block in enumerate((-p1, -p2, q1, q2) if direction == 1 else (p2, -p1, q2, -q1)):
+        jdz[:, c::4] = block
+    return jdz
+
+
 def stacked_bridges_operator(values: np.ndarray, grid: TorusGrid, j1: np.ndarray, j2: np.ndarray) -> np.ndarray:
     """J1 ∂1 Z + J2 ∂2 Z as first written: stacked matmuls of the (n1, n2, 4n) differences against the j.T views.
 

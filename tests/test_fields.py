@@ -1,5 +1,6 @@
 """Torus calculus: differences, action, residuals, gradient, serialization."""
 
+import itertools
 import math
 import warnings
 
@@ -280,6 +281,46 @@ def test_value_that_is_not_complex_analytic_rejected():
     # |z|^2 built on np.abs has the right real gradient, but its complex step is 0.
     with pytest.raises(ValueError, match="complex-analytic"):
         HamiltonianSpec("abs", 4, lambda z: np.sum(np.abs(z) ** 2, axis=-1), lambda z: 2.0 * z)
+
+
+def tiny(scale: float) -> HamiltonianSpec:
+    return HamiltonianSpec("tiny", 4, lambda z: scale * np.sum(z**2, axis=-1), lambda z: 2.0 * scale * z)
+
+
+def construction_step(ham: HamiltonianSpec) -> float:
+    """The complex step of ham's construction check: the largest imaginary part it hands value."""
+    steps = []
+
+    def value(z):
+        steps.append(float(np.max(z.imag)))
+        return ham.value(z)
+
+    HamiltonianSpec(ham.name, ham.fiber_dim, value, ham.gradient)
+    return steps[0]
+
+
+@pytest.mark.parametrize("name", BUILTIN_HAMILTONIANS)
+@pytest.mark.parametrize("lam", [0.0, -1e-300, 1e-12, 1.0, 1e12])
+def test_builtin_construction_checks_step_by_complex_step(name, lam):
+    # Every non-zero built-in has the |P|^2/2 term, so eps max|∇H| is far inside the normal range.
+    assert construction_step(make_hamiltonian(name, 2, lam)) == COMPLEX_STEP
+
+
+@pytest.mark.parametrize("scale", [1e-210, 1e-250, 2.0**-900, 2.0**-927], ids=["1e-210", "1e-250", "2^-900", "2^-927"])
+def test_exact_gradient_too_small_for_complex_step_passes_construction(scale):
+    # At eps = COMPLEX_STEP, eps ∇H would underflow.  The step is COMPLEX_STEP 2^m for the least
+    # m >= 0 with eps max|∇H| >= 2^-969, m <= 233; a relative 1e-9 error still fails.
+    peak = float(np.max(np.abs(2.0 * scale * np.random.default_rng(20240901).normal(size=(6, 4)))))
+    m = min(next(m for m in itertools.count() if COMPLEX_STEP * 2.0**m * peak >= 2.0**-969), 233)
+    assert construction_step(tiny(scale)) == COMPLEX_STEP * 2.0**m
+    with pytest.raises(ValueError, match="disagrees with the complex step"):
+        checked_scaled_gradient(tiny(scale), 1.0 + 1e-9)
+
+
+def test_gradient_below_the_capped_step_rejected():
+    # The measured limit: at eps = 2^-100 and max|∇H| ~ 2e-279 < 2^-925, eps ∇H is subnormal and the check fails.
+    with pytest.raises(ValueError, match="disagrees with the complex step"):
+        tiny(2.0**-928)
 
 
 def test_sum_roundings_counts_numpy_pairwise_order():
