@@ -15,7 +15,6 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -64,143 +63,107 @@ INITIAL_MODES = ("random_smooth", "constant", "file")
 MAX_ARRAY_ENTRIES = 2**28
 
 
-def _expect(mapping: dict, key: str, kind, default):
-    value = mapping.get(key, default)
-    if value is None and default is None:  # null stands for an absent optional entry
-        return None
-    checked = (value if isinstance(value, str) else None) if kind is str else _number(value, kind)
-    if checked is None or kind is float and not math.isfinite(checked):
-        expected = "a finite number" if kind is float else kind.__name__
-        raise ConfigError(f"config field '{key}' must be {expected}, got {type(value).__name__}")
-    return checked
+# Every config entry, as (kind, default).  A kind is a type or the tuple of the strings allowed; a
+# nested dict is a section.  Null stands for an absent entry only where the default is None; the
+# default ... marks an entry parse_config derives from others when it is absent.
+SCHEMA = {
+    "kind": (str, None),
+    "n": (int, 1),
+    "seed": (int, 0),
+    "output_dir": (str, "crms_out"),
+    "grid": {"n1": (int, 32), "n2": (int, 32), "l1": (float, TorusGrid.l1), "l2": (float, TorusGrid.l2)},
+    "hamiltonian": {"name": (BUILTIN_HAMILTONIANS, "quadratic"), "parameters": {"lambda": (float, 1.0)}},
+    "flow": {
+        "ds": (float, None),
+        "max_steps": (int, 10000),
+        "tolerance": (float, FlowConfig.grad_tolerance),
+        "integrator": (INTEGRATORS, FlowConfig.integrator),
+        "record_every": (int, ...),
+        "initial": {
+            "mode": (INITIAL_MODES, "random_smooth"),
+            "amplitude": (float, 0.1),
+            "value": (float, 0.0),
+            "path": (str, None),
+        },
+    },
+    "form": {"source": (FORM_SOURCES, "standard"), "inject": (tuple(FORM_INJECTIONS), None), "nu_scale": (float, 0.5)},
+    "symbol": {"angles": (int, 64), "xi": (list, None)},
+    "gradcheck": {"directions": (int, 20)},
+}
 
 
-def _section(mapping: dict, path: str, keys: tuple[str, ...]) -> dict:
-    """The object under the last name of ``path`` in mapping, {} when absent.
+def _read(document: dict, schema: dict, path: str, entries: dict) -> None:
+    """Check ``document``, the section at dotted ``path``, against ``schema`` into ``entries``.
 
-    Raises ConfigError unless it is an object with no keys outside ``keys``.
+    Each entry is stored under its dotted name, an absent one as its default; an entry
+    that is absent or null at the default None, or absent at ..., is left out.
     """
-    section = mapping.get(path.rpartition(".")[2], {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"'{path}' must be an object")
-    unknown = set(section) - set(keys)
+    unknown = set(document) - set(schema)
     if unknown:
-        raise ConfigError(f"unknown keys in '{path}': {sorted(unknown)}")
-    return section
+        where = f"keys in '{path}'" if path else "config keys"
+        raise ConfigError(f"unknown {where}: {sorted(unknown)}")
+    for key, row in schema.items():
+        name = f"{path}.{key}" if path else key
+        if isinstance(row, dict):
+            section = document.get(key, {})
+            if not isinstance(section, dict):
+                raise ConfigError(f"'{name}' must be an object")
+            _read(section, row, name, entries)
+            continue
+        kind, default = row
+        value = document.get(key, default)
+        if value is None and default is None or value is ...:
+            continue
+        if isinstance(kind, tuple):
+            if value not in kind:
+                raise ConfigError(f"config field '{key}' must be one of {kind}, got {value!r}")
+            entries[name] = value
+            continue
+        checked = (value if isinstance(value, kind) else None) if kind in (str, list) else _number(value, kind)
+        if checked is None or kind is float and not math.isfinite(checked):
+            expected = "a finite number" if kind is float else kind.__name__
+            raise ConfigError(f"config field '{key}' must be {expected}, got {type(value).__name__}")
+        entries[name] = checked
 
 
-@dataclass
-class ExperimentConfig:
-    n: int = 1
-    seed: int = 0
-    output_dir: str = "crms_out"
-    grid: TorusGrid = field(default_factory=lambda: TorusGrid(32, 32))
-    ham_name: str = "quadratic"
-    ham_lambda: float = 1.0
-    flow: FlowConfig | None = None  # parse_config builds it for the final grid
-    initial_mode: str = "random_smooth"
-    initial_amplitude: float = 0.1
-    initial_value: float = 0.0
-    initial_path: str | None = None
-    form_source: str = "standard"
-    form_inject: str | None = None
-    form_nu_scale: float = 0.5
-    symbol_angles: int = 64
-    symbol_xi: tuple[float, float] | None = None
-    gradcheck_directions: int = 20
-
-
-def parse_config(raw: dict, command: str) -> ExperimentConfig:
+def parse_config(raw: dict, command: str) -> dict:
+    """The checked config: each SCHEMA entry by dotted name, and the records 'grid' and 'flow' built from them."""
     if not isinstance(raw, dict):
         raise ConfigError("config document must be a JSON object")
-    known = {"kind", "n", "seed", "output_dir", "grid", "hamiltonian", "flow", "form", "symbol", "gradcheck"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kind = _expect(raw, "kind", str, None)
-    if kind is not None and kind != command:
-        raise ConfigError(f"config kind '{kind}' does not match command '{command}'")
-
-    # Each absent entry keeps the ExperimentConfig default.
-    cfg = ExperimentConfig()
-    cfg.n = _expect(raw, "n", int, cfg.n)
-    if cfg.n < 1:
+    cfg = {}
+    _read(raw, SCHEMA, "", cfg)
+    if cfg.get("kind", command) != command:
+        raise ConfigError(f"config kind '{cfg['kind']}' does not match command '{command}'")
+    if cfg["n"] < 1:
         raise ConfigError("n must be at least 1")
-    cfg.seed = _expect(raw, "seed", int, cfg.seed)
-    if cfg.seed < 0:
+    if cfg["seed"] < 0:
         raise ConfigError("seed must be a non-negative integer")
-    cfg.output_dir = _expect(raw, "output_dir", str, cfg.output_dir)
-
-    grid = _section(raw, "grid", ("n1", "n2", "l1", "l2"))
+    if cfg["symbol.angles"] < 1:
+        raise ConfigError("symbol.angles must be positive")
+    if cfg["gradcheck.directions"] < 1:
+        raise ConfigError("gradcheck.directions must be positive")
     try:
-        cfg.grid = TorusGrid(
-            n1=_expect(grid, "n1", int, cfg.grid.n1),
-            n2=_expect(grid, "n2", int, cfg.grid.n2),
-            l1=_expect(grid, "l1", float, cfg.grid.l1),
-            l2=_expect(grid, "l2", float, cfg.grid.l2),
-        )
+        cfg["grid"] = TorusGrid(cfg["grid.n1"], cfg["grid.n2"], cfg["grid.l1"], cfg["grid.l2"])
     except ValueError as err:
         raise ConfigError(str(err)) from None
-
-    ham = _section(raw, "hamiltonian", ("name", "parameters"))
-    cfg.ham_name = _expect(ham, "name", str, cfg.ham_name)
-    if cfg.ham_name not in BUILTIN_HAMILTONIANS:
-        raise ConfigError(f"unknown Hamiltonian '{cfg.ham_name}'; built-ins: {BUILTIN_HAMILTONIANS}")
-    params = _section(ham, "hamiltonian.parameters", ("lambda",))
-    cfg.ham_lambda = _expect(params, "lambda", float, cfg.ham_lambda)
-
-    flow = _section(raw, "flow", ("ds", "max_steps", "tolerance", "integrator", "record_every", "initial"))
-    integrator = _expect(flow, "integrator", str, FlowConfig.integrator)
-    if integrator not in INTEGRATORS:
-        raise ConfigError(f"flow integrator must be one of {INTEGRATORS}")
-    ds = _expect(flow, "ds", float, None)
-    if ds is None:
-        ds = 0.5 * stability_bound(integrator, cfg.grid)
-    max_steps = _expect(flow, "max_steps", int, 10000)
-    cfg.flow = FlowConfig(
-        ds=ds,
+    integrator, max_steps = cfg["flow.integrator"], cfg["flow.max_steps"]
+    cfg["flow"] = FlowConfig(
+        ds=cfg.get("flow.ds", 0.5 * stability_bound(integrator, cfg["grid"])),
         max_steps=max_steps,
-        grad_tolerance=_expect(flow, "tolerance", float, FlowConfig.grad_tolerance),
+        grad_tolerance=cfg["flow.tolerance"],
         integrator=integrator,
-        record_every=_expect(flow, "record_every", int, max(1, max_steps // 100)),
+        record_every=cfg.get("flow.record_every", max(1, max_steps // 100)),
     )
-    cfg.flow.check_stability(cfg.grid)
-    initial = _section(flow, "flow.initial", ("mode", "amplitude", "value", "path"))
-    cfg.initial_mode = _expect(initial, "mode", str, cfg.initial_mode)
-    if cfg.initial_mode not in INITIAL_MODES:
-        raise ConfigError(f"initial mode must be one of {INITIAL_MODES}")
-    cfg.initial_amplitude = _expect(initial, "amplitude", float, cfg.initial_amplitude)
-    cfg.initial_value = _expect(initial, "value", float, cfg.initial_value)
-    cfg.initial_path = _expect(initial, "path", str, cfg.initial_path)
-
-    form = _section(raw, "form", ("source", "inject", "nu_scale"))
-    cfg.form_source = _expect(form, "source", str, cfg.form_source)
-    if cfg.form_source not in FORM_SOURCES:
-        raise ConfigError(f"form source must be one of {FORM_SOURCES}")
-    cfg.form_inject = _expect(form, "inject", str, cfg.form_inject)
-    if cfg.form_inject is not None and cfg.form_inject not in FORM_INJECTIONS:
-        raise ConfigError(f"form injection must be one of {tuple(FORM_INJECTIONS)}")
-    cfg.form_nu_scale = _expect(form, "nu_scale", float, cfg.form_nu_scale)
-
-    symbol = _section(raw, "symbol", ("angles", "xi"))
-    cfg.symbol_angles = _expect(symbol, "angles", int, cfg.symbol_angles)
-    if cfg.symbol_angles < 1:
-        raise ConfigError("symbol.angles must be positive")
-    xi = symbol.get("xi")
-    if xi is not None:
-        xi = tuple(_number(x, float) for x in xi) if isinstance(xi, list) else ()
+    cfg["flow"].check_stability(cfg["grid"])
+    if "symbol.xi" in cfg:
+        xi = tuple(_number(x, float) for x in cfg["symbol.xi"])
         if len(xi) != 2 or None in xi or not all(map(math.isfinite, xi)):
             raise ConfigError("symbol.xi must be a 2-element list of finite numbers")
-        cfg.symbol_xi = xi
-
-    gradcheck = _section(raw, "gradcheck", ("directions",))
-    cfg.gradcheck_directions = _expect(gradcheck, "directions", int, cfg.gradcheck_directions)
-    if cfg.gradcheck_directions < 1:
-        raise ConfigError("gradcheck.directions must be positive")
+        cfg["symbol.xi"] = xi
     return cfg
 
 
-def _check_size(cfg: ExperimentConfig, command: str) -> None:
+def _check_size(cfg: dict, command: str) -> None:
     """Reject an n, grid or flow length that needs more than MAX_ARRAY_ENTRIES.
 
     What is counted depends on the verb: the d^3 3-form (d = 4n + 2) of
@@ -210,19 +173,19 @@ def _check_size(cfg: ExperimentConfig, command: str) -> None:
     floats an entry) or the two floats kept per direction; and for flow the forms or the
     max_steps // record_every + 1 states run_flow keeps, each a field and its gradient.
     """
-    d = 4 * cfg.n
-    field_entries = cfg.grid.n1 * cfg.grid.n2 * d
+    d = 4 * cfg["n"]
+    field_entries = cfg["grid"].n1 * cfg["grid"].n2 * d
     if command in ("validate", "darboux"):
         largest = (d + 2) ** 3
     elif command == "symbol":
-        largest = max(d * d, 7 * (1 if cfg.symbol_xi is not None else cfg.symbol_angles))
+        largest = max(d * d, 7 * (1 if "symbol.xi" in cfg else cfg["symbol.angles"]))
     elif command == "flow":
-        largest = max(d * d, 2 * (cfg.flow.max_steps // cfg.flow.record_every + 1) * field_entries)
+        largest = max(d * d, 2 * (cfg["flow"].max_steps // cfg["flow"].record_every + 1) * field_entries)
     else:
-        largest = max(d * d, 2 * field_entries, 2 * cfg.gradcheck_directions)
+        largest = max(d * d, 2 * field_entries, 2 * cfg["gradcheck.directions"])
     if largest > MAX_ARRAY_ENTRIES:
         raise ConfigError(
-            f"{command} with n = {cfg.n} and grid {cfg.grid.n1}x{cfg.grid.n2} needs"
+            f"{command} with n = {cfg['n']} and grid {cfg['grid'].n1}x{cfg['grid'].n2} needs"
             f" {largest} float entries; at most {MAX_ARRAY_ENTRIES} are allowed"
         )
 
@@ -246,11 +209,11 @@ def _output(out: Path, name: str) -> Path:
     return out / name
 
 
-def _write_report(out: Path, name: str, command: str, cfg: ExperimentConfig, **fields) -> Path:
+def _write_report(out: Path, name: str, command: str, cfg: dict, **fields) -> Path:
     """Write the JSON report ``name``: the run header, ``fields`` and a timestamp, as strict JSON."""
     path = _output(out, name)
     timestamp = datetime.now(timezone.utc).isoformat()
-    payload = {"command": command, "n": cfg.n, "seed": cfg.seed, **fields, "timestamp": timestamp}
+    payload = {"command": command, "n": cfg["n"], "seed": cfg["seed"], **fields, "timestamp": timestamp}
     # One line: without indent, json runs its C encoder.
     try:
         text = json.dumps(payload, sort_keys=True, allow_nan=False)
@@ -260,30 +223,30 @@ def _write_report(out: Path, name: str, command: str, cfg: ExperimentConfig, **f
     return path
 
 
-def _build_form(cfg: ExperimentConfig):
+def _build_form(cfg: dict):
     """The configured form and structure; a non-finite form (a nu_scale that overflows nu) is a config error."""
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg["seed"])
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            if cfg.form_source == "standard":
-                form = standard_crms_form(cfg.n)
-                structure = standard_complex_structure(cfg.n)
-            elif cfg.form_source == "standard_plus_nu":
-                nu = rng.normal(size=4 * cfg.n) * cfg.form_nu_scale
-                form = standard_crms_form(cfg.n, nu=nu)
-                structure = standard_complex_structure(cfg.n)
+            if cfg["form.source"] == "standard":
+                form = standard_crms_form(cfg["n"])
+                structure = standard_complex_structure(cfg["n"])
+            elif cfg["form.source"] == "standard_plus_nu":
+                nu = rng.normal(size=4 * cfg["n"]) * cfg["form.nu_scale"]
+                form = standard_crms_form(cfg["n"], nu=nu)
+                structure = standard_complex_structure(cfg["n"])
             else:
-                form, structure = random_crms_form(cfg.n, rng, nu_scale=cfg.form_nu_scale)
-            if cfg.form_inject is not None:
-                form = FORM_INJECTIONS[cfg.form_inject](form)
+                form, structure = random_crms_form(cfg["n"], rng, nu_scale=cfg["form.nu_scale"])
+            if "form.inject" in cfg:
+                form = FORM_INJECTIONS[cfg["form.inject"]](form)
     except ValueError as err:
-        raise ConfigError(f"form with nu_scale {cfg.form_nu_scale!r}: {err}") from None
+        raise ConfigError(f"form with nu_scale {cfg['form.nu_scale']!r}: {err}") from None
     return form, structure
 
 
-def _form_names(cfg: ExperimentConfig) -> dict:
+def _form_names(cfg: dict) -> dict:
     """The report fields that name the configured form."""
-    return {"form_source": cfg.form_source, "form_inject": cfg.form_inject}
+    return {"form_source": cfg["form.source"], "form_inject": cfg.get("form.inject")}
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +254,7 @@ def _form_names(cfg: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def cmd_validate(cfg: ExperimentConfig, out: Path) -> tuple[int, str]:
+def cmd_validate(cfg: dict, out: Path) -> tuple[int, str]:
     form, structure = _build_form(cfg)
     report = validate_crms(form, structure)
     path = _write_report(out, "validate.json", "validate", cfg, **_form_names(cfg), report=report.as_dict())
@@ -299,7 +262,7 @@ def cmd_validate(cfg: ExperimentConfig, out: Path) -> tuple[int, str]:
     return EXIT_OK if ok else EXIT_CHECK_FAILED, f"validate: {'pass' if ok else 'FAIL'} -> {path}"
 
 
-def cmd_darboux(cfg: ExperimentConfig, out: Path) -> tuple[int, str]:
+def cmd_darboux(cfg: dict, out: Path) -> tuple[int, str]:
     form, structure = _build_form(cfg)
     try:
         frame = crms_darboux(form, structure)
@@ -319,24 +282,24 @@ def cmd_darboux(cfg: ExperimentConfig, out: Path) -> tuple[int, str]:
     return EXIT_OK if ok else EXIT_CHECK_FAILED, summary
 
 
-def cmd_symbol(cfg: ExperimentConfig, out: Path) -> tuple[int, str]:
-    if cfg.symbol_xi is not None:
-        covectors = [np.asarray(cfg.symbol_xi, dtype=float)]
-        radius = math.hypot(*cfg.symbol_xi)  # inf when |xi| overflows
+def cmd_symbol(cfg: dict, out: Path) -> tuple[int, str]:
+    if "symbol.xi" in cfg:
+        covectors = [np.asarray(cfg["symbol.xi"], dtype=float)]
+        radius = math.hypot(*cfg["symbol.xi"])  # inf when |xi| overflows
         if radius == 0.0:
             raise ConfigError("symbol.xi must be a nonzero covector")
         # The Bridges determinant |xi|^(4n) must be a normal double; checked in log space.
-        if not math.log(sys.float_info.min) <= 4 * cfg.n * math.log(radius) <= math.log(sys.float_info.max):
-            raise ConfigError(f"symbol.xi {list(cfg.symbol_xi)}: |xi|^(4n) is not a finite normal double")
-        angles = [float(np.arctan2(cfg.symbol_xi[1], cfg.symbol_xi[0]))]
+        if not math.log(sys.float_info.min) <= 4 * cfg["n"] * math.log(radius) <= math.log(sys.float_info.max):
+            raise ConfigError(f"symbol.xi {list(cfg['symbol.xi'])}: |xi|^(4n) is not a finite normal double")
+        angles = [float(np.arctan2(cfg["symbol.xi"][1], cfg["symbol.xi"][0]))]
     else:
-        angles = [2.0 * np.pi * k / cfg.symbol_angles for k in range(cfg.symbol_angles)]
+        angles = [2.0 * np.pi * k / cfg["symbol.angles"] for k in range(cfg["symbol.angles"])]
         covectors = [np.array([np.cos(a), np.sin(a)]) for a in angles]
     rows = []
     ok = True
     for angle, xi in zip(angles, covectors):
-        ddw = principal_symbol("DDW", xi, cfg.n)
-        bridges = principal_symbol("Bridges", xi, cfg.n)
+        ddw = principal_symbol("DDW", xi, cfg["n"])
+        bridges = principal_symbol("Bridges", xi, cfg["n"])
         ok = ok and bridges.kernel_dim == 0 and ddw.kernel_dim >= 1
         rows.append((angle, ddw.kernel_dim, bridges.kernel_dim, bridges.determinant))
     path = _output(out, "symbol.csv")
@@ -349,40 +312,40 @@ def cmd_symbol(cfg: ExperimentConfig, out: Path) -> tuple[int, str]:
     return EXIT_OK if ok else EXIT_CHECK_FAILED, summary
 
 
-def _smooth_state(cfg: ExperimentConfig, amplitude: float, rng: np.random.Generator) -> FieldState:
+def _smooth_state(cfg: dict, amplitude: float, rng: np.random.Generator) -> FieldState:
     """The seeded smooth field; one that is not finite (its mode table overflowed) is a config error."""
     try:
-        return random_smooth_state(cfg.grid, cfg.n, amplitude, rng)
+        return random_smooth_state(cfg["grid"], cfg["n"], amplitude, rng)
     except ValueError as err:
-        raise ConfigError(f"seeded field on periods ({cfg.grid.l1!r}, {cfg.grid.l2!r}): {err}") from None
+        raise ConfigError(f"seeded field on periods ({cfg['grid'].l1!r}, {cfg['grid'].l2!r}): {err}") from None
 
 
-def _initial_state(cfg: ExperimentConfig) -> FieldState:
-    if cfg.initial_mode == "random_smooth":
-        return _smooth_state(cfg, cfg.initial_amplitude, np.random.default_rng(cfg.seed))
-    if cfg.initial_mode == "constant":
-        values = np.full((cfg.grid.n1, cfg.grid.n2, 4 * cfg.n), cfg.initial_value)
-        return FieldState(cfg.grid, values)
-    if cfg.initial_path is None:
+def _initial_state(cfg: dict) -> FieldState:
+    if cfg["flow.initial.mode"] == "random_smooth":
+        return _smooth_state(cfg, cfg["flow.initial.amplitude"], np.random.default_rng(cfg["seed"]))
+    if cfg["flow.initial.mode"] == "constant":
+        values = np.full((cfg["grid"].n1, cfg["grid"].n2, 4 * cfg["n"]), cfg["flow.initial.value"])
+        return FieldState(cfg["grid"], values)
+    if "flow.initial.path" not in cfg:
         raise ConfigError("initial mode 'file' requires flow.initial.path")
     try:
-        state = read_state(cfg.initial_path)
+        state = read_state(cfg["flow.initial.path"])
     except (OSError, ValueError) as err:
         raise ConfigError(f"cannot read initial state: {err}") from None
-    if state.grid != cfg.grid or state.n != cfg.n:
+    if state.grid != cfg["grid"] or state.n != cfg["n"]:
         raise ConfigError("initial state file does not match the configured grid and n")
     return state
 
 
-def _hamiltonian(cfg: ExperimentConfig):
+def _hamiltonian(cfg: dict):
     """The configured Hamiltonian; one that fails its construction check is a config error."""
     try:
-        return make_hamiltonian(cfg.ham_name, cfg.n, cfg.ham_lambda)
+        return make_hamiltonian(cfg["hamiltonian.name"], cfg["n"], cfg["hamiltonian.parameters.lambda"])
     except ValueError as err:
         raise ConfigError(str(err)) from None
 
 
-def cmd_flow(cfg: ExperimentConfig, out: Path) -> tuple[int, str]:
+def cmd_flow(cfg: dict, out: Path) -> tuple[int, str]:
     ham = _hamiltonian(cfg)
     initial = _initial_state(cfg)
     # An unusable output path fails here, before the flow runs.
@@ -390,7 +353,7 @@ def cmd_flow(cfg: ExperimentConfig, out: Path) -> tuple[int, str]:
 
     diverged_step = None
     try:
-        trace = run_flow(initial, ham, cfg.flow)
+        trace = run_flow(initial, ham, cfg["flow"])
     except FlowDivergenceError as err:
         trace = err.trace
         diverged_step = err.step
@@ -403,12 +366,12 @@ def cmd_flow(cfg: ExperimentConfig, out: Path) -> tuple[int, str]:
     if diverged_step is None:
         residual = float(np.max(np.abs(bridges_residual(trace.final_state, ham))))
         if len(trace.states) >= 3:
-            fueter = fueter_residual(trace.states, cfg.flow, trace.gradients)
+            fueter = fueter_residual(trace.states, cfg["flow"], trace.gradients)
     _write_report(
         out, "flow_summary.json", "flow", cfg,
-        hamiltonian=cfg.ham_name,
-        integrator=cfg.flow.integrator,
-        ds=cfg.flow.ds,
+        hamiltonian=cfg["hamiltonian.name"],
+        integrator=cfg["flow"].integrator,
+        ds=cfg["flow"].ds,
         # A divergence in the step-0 diagnostics leaves no trace row.
         steps_taken=max(0, len(trace.steps) - 1),
         converged=trace.converged,
@@ -425,18 +388,18 @@ def cmd_flow(cfg: ExperimentConfig, out: Path) -> tuple[int, str]:
     return EXIT_OK if trace.converged else EXIT_CHECK_FAILED, summary
 
 
-def cmd_gradcheck(cfg: ExperimentConfig, out: Path) -> tuple[int, str]:
+def cmd_gradcheck(cfg: dict, out: Path) -> tuple[int, str]:
     ham = _hamiltonian(cfg)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg["seed"])
     state = _smooth_state(cfg, 0.5, rng)
-    deltas = (rng.normal(size=state.values.shape) for _ in range(cfg.gradcheck_directions))
+    deltas = (rng.normal(size=state.values.shape) for _ in range(cfg["gradcheck.directions"]))
     errors, ratios = gradient_check(state, ham, deltas)
     max_err = float(np.max(errors))
     max_ratio = float(np.max(ratios))
     _write_report(
         out, "gradcheck.json", "gradcheck", cfg,
-        hamiltonian=cfg.ham_name,
-        directions=cfg.gradcheck_directions,
+        hamiltonian=cfg["hamiltonian.name"],
+        directions=cfg["gradcheck.directions"],
         max_relative_error=max_err,
         max_error_to_bound=max_ratio,
         relative_errors=errors,
@@ -490,7 +453,7 @@ def main(argv: list[str] | None = None) -> int:
                     grid.update(n1=n1, n2=n2)
         cfg = parse_config(raw, args.command)
         _check_size(cfg, args.command)
-        code, summary = COMMANDS[args.command](cfg, Path(cfg.output_dir))
+        code, summary = COMMANDS[args.command](cfg, Path(cfg["output_dir"]))
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

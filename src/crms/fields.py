@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -423,20 +424,26 @@ def write_state(state: FieldState, path: str | Path) -> None:
 
 
 def read_state(path: str | Path) -> FieldState:
-    """Read a field state from the binary container file written by write_state."""
+    """Read a field state from the binary container file written by write_state.
+
+    The file's size is checked against the one its header declares before the payload is read.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise ValueError("truncated field container")
-    magic, version, n1, n2, n, l1, l2 = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise ValueError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported container version {version}")
-    count = n1 * n2 * 4 * n
-    expected = _HEADER.size + 8 * count
-    if len(raw) != expected:
-        raise ValueError(f"container has {len(raw)} bytes, expected {expected}")
-    values = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(n1, n2, 4 * n)
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise ValueError("truncated field container")
+        magic, version, n1, n2, n, l1, l2 = _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise ValueError(f"bad magic {magic!r}, expected {MAGIC!r}")
+        if version != FORMAT_VERSION:
+            raise ValueError(f"unsupported container version {version}")
+        expected = _HEADER.size + 8 * n1 * n2 * 4 * n
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise ValueError(f"container has {size} bytes, expected {expected}")
+        payload = fh.read(expected - _HEADER.size)
+    if _HEADER.size + len(payload) != expected:  # the file shrank after fstat
+        raise ValueError(f"container has {_HEADER.size + len(payload)} bytes, expected {expected}")
+    values = np.frombuffer(payload, dtype="<f8").reshape(n1, n2, 4 * n)
     return FieldState(TorusGrid(n1, n2, l1, l2), values)
 

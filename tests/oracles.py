@@ -1,6 +1,7 @@
 """Test fixtures that build inputs for the suite; not collected by pytest."""
 
 import copy
+from fractions import Fraction
 
 import numpy as np
 
@@ -99,6 +100,35 @@ def loop_operator(z: np.ndarray, h: float, direction: int) -> np.ndarray:
     for c, block in enumerate((-p1, -p2, q1, q2) if direction == 1 else (p2, -p1, q2, -q1)):
         jdz[:, c::4] = block
     return jdz
+
+
+def exact_action_and_gradient(z, h1: Fraction, h2: Fraction, name: str, lam: Fraction):
+    """The discrete action and its L² gradient at n = 1 over Q, with fractions alone.
+
+    ``z`` is a nested list [i][j] of fibers (q1, q2, P1, P2) of Fractions on a periodic grid of
+    steps h1, h2.  D_i is the centered difference (z[+1] - z[-1]) / (2 h_i); J1 w = (-P1, -P2, q1, q2)
+    and J2 w = (P2, -P1, q2, -q1); H is |P|²/2 + lam |q|²/2 (``quadratic``) or |P|²/2 + lam sum q_c⁴
+    (``quartic``).  Returns A = h1 h2 sum(z·Lz/2 - H(z)) and g = Lz - ∇H(z), L = J1 D1 + J2 D2.
+    """
+    n1, n2 = len(z), len(z[0])
+    total, gradient = Fraction(0), []
+    for i in range(n1):
+        row = []
+        for j in range(n2):
+            d1 = [(a - b) / (2 * h1) for a, b in zip(z[(i + 1) % n1][j], z[i - 1][j])]
+            d2 = [(a - b) / (2 * h2) for a, b in zip(z[i][(j + 1) % n2], z[i][j - 1])]
+            lz = [-d1[2] + d2[3], -d1[3] - d2[2], d1[0] + d2[1], d1[1] - d2[0]]
+            q1, q2, p1, p2 = z[i][j]
+            if name == "quadratic":
+                h = (p1 * p1 + p2 * p2) / 2 + lam * (q1 * q1 + q2 * q2) / 2
+                grad_h = [lam * q1, lam * q2, p1, p2]
+            else:
+                h = (p1 * p1 + p2 * p2) / 2 + lam * (q1**4 + q2**4)
+                grad_h = [4 * lam * q1**3, 4 * lam * q2**3, p1, p2]
+            total += sum(a * b for a, b in zip(z[i][j], lz)) / 2 - h
+            row.append([a - b for a, b in zip(lz, grad_h)])
+        gradient.append(row)
+    return h1 * h2 * total, gradient
 
 
 def stacked_bridges_operator(values: np.ndarray, grid: TorusGrid, j1: np.ndarray, j2: np.ndarray) -> np.ndarray:

@@ -2,7 +2,6 @@
 
 import argparse
 import csv
-import dataclasses
 import json
 import os
 import re
@@ -18,7 +17,7 @@ import crms.cli
 import crms.darboux
 import crms.fields
 import crms.linalg
-from crms.cli import COMMANDS, ExperimentConfig, _check_size, main, parse_config
+from crms.cli import COMMANDS, SCHEMA, _check_size, main, parse_config
 from crms.errors import ConfigError
 from crms.fields import FieldState, TorusGrid, read_state, write_state
 from crms.flow import FlowConfig
@@ -163,8 +162,64 @@ def test_misspelled_section_keys_are_usage_errors(tmp_path, capsys, command, pat
     # 10000 steps and diverge (exit 3).
     out = tmp_path / "out"
     assert run_cli(tmp_path, command, {"output_dir": str(out), **config})[0] == 2
-    assert f"'{path}'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1 and f"'{path}'" in err
     assert not out.exists()
+
+
+# Every config entry by dotted name.
+CONFIG_ENTRIES = (
+    "kind", "n", "seed", "output_dir",
+    "grid.n1", "grid.n2", "grid.l1", "grid.l2",
+    "hamiltonian.name", "hamiltonian.parameters.lambda",
+    "flow.ds", "flow.max_steps", "flow.tolerance", "flow.integrator", "flow.record_every",
+    "flow.initial.mode", "flow.initial.amplitude", "flow.initial.value", "flow.initial.path",
+    "form.source", "form.inject", "form.nu_scale",
+    "symbol.angles", "symbol.xi",
+    "gradcheck.directions",
+)  # fmt: skip
+# The entries whose default is absent, where null stands for an absent entry (README).
+NULLABLE_ENTRIES = ("kind", "flow.ds", "flow.initial.path", "form.inject", "symbol.xi")
+CHOICE_ENTRIES = ("hamiltonian.name", "flow.integrator", "flow.initial.mode", "form.source", "form.inject")
+
+
+def config_setting(name: str, value) -> dict:
+    """The config document that sets only the entry ``name`` (dotted) to ``value``."""
+    *sections, key = name.split(".")
+    document = {key: value}
+    for section in reversed(sections):
+        document = {section: document}
+    return document
+
+
+def assert_usage_error(tmp_path, capsys, config: dict, entry: str | None = None) -> None:
+    """validate exits 2 on config with one config error line, naming ``entry`` if given, and makes no output."""
+    out = tmp_path / "out"
+    assert run_cli(tmp_path, "validate", {"output_dir": str(out), **config})[0] == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    # An entry is named by its key in quotes, or by its dotted name as in 'symbol.xi must be ...'.
+    assert entry is None or f"'{entry.rpartition('.')[2]}'" in err or f"{entry} must" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", CONFIG_ENTRIES)
+def test_null_stands_for_absent_only_in_the_entries_without_a_default(tmp_path, capsys, name):
+    if name in NULLABLE_ENTRIES:
+        assert parse_config(config_setting(name, None), "validate") == parse_config({}, "validate")
+    else:
+        # flow.record_every included: absent, parse_config derives it; null is not absent there.
+        assert_usage_error(tmp_path, capsys, config_setting(name, None), name)
+
+
+@pytest.mark.parametrize("name", CONFIG_ENTRIES)
+def test_an_entry_of_the_wrong_json_type_is_a_usage_error_naming_it(tmp_path, capsys, name):
+    assert_usage_error(tmp_path, capsys, config_setting(name, {}), name)
+
+
+@pytest.mark.parametrize("name", CHOICE_ENTRIES)
+def test_an_unlisted_choice_is_a_usage_error_naming_it(tmp_path, capsys, name):
+    assert_usage_error(tmp_path, capsys, config_setting(name, "nonesuch"), name)
 
 
 
@@ -211,17 +266,32 @@ def test_size_bound_depends_on_the_verb(tmp_path):
     _check_size(parse_config({"n": 2, "grid": {"n1": 256, "n2": 256}}, "flow"), "flow")
 
 
+def schema_rows(schema: dict = SCHEMA, path: str = ""):
+    """Each (dotted name, (kind, default)) row of the config table, in its order."""
+    for key, row in schema.items():
+        name = f"{path}.{key}" if path else key
+        yield from schema_rows(row, name) if isinstance(row, dict) else [(name, row)]
+
+
+def test_the_config_table_lists_every_entry_once():
+    rows = dict(schema_rows())
+    assert tuple(rows) == CONFIG_ENTRIES
+    assert tuple(name for name, (_, default) in rows.items() if default is None) == NULLABLE_ENTRIES
+    assert tuple(name for name, (kind, _) in rows.items() if isinstance(kind, tuple)) == CHOICE_ENTRIES
+
+
 @pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_absent_config_entries_take_the_dataclass_defaults(command):
-    parsed, default = parse_config({}, command), ExperimentConfig()
-    for f in dataclasses.fields(ExperimentConfig):
-        if f.name != "flow":
-            assert getattr(parsed, f.name) == getattr(default, f.name), f.name
+def test_absent_config_entries_take_the_table_defaults(command):
+    parsed = parse_config({}, command)
+    for name, (_, default) in schema_rows():
+        # None and ... leave the entry out: it has no default, or parse_config derives one.
+        assert parsed.get(name) == (None if default is ... else default), name
     # The flow takes FlowConfig's tolerance and integrator, 10000 steps, half
     # the Euler stability bound on the default grid as its step, and one kept
     # state per 1% of max_steps.
-    h = min(default.grid.h1, default.grid.h2)
-    assert parsed.flow == FlowConfig(ds=0.5 * 0.2 * h, max_steps=10000, record_every=100)
+    assert parsed["grid"] == TorusGrid(32, 32)
+    h = min(parsed["grid"].h1, parsed["grid"].h2)
+    assert parsed["flow"] == FlowConfig(ds=0.5 * 0.2 * h, max_steps=10000, record_every=100)
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))

@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from crms.linalg import standard_fiber_forms
 from crms.sampling import random_smooth_state
 from oracles import (
     checked_scaled_gradient,
+    exact_action_and_gradient,
     momenta_from_positions,
     pairwise_sum,
     richardson_directional,
@@ -575,6 +578,34 @@ def test_gradient_matches_richardson_differences():
         assert abs(pairing - fd) / (abs(pairing) + 1e-30) < 1e-9
 
 
+@pytest.mark.parametrize("name, lam", [("quadratic", Fraction(3, 2)), ("quartic", Fraction(3, 4))], ids=["quadratic", "quartic"])
+@pytest.mark.parametrize(
+    "n1, n2, h1, h2",
+    [(4, 4, Fraction(1, 4), Fraction(1, 4)), (5, 4, Fraction(1, 4), Fraction(1, 2)), (7, 5, Fraction(1, 8), Fraction(1, 4))],
+    ids=["4x4", "5x4", "7x5"],
+)
+def test_criterion_4_holds_exactly_over_the_rationals(name, lam, n1, n2, h1, h2):
+    # Entries k/8 with |k| <= 8, power-of-two steps and lambda = 3/2 or 3/4 make every float step
+    # exact: each difference, division by 2h, product with a signed permutation, lambda q,
+    # 4 lambda q^3, q^4 and sum is a dyadic rational with a few dozen significant bits, far
+    # under float64's 53, so the float gradient and action equal the exact ones bit for bit.
+    rng = np.random.default_rng(n1 * n2)
+    z_k, v_k = rng.integers(-8, 9, size=(2, n1, n2, 4))
+    z, v = ([[[Fraction(int(c), 8) for c in fiber] for fiber in row] for row in k] for k in (z_k, v_k))
+    state = FieldState(TorusGrid(n1, n2, float(n1 * h1), float(n2 * h2)), z_k / 8.0)
+    ham = make_hamiltonian(name, 1, float(lam))
+    a, g = exact_action_and_gradient(z, h1, h2, name, lam)
+    g_flat = np.array(g, dtype=object).ravel()
+    assert Fraction(action(state, ham)) == a
+    assert [Fraction(x) for x in l2_gradient(state, ham).ravel()] == list(g_flat)
+    # A(Z + tV) is a polynomial of degree at most 4 in t; its t-coefficient from t = ±1, ±2.
+    moved = lambda t: [[[a + t * b for a, b in zip(fz, fv)] for fz, fv in zip(rz, rv)] for rz, rv in zip(z, v)]
+    at = {t: exact_action_and_gradient(moved(t), h1, h2, name, lam)[0] for t in (-2, -1, 1, 2)}
+    slope = (8 * (at[1] - at[-1]) - (at[2] - at[-2])) / 12
+    assert slope == h1 * h2 * sum(g_flat * np.array(v, dtype=object).ravel())
+    assert slope != 0
+
+
 def test_laplace_recovery_identity():
     # Eliminating the momenta turns the position residual into the
     # nonlinear Laplace operator: r_q = Delta_h q + dV/dq, i.e. the gradient
@@ -689,6 +720,21 @@ def test_binary_rejects_bad_magic(tmp_path):
     path.write_bytes(b"XXXX" + path.read_bytes()[4:])
     with pytest.raises(ValueError, match="bad magic"):
         read_state(path)
+
+
+def test_an_oversized_container_is_rejected_before_its_payload_is_read(tmp_path):
+    path = tmp_path / "state.crms"
+    write_state(FieldState(TorusGrid(8, 8), np.zeros((8, 8, 4))), path)  # 36 + 8 * 256 = 2084 bytes
+    with open(path, "r+b") as fh:
+        fh.truncate(64 * 2**20)  # a 64 MiB file whose tail is a hole, so it costs no disk
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"container has {64 * 2**20} bytes, expected 2084"):
+            read_state(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_state_validation():

@@ -133,14 +133,14 @@ ENTRY_POINTS = {
     "principal_symbol.n": (
         int, ValueError, "n must be a positive integer", lambda v: principal_symbol("Bridges", np.array([1.0, 0.0]), v)
     ),
-    "config.n": (int, ConfigError, "config field 'n' must be int", lambda v: parse_config({"n": v}, "validate").n),
+    "config.n": (int, ConfigError, "config field 'n' must be int", lambda v: parse_config({"n": v}, "validate")["n"]),
     "config.grid.l1": (
         float, ConfigError, "config field 'l1' must be a finite number",
-        lambda v: parse_config({"grid": {"l1": v}}, "flow").grid.l1,
+        lambda v: parse_config({"grid": {"l1": v}}, "flow")["grid"].l1,
     ),
     "config.symbol.xi": (
         float, ConfigError, "symbol.xi must be a 2-element list of finite numbers",
-        lambda v: parse_config({"symbol": {"xi": [v, 1.0]}}, "symbol").symbol_xi[0],
+        lambda v: parse_config({"symbol": {"xi": [v, 1.0]}}, "symbol")["symbol.xi"][0],
     ),
 }
 NOT_NUMBERS = ("5", None, [1.0], {"x": 1}, True, np.True_)
