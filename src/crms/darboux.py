@@ -19,11 +19,11 @@ from .linalg import (
     AlternatingThreeForm,
     LinearComplexStructure,
     _normal_form_coeffs,
+    _rank_profile,
     _readonly,
     _require,
     contraction_matrix,
     pull_back,
-    require_invertible,
     validate_crms,
 )
 
@@ -52,8 +52,9 @@ class CrpsPair:
         i_size = float(np.max(np.abs(ic)))
         _require(ic @ ic + np.eye(d), i_size * i_size, "i_fiber does not square to -Id")
         _require(w2 + w1 @ ic, scale, "pair violates omega2 = -omega1(·, I·)")
-        require_invertible(w1, "omega1")
-        require_invertible(w2, "omega2")
+        for name, kernel in zip(("omega1", "omega2"), _rank_profile(np.stack((w1, w2)))[2]):
+            if kernel:
+                raise DegenerateFormError(f"{name} is numerically singular")
         object.__setattr__(self, "omega1", w1)
         object.__setattr__(self, "omega2", w2)
         object.__setattr__(self, "i_fiber", ic)
@@ -178,7 +179,8 @@ def crms_darboux(form: AlternatingThreeForm, structure: LinearComplexStructure) 
     pulled = pull_back(form, frame)
     nu = pulled.coeffs[2:, 0, 1]
     error = darboux_reconstruction_error(pulled, nu)
-    require_invertible(frame / size, "frame basis")
+    if _rank_profile(frame / size)[2]:
+        raise DegenerateFormError("frame basis is numerically singular")
     frame.setflags(write=False)
     return DarbouxFrame(frame, nu, error)
 

@@ -387,12 +387,16 @@ def gradient_check(state: FieldState, ham: HamiltonianSpec, deltas) -> tuple[lis
     """
     op = _field_operator(state, ham)
     z, area, (n1, n2, dim) = state.values, state.grid.cell_area, state.values.shape
-    grad = l2_gradient(state, ham)
 
-    def size_of_l(x: np.ndarray) -> np.ndarray:  # |Lx|
-        return sum(np.abs(t) for t in op.terms(x)).reshape(x.shape)
+    def size_of_l(terms: tuple[np.ndarray, np.ndarray]) -> np.ndarray:  # |Lx| from x's two terms
+        return sum(np.abs(t) for t in terms).reshape(z.shape)
 
-    delta_weight = size_of_l(z) + np.abs(ham.gradient(z))
+    # One op.terms(Z) and one ∇H(Z) serve the bound's |LZ| + |∇H| and the gradient, whose terms
+    # then add in place as apply adds them.
+    (first, second), grad_h = op.terms(z), ham.gradient(z)
+    delta_weight = size_of_l((first, second)) + np.abs(grad_h)
+    first += second
+    grad = first.reshape(z.shape) - grad_h
     m = n1 * n2
     k = 14 + max(_sum_roundings(2 * m * dim), _sum_roundings(dim) + _sum_roundings(2 * m)) + _sum_roundings(m * dim)
     gamma = _gamma(k)
@@ -402,7 +406,7 @@ def gradient_check(state: FieldState, ham: HamiltonianSpec, deltas) -> tuple[lis
             w = z + 1j * COMPLEX_STEP * delta
             pairing = area * np.sum(grad * delta)
             err = abs(op.action(w, ham, op.apply(w)).imag / COMPLEX_STEP - pairing)
-            bound = gamma * area * np.sum(np.abs(delta) * delta_weight + np.abs(z) * size_of_l(delta))
+            bound = gamma * area * np.sum(np.abs(delta) * delta_weight + np.abs(z) * size_of_l(op.terms(delta)))
             errors.append(float(err / abs(pairing)))
             ratios.append(float(err / bound))
     return errors, ratios

@@ -18,13 +18,13 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateFormError, DimensionMismatchError
+from .errors import DimensionMismatchError
 
 # Relative tolerance of every algebraic identity check (I^2 = -Id, symmetry, ...); see _require.
 TAU_ALG = 1e-9
 
-# Non-degeneracy is decided by a condition-number threshold on the contraction
-# matrix; scale-invariant, unlike a raw determinant cutoff.
+# Every rank verdict is a condition-number threshold, read only by _rank_profile;
+# scale-invariant, unlike a raw determinant cutoff.
 COND_LIMIT = 1e12
 
 _PERM_SIGNS = (
@@ -389,22 +389,16 @@ def validate_crms(form: AlternatingThreeForm, structure: LinearComplexStructure)
 
     # Horizontal lifts of the base basis: with (iv) in force, invertibility at
     # e1 and e2 extends to every nonzero direction, so two checks suffice.
-    worst_cond = 0.0
-    nd_ok = True
+    sv, cond, kernel = _rank_profile(c[:2, 2:, 2:])
     nd_witness = None
-    for label, idx in (("e1", 0), ("e2", 1)):
-        mat = c[idx, 2:, 2:]
-        cond = _condition_number(mat)
-        worst_cond = max(worst_cond, cond)
-        if cond >= COND_LIMIT:
-            nd_ok = False
-            if nd_witness is None:
-                nd_witness = {
-                    "lift": label,
-                    "condition_number": cond,
-                    "smallest_singular_value": float(np.linalg.svd(mat, compute_uv=False)[-1]),
-                }
-    nondegenerate = ConditionCheck(nd_ok, worst_cond, nd_witness)
+    if kernel.any():
+        k = int(np.argmax(kernel > 0))
+        nd_witness = {
+            "lift": ("e1", "e2")[k],
+            "condition_number": float(cond[k]),
+            "smallest_singular_value": float(sv[k, -1]),
+        }
+    nondegenerate = ConditionCheck(nd_witness is None, float(np.max(cond)), nd_witness)
 
     # form(I xi, v1, v2) + form(xi, v1, I v2) over all basis xi and vertical pairs.
     # Both are BLAS products; with a signed-permutation structure each sum has
@@ -429,13 +423,15 @@ def validate_crms(form: AlternatingThreeForm, structure: LinearComplexStructure)
     return ValidationReport(horizontal, nondegenerate, i_compatible)
 
 
-def _condition_number(matrix: np.ndarray) -> float:
-    """np.linalg.cond of a square matrix by the same SVD: sv[0] / sv[-1], inf if sv[-1] is 0."""
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    return np.inf if sv[-1] == 0.0 else float(sv[0] / sv[-1])
+def _rank_profile(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Singular values, condition numbers and kernel dimensions of a square matrix or a stack of them.
 
-
-def require_invertible(matrix: np.ndarray, what: str) -> None:
-    """Raise DegenerateFormError unless the matrix is comfortably invertible."""
-    if _condition_number(np.asarray(matrix, dtype=float)) >= COND_LIMIT:
-        raise DegenerateFormError(f"{what} is numerically singular")
+    The one rank rule, from one values-only SVD: the condition number is sv[0] / sv[-1], inf if
+    sv[-1] is 0, and the kernel dimension counts the singular values with sv[0] / sv_i at least
+    COND_LIMIT, zeros included.  The ratios never decrease, so a matrix is singular (kernel
+    dimension 1 or more) exactly when its condition number is at least COND_LIMIT.
+    """
+    sv = np.linalg.svd(matrices, compute_uv=False)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratios = np.where(sv == 0.0, np.inf, sv[..., :1] / sv)
+    return sv, ratios[..., -1], np.sum(ratios >= COND_LIMIT, axis=-1)

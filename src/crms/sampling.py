@@ -22,8 +22,8 @@ from .linalg import (
     standard_crms_form,
     standard_fiber_forms,
     _alternation_from_canonical,
-    _condition_number,
     _exact_form,
+    _rank_profile,
 )
 
 _COND_CAP = 200.0
@@ -33,7 +33,7 @@ def _well_conditioned(draw: Callable[[], np.ndarray]) -> np.ndarray:
     """The first matrix from repeated draw() calls with condition number below _COND_CAP."""
     while True:
         m = draw()
-        if _condition_number(m) < _COND_CAP:
+        if _rank_profile(m)[1] < _COND_CAP:
             return m
 
 

@@ -16,11 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import _number, standard_fiber_forms
+from .linalg import _number, _rank_profile, standard_fiber_forms
 
 OPERATOR_TAGS = ("DDW", "Bridges")
-
-_KERNEL_REL_TOL = 1e-10  # singular values below this fraction of the largest count as zero
 
 
 @dataclass(frozen=True)
@@ -65,7 +63,5 @@ def principal_symbol(operator_tag: str, xi: np.ndarray, n: int) -> SymbolReport:
         matrix = -(xi[0] * w1 + xi[1] * w2)
     else:
         matrix = np.kron(np.eye(count), _ddw_block(*xi))
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    kernel_dim = int(np.sum(sv < _KERNEL_REL_TOL * sv[0])) if sv[0] > 0.0 else matrix.shape[0]
-    return SymbolReport(kernel_dim=kernel_dim, determinant=float(np.linalg.det(matrix)))
+    return SymbolReport(kernel_dim=int(_rank_profile(matrix)[2]), determinant=float(np.linalg.det(matrix)))
 

@@ -16,11 +16,13 @@ from crms.fields import (
     FieldState,
     HamiltonianSpec,
     TorusGrid,
+    _FieldOperator,
     _operator_on,
     _sum_roundings,
     action,
     bridges_residual,
     diff,
+    gradient_check,
     l2_gradient,
     make_hamiltonian,
     read_state,
@@ -576,6 +578,40 @@ def test_gradient_matches_richardson_differences():
         pairing = grid.cell_area * np.sum(g * delta)
         fd = richardson_directional(state, ham, delta)
         assert abs(pairing - fd) / (abs(pairing) + 1e-30) < 1e-9
+
+
+def test_gradient_check_takes_lz_and_grad_h_once(monkeypatch):
+    # One op.terms(Z) and one ∇H(Z) serve the gradient and the bound's |LZ| + |∇H|; each
+    # direction adds two terms calls, its action's apply and |L delta|.
+    grid, directions = TorusGrid(7, 11, 1.3, 2.9), 5
+    state = random_state(grid, 1, seed=113)
+    base = make_hamiltonian("cosine", 1, lam=0.6)
+    calls = {"terms": 0, "gradient": 0}
+
+    def counted_gradient(z):
+        calls["gradient"] += 1
+        return base.gradient(z)
+
+    ham = HamiltonianSpec(base.name, base.fiber_dim, base.value, counted_gradient)
+    rng = np.random.default_rng(127)
+    deltas = [rng.normal(size=state.values.shape) for _ in range(directions)]
+    terms = _FieldOperator.terms
+
+    def counted_terms(self, values):
+        calls["terms"] += 1
+        return terms(self, values)
+
+    monkeypatch.setattr(_FieldOperator, "terms", counted_terms)
+    calls["gradient"] = 0
+    errors, _ = gradient_check(state, ham, deltas)
+    assert calls == {"terms": 1 + 2 * directions, "gradient": 1}
+    # The gradient it pairs with is l2_gradient's, bit for bit.
+    monkeypatch.undo()
+    op, grad = _operator_on(grid, 1), l2_gradient(state, base)
+    for delta, error in zip(deltas, errors):
+        w = state.values + 1j * COMPLEX_STEP * delta
+        pairing = grid.cell_area * np.sum(grad * delta)
+        assert error == float(abs(op.action(w, base, op.apply(w)).imag / COMPLEX_STEP - pairing) / abs(pairing))
 
 
 @pytest.mark.parametrize("name, lam", [("quadratic", Fraction(3, 2)), ("quartic", Fraction(3, 4))], ids=["quadratic", "quartic"])

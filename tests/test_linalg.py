@@ -10,8 +10,8 @@ import pytest
 
 import crms
 from crms.cli import FORM_INJECTIONS, FORM_SOURCES, _build_form, parse_config
-from crms.darboux import CrpsPair
-from crms.errors import DimensionMismatchError
+from crms.darboux import CrpsPair, crms_darboux
+from crms.errors import DegenerateFormError, DimensionMismatchError
 from crms.fields import TorusGrid, _operator_on
 from crms.linalg import (
     AlternatingThreeForm,
@@ -24,6 +24,8 @@ from crms.linalg import (
     _alternation_index,
     _exact_form,
     _normal_form_base,
+    _rank_profile,
+    contraction_matrix,
     pull_back,
     standard_complex_structure,
     standard_crms_form,
@@ -419,6 +421,57 @@ def test_scaled_random_forms_stay_valid(n):
     form, structure = random_crms_form(n, np.random.default_rng(n))
     for scale in (1e-12, 1e12):
         assert validate_crms(AlternatingThreeForm(scale * form.coeffs), structure).passed
+
+
+def first_pair_scaled(n: int, s: float) -> AlternatingThreeForm:
+    """The standard form pulled back by the complex-linear map that scales q1, q2 of the first quadruple by s.
+
+    Each contraction pairs q with P, so its first 4 x 4 block has all four singular values s and
+    the others 1: at n >= 2 its condition number is 1 / s.
+    """
+    basis = np.eye(2 + 4 * n)
+    basis[2, 2] = basis[3, 3] = s
+    return pull_back(standard_crms_form(n), basis)
+
+
+@pytest.mark.parametrize(("cond", "kernel"), [(1e11, 0), (1e13, 4)])
+def test_every_rank_verdict_flips_at_cond_limit(cond, kernel):
+    # The one rule on both sides of COND_LIMIT = 1e12.  A cutoff relative to the largest singular
+    # value at 1e-10 would count a kernel of 4 at 1e11 already.  An I-compatible contraction is
+    # the real part of a complex antisymmetric matrix, so its kernel grows by four at a time.
+    form, structure = first_pair_scaled(2, 1.0 / cond), standard_complex_structure(2)
+    sv, conds, kernels = _rank_profile(form.coeffs[:2, 2:, 2:])
+    assert conds.tolist() == pytest.approx([cond, cond], rel=1e-12) and kernels.tolist() == [kernel, kernel]
+    report = validate_crms(form, structure)
+    assert report.horizontal.ok and report.i_compatible.ok
+    assert report.nondegenerate.ok is (kernel == 0)
+    e1, e2 = np.eye(form.dim)[:2]
+    pair = (contraction_matrix(form, e2), -contraction_matrix(form, e1), structure.fiber_part)
+    if kernel == 0:
+        CrpsPair(*pair)
+        assert crms_darboux(form, structure).reconstruction_error < 1e-12
+    else:
+        assert report.nondegenerate.witness == {
+            "lift": "e1", "condition_number": float(conds[0]), "smallest_singular_value": float(sv[0, -1])
+        }
+        with pytest.raises(DegenerateFormError, match="omega1 is numerically singular"):
+            CrpsPair(*pair)
+
+
+def test_kernel_dimension_counts_each_singular_value_against_the_largest():
+    assert [int(_rank_profile(np.diag([1.0, s]))[2]) for s in (1e-11, 1e-13, 0.0)] == [0, 1, 1]
+    assert _rank_profile(np.diag([1.0, 1e-13, 0.0]))[1:] == (np.inf, 2)
+    assert _rank_profile(np.zeros((3, 3)))[1:] == (np.inf, 3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_a_stack_gets_the_bits_of_one_svd_per_matrix(n):
+    # validate_crms stacks its two contractions and CrpsPair its two forms; neither may move a bit.
+    for seed in range(3):
+        form, _ = random_crms_form(n, np.random.default_rng(seed))
+        stack = form.coeffs[:2, 2:, 2:]
+        for got, want in zip(_rank_profile(stack), zip(*(_rank_profile(m) for m in stack))):
+            np.testing.assert_array_equal(got, np.array(want), strict=True)
 
 
 def test_compatibility_extends_to_random_vectors_by_linearity():

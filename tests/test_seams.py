@@ -5,7 +5,8 @@ written-out reference ``bridges_residual``; the transposed pair is read only ins
 the operator; the stability constants only by ``flow.stability_bound``; and the
 fiber blocks are derived, not written out as literals.  What counts as an integer or
 a real number is decided only by ``linalg._number``, and every entry point that takes
-one rejects the same values and stores a Python number.
+one rejects the same values and stores a Python number.  Every rank verdict comes from
+``linalg._rank_profile``, the one reader of ``COND_LIMIT`` and the one values-only SVD.
 """
 
 import ast
@@ -98,6 +99,21 @@ def test_numbers_are_typed_only_by_the_one_rule():
         )
 
     assert where(tests_number_type) == {("linalg", ("_number",))}
+
+
+def test_rank_verdicts_come_only_from_the_one_rule():
+    reads_limit = where(
+        lambda node: isinstance(node, (ast.Name, ast.Attribute))
+        and getattr(node, "id", getattr(node, "attr", None)) == "COND_LIMIT"
+        and isinstance(node.ctx, ast.Load)
+    )
+    assert reads_limit == {("linalg", ("_rank_profile",))}
+    svd_calls = where(lambda node: isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "svd")
+    # build_compatible's SVD is a full one: it needs U and V for the polar factors.
+    assert svd_calls == {("linalg", ("_rank_profile",)), ("compatible", ("build_compatible",))}
+    for path in PACKAGE.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        assert "_condition_number" not in text and "_KERNEL_REL_TOL" not in text, path.name
 
 
 # Every entry point that takes a number: (kind, the error it raises, its message, a call that

@@ -133,8 +133,10 @@ def test_block_structure_sizes():
 @pytest.mark.parametrize("tag", OPERATOR_TAGS)
 @pytest.mark.parametrize("xi", [(0.0, 0.0), (np.nan, 1.0), (np.inf, 0.0), (1e-320, 0.0)])
 def test_covector_it_cannot_judge_is_rejected(tag, xi):
-    # Beside zero: NaN breaks the SVD, inf reports a kernel of 3 where it is n = 1,
-    # and a subnormal |xi| underflows the rank threshold 1e-10 sv[0] to 0.
+    # Beside zero: NaN breaks the SVD and inf reports a kernel of 3 where it is n = 1.
+    # A subnormal |xi| leaves the kernel count right (it compares ratios sv[0] / sv_i,
+    # which cannot underflow); it is rejected because |xi|^(4n), the Bridges determinant,
+    # is not a normal double.
     with pytest.raises(ValueError, match="covector must be finite"):
         principal_symbol(tag, np.array(xi), 1)
 
